@@ -42,6 +42,22 @@ class LossBundle:
     grad_lambda: np.ndarray  # clipped dL/dlambda (zeros when unused)
     lambda_prime: np.ndarray
 
+    @classmethod
+    def unperturbed(cls, loss: np.ndarray, lam: np.ndarray) -> "LossBundle":
+        """Bundle of a step that leaves lambda alone, so L' = L is kept."""
+        n = loss.shape[0]
+        values = loss.copy()
+        return cls(
+            loss=values,
+            loss_prime=values.copy(),
+            delta=np.zeros(n),
+            mask=np.zeros(n),
+            loss_final=values.copy(),
+            lam=lam.copy(),
+            grad_lambda=np.zeros(n),
+            lambda_prime=lam.copy(),
+        )
+
 
 def grad_lambda(tape: ad.Tape, loss_sum: ad.Tensor, lam_leaf: ad.Tensor) -> np.ndarray:
     """Backprop ``loss_sum`` and return the gradient on the lambda leaf."""
@@ -54,10 +70,11 @@ def grad_lambda(tape: ad.Tape, loss_sum: ad.Tensor, lam_leaf: ad.Tensor) -> np.n
 
 
 def clip_grad(grad: np.ndarray) -> np.ndarray:
-    """Clamp the raw coefficient gradient into [-1, 1]."""
+    """Clamp the raw coefficient gradient into [-1, 1]; NaN and inf raise."""
     grad = np.asarray(grad, dtype=np.float64)
-    if np.isnan(grad).any():
-        raise DivergenceError("NaN in the mixing-coefficient gradient")
+    if not np.isfinite(grad).all():
+        kind = "NaN" if np.isnan(grad).any() else "infinity"
+        raise DivergenceError(f"{kind} in the mixing-coefficient gradient")
     return np.clip(grad, -1.0, 1.0)
 
 

@@ -14,8 +14,6 @@ to single-precision rounding noise to train reliably in float32.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -25,11 +23,8 @@ __all__ = [
     "matmul",
     "embedding_lookup",
     "gather_rows",
-    "mean_pool",
     "mean_pool_batch",
-    "conv1d_maxpool",
     "conv1d_maxpool_batch",
-    "relu",
     "tanh",
     "add",
     "mul",
@@ -39,7 +34,6 @@ __all__ = [
     "reduce_sum",
     "softmax_cross_entropy",
     "backward",
-    "zero_grads",
     "finite_diff_check",
 ]
 
@@ -65,9 +59,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -212,31 +203,8 @@ def gather_rows(x: Tensor, index) -> Tensor:
     return out
 
 
-def _check_valid_len(valid_len: int, length: int) -> int:
-    vl = int(valid_len)
-    if vl < 1 or vl > length:
-        raise ValueError(f"valid_len must be in [1, {length}], got {vl}")
-    return vl
-
-
-def mean_pool(x: Tensor, valid_len: int) -> Tensor:
-    """Average the first ``valid_len`` rows of a [len, d] sequence."""
-    if x.ndim != 2:
-        raise ValueError(f"mean_pool expects [len, d], got shape {x.shape}")
-    vl = _check_valid_len(valid_len, x.shape[0])
-    out = Tensor(x.data[:vl].mean(axis=0), requires_grad=x.requires_grad)
-
-    def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        gx[:vl] = g / vl
-        return (gx,)
-
-    _record("mean_pool", (x,), out, backward_fn)
-    return out
-
-
 def mean_pool_batch(x: Tensor, valid_lens) -> Tensor:
-    """Batched mean_pool: [n, len, d] with per-sample valid lengths -> [n, d]."""
+    """Average the first ``valid_lens[s]`` rows of each sample: [n, len, d] -> [n, d]."""
     if x.ndim != 3:
         raise ValueError(f"mean_pool_batch expects [n, len, d], got shape {x.shape}")
     n, length, _ = x.shape
@@ -316,42 +284,6 @@ def conv1d_maxpool_batch(x: Tensor, filters: Tensor) -> Tensor:
         )
 
     _record("conv1d_maxpool_batch", (x, filters), out, backward_fn)
-    return out
-
-
-def conv1d_maxpool(x: Tensor, filters: Tensor) -> Tensor:
-    """Single-sequence form of conv1d_maxpool_batch: [len, d] -> [c]."""
-    if x.ndim != 2:
-        raise ValueError(f"conv1d_maxpool expects [len, d], got {x.shape}")
-    if filters.ndim != 3:
-        raise ValueError(f"filters must be [w, d, c], got {filters.shape}")
-    w = filters.shape[0]
-    if x.shape[0] < w:
-        raise ValueError(f"input length {x.shape[0]} is shorter than filter width {w}")
-    if filters.shape[1] != x.shape[1]:
-        raise ValueError(f"filter depth {filters.shape[1]} does not match input depth {x.shape[1]}")
-    x3 = x.data[None]
-    pre, argmax, out_data = _conv_forward(x3, filters.data)
-    out = Tensor(out_data[0], requires_grad=_needs_grad(x, filters))
-
-    def backward_fn(g):
-        gx, gf = _conv_backward(
-            g[None], x3, filters.data, pre, argmax, x.requires_grad, filters.requires_grad
-        )
-        return (None if gx is None else gx[0]), gf
-
-    _record("conv1d_maxpool", (x, filters), out, backward_fn)
-    return out
-
-
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0), requires_grad=x.requires_grad)
-
-    def backward_fn(g):
-        # subgradient 0 at exactly 0
-        return (g * (x.data > 0.0),)
-
-    _record("relu", (x,), out, backward_fn)
     return out
 
 
@@ -526,11 +458,6 @@ def backward(tape: Tape, root: Tensor) -> None:
             tensor.grad = grad.copy()
         else:
             tensor.grad = tensor.grad + grad
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 def finite_diff_check(f, x: Tensor, h: float = 1e-5, denominator: str = "coordinate") -> float:

@@ -117,12 +117,7 @@ class ExperimentConfig:
 
     def mix_config(self) -> mx.MixConfig:
         return mx.MixConfig(
-            policy=self.policy,
-            alpha=self.alpha,
-            epsilon=self.epsilon,
-            layer=self.layer,
-            per_pair_lambda=self.per_pair_lambda,
-            force_mask_ones=self.force_mask_ones,
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(mx.MixConfig)}
         )
 
     def validate(self) -> None:
@@ -147,6 +142,8 @@ class ExperimentConfig:
             raise ValueError(f"subsample_ratio must be in (0, 1], got {self.subsample_ratio}")
         if self.max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
+        if self.min_freq < 1:
+            raise ValueError(f"min_freq must be >= 1, got {self.min_freq}")
         if self.lr <= 0.0:
             raise ValueError(f"lr must be positive, got {self.lr}")
 
@@ -167,41 +164,11 @@ def _parse_int_tuple(text: str) -> tuple:
     return tuple(int(piece) for piece in items)
 
 
-_FIELD_PARSERS = {
-    "policy": str,
-    "alpha": float,
-    "epsilon": float,
-    "layer": str,
-    "per_pair_lambda": _parse_bool,
-    "force_mask_ones": _parse_bool,
-    "backbone": str,
-    "embed_dim": int,
-    "hidden_dim": int,
-    "filter_widths": _parse_int_tuple,
-    "feature_maps": int,
-    "dropout": float,
-    "embed_path": str,
-    "embed_frozen": _parse_bool,
-    "batch_size": int,
-    "lr": float,
-    "max_steps": int,
-    "seeds": _parse_int_tuple,
-    "dev_fraction": float,
-    "max_len": int,
-    "min_freq": int,
-    "subsample_ratio": float,
-    "dataset": str,
-    "train_path": str,
-    "test_path": str,
-    "num_classes": int,
-    "per_class": int,
-    "test_per_class": int,
-    "vocab_size": int,
-    "signal_tokens_per_class": int,
-    "noise_len": int,
-    "label_noise": float,
-    "data_seed": int,
+# field annotations are strings under postponed evaluation
+_PARSERS_BY_TYPE = {
+    "str": str, "int": int, "float": float, "bool": _parse_bool, "tuple": _parse_int_tuple
 }
+_FIELD_PARSERS = {f.name: _PARSERS_BY_TYPE[f.type] for f in dataclasses.fields(ExperimentConfig)}
 
 
 def config_from_items(items: dict) -> ExperimentConfig:
@@ -328,52 +295,25 @@ class TrainReport:
     wall_time: float = 0.0
 
 
-def _plain_step(model, batch, dropout_rng):
-    n = len(batch)
-    mask = md.make_dropout_mask(model, n, dropout_rng)
-    logits = md.forward(model, batch, dropout_mask=mask)
-    loss = ad.softmax_cross_entropy(logits, batch.label_rows)
-    total = ad.scale(ad.reduce_sum(loss), 1.0 / n)
-    ones = np.ones(n)
-    values = loss.data.copy()
-    bundle = am.LossBundle(
-        loss=values,
-        loss_prime=values.copy(),
-        delta=np.zeros(n),
-        mask=np.zeros(n),
-        loss_final=values.copy(),
-        lam=ones,
-        grad_lambda=np.zeros(n),
-        lambda_prime=ones.copy(),
-    )
-    return total, bundle
-
-
-def _mixup_step(model, batch, mix_cfg, mix_rng, dropout_rng):
-    n = len(batch)
-    mix_batch, _, loss = mx.rand_op(model, batch, mix_cfg, mix_rng, dropout_rng)
-    total = ad.scale(ad.reduce_sum(loss), 1.0 / n)
-    values = loss.data.copy()
-    bundle = am.LossBundle(
-        loss=values,
-        loss_prime=values.copy(),
-        delta=np.zeros(n),
-        mask=np.zeros(n),
-        loss_final=values.copy(),
-        lam=mix_batch.lam.copy(),
-        grad_lambda=np.zeros(n),
-        lambda_prime=mix_batch.lam.copy(),
-    )
-    return total, bundle
-
-
 def policy_step(model, batch, mix_cfg, mix_rng, dropout_rng):
-    """Dispatch one optimization step's forward graph by policy."""
+    """Build one optimization step's forward graph by policy.
+
+    Returns ``(total, bundle)``. ``none`` and ``mixup`` minimize the mean
+    per-sample loss and leave lambda unperturbed (``none`` reports it as 1).
+    """
+    if mix_cfg.policy == "amp":
+        return am.amp_step(model, batch, mix_cfg, mix_rng, dropout_rng)
+    n = len(batch)
     if mix_cfg.policy == "none":
-        return _plain_step(model, batch, dropout_rng)
-    if mix_cfg.policy == "mixup":
-        return _mixup_step(model, batch, mix_cfg, mix_rng, dropout_rng)
-    return am.amp_step(model, batch, mix_cfg, mix_rng, dropout_rng)
+        mask = md.make_dropout_mask(model, n, dropout_rng)
+        logits = md.forward(model, batch, dropout_mask=mask)
+        loss = ad.softmax_cross_entropy(logits, batch.label_rows)
+        lam = np.ones(n)
+    else:
+        mix_batch, _, loss = mx.rand_op(model, batch, mix_cfg, mix_rng, dropout_rng)
+        lam = mix_batch.lam
+    total = ad.scale(ad.reduce_sum(loss), 1.0 / n)
+    return total, am.LossBundle.unperturbed(loss.data, lam)
 
 
 def _slice_batch(enc: md.Batch, idx: np.ndarray) -> md.Batch:
@@ -656,9 +596,17 @@ class GradcheckReport:
         return "\n".join(lines)
 
 
-def _away_from_zero(rng, shape, margin=0.05):
-    draw = rng.standard_normal(shape)
-    return np.sign(draw) * (margin + np.abs(draw))
+def _conv_margins_ok(x, f, margin) -> bool:
+    """True when every conv response of ``x`` under filters ``f`` sits at
+    least ``margin`` from the relu kink and every channel's max beats its
+    runner-up by more than ``margin``, so a small input shift cannot flip
+    a gate. An all-clipped channel pools to exactly 0, which is smooth."""
+    pre, _, _ = ad._conv_forward(x, f)
+    if np.abs(pre).min() < margin:
+        return False
+    top2 = np.sort(np.maximum(pre, 0.0), axis=1)[:, -2:, :]
+    gap = top2[:, 1, :] - top2[:, 0, :]
+    return bool(np.all((gap > margin) | (top2[:, 1, :] == 0.0)))
 
 
 def _conv_safe_instance(rng, n, length, depth, width, channels, margin=1e-3):
@@ -666,16 +614,7 @@ def _conv_safe_instance(rng, n, length, depth, width, channels, margin=1e-3):
     for _ in range(200):
         x = rng.standard_normal((n, length, depth))
         f = rng.standard_normal((width, depth, channels))
-        t_out = length - width + 1
-        pre = np.zeros((n, t_out, channels))
-        for u in range(width):
-            pre += x[:, u : u + t_out, :] @ f[u]
-        if np.abs(pre).min() < margin:
-            continue
-        act = np.maximum(pre, 0.0)
-        top2 = np.sort(act, axis=1)[:, -2:, :]
-        gap = top2[:, 1, :] - top2[:, 0, :]
-        if np.all((gap > margin) | (top2[:, 1, :] == 0.0)):
+        if _conv_margins_ok(x, f, margin):
             return x, f
     raise AssertionError("no margin-safe conv instance found")
 
@@ -712,26 +651,11 @@ def _gen_gather(rng):
     return lambda t: _scalarized(ad.gather_rows(t, idx), w), x
 
 
-def _gen_mean_pool(rng):
-    vl = int(rng.integers(1, 6))
-    w = rng.standard_normal(3)
-    x = ad.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-    return lambda t: _scalarized(ad.mean_pool(t, vl), w), x
-
-
 def _gen_mean_pool_batch(rng):
     vls = rng.integers(1, 7, size=4)
     w = rng.standard_normal((4, 2))
     x = ad.Tensor(rng.standard_normal((4, 6, 2)), requires_grad=True)
     return lambda t: _scalarized(ad.mean_pool_batch(t, vls), w), x
-
-
-def _gen_conv(rng):
-    x_data, f_data = _conv_safe_instance(rng, 1, 6, 2, 3, 3)
-    w = rng.standard_normal(3)
-    x = ad.Tensor(x_data[0], requires_grad=True)
-    f_const = ad.Tensor(f_data)
-    return lambda t: _scalarized(ad.conv1d_maxpool(t, f_const), w), x
 
 
 def _gen_conv_batch_filters(rng):
@@ -740,12 +664,6 @@ def _gen_conv_batch_filters(rng):
     x_const = ad.Tensor(x_data)
     f = ad.Tensor(f_data, requires_grad=True)
     return lambda t: _scalarized(ad.conv1d_maxpool_batch(x_const, t), w), f
-
-
-def _gen_relu(rng):
-    w = rng.standard_normal(8)
-    x = ad.Tensor(_away_from_zero(rng, 8), requires_grad=True)
-    return lambda t: _scalarized(ad.relu(t), w), x
 
 
 def _gen_tanh(rng):
@@ -762,10 +680,13 @@ def _gen_add(rng):
 
 
 def _gen_mul(rng):
-    other = ad.Tensor(rng.standard_normal((5, 3)))
+    other = rng.standard_normal((5, 3))
     w = rng.standard_normal((5, 3))
     x = ad.Tensor(rng.standard_normal((5, 1)), requires_grad=True)
-    return lambda t: _scalarized(ad.mul(other, t), w), x
+    # the weights fold into the constant: a second recorded mul would
+    # cancel a sign-flipped adjoint in the first
+    weighted = ad.Tensor(other * w)
+    return lambda t: ad.reduce_sum(ad.mul(weighted, t)), x
 
 
 def _gen_scale(rng):
@@ -817,9 +738,8 @@ def _gen_mixup_loss(rng):
     return lambda t: ad.reduce_sum(mx.mixup_loss(logits, y_i, y_j, t)), lam
 
 
-def _gen_model_embed_mlp(rng):
-    model = md.init_embed_mlp(12, 4, 5, 3, rng)
-    batch = _random_batch(rng, 4, 6, 12, 3)
+def _param_loss(model, batch, rng):
+    """Summed cross entropy as a function of one randomly picked parameter."""
     names = sorted(model.params)
     name = names[int(rng.integers(0, len(names)))]
 
@@ -833,6 +753,11 @@ def _gen_model_embed_mlp(rng):
         return out
 
     return loss_fn, ad.Tensor(model.params[name].data.copy(), requires_grad=True)
+
+
+def _gen_model_embed_mlp(rng):
+    model = md.init_embed_mlp(12, 4, 5, 3, rng)
+    return _param_loss(model, _random_batch(rng, 4, 6, 12, 3), rng)
 
 
 def _gen_model_text_cnn(rng):
@@ -843,56 +768,10 @@ def _gen_model_text_cnn(rng):
         model = md.init_text_cnn(12, 3, (2, 3), 3, 3, rng, dropout=0.0)
         batch = _random_batch(rng, 3, 6, 12, 3)
         grid = model.params["embed"].data[batch.token_ids]
-        safe = True
-        for width in model.filter_widths:
-            f = model.params[f"conv{width}"].data
-            t_out = grid.shape[1] - width + 1
-            pre = np.zeros((grid.shape[0], t_out, f.shape[2]))
-            for u in range(width):
-                pre += grid[:, u : u + t_out, :] @ f[u]
-            act = np.maximum(pre, 0.0)
-            top2 = np.sort(act, axis=1)[:, -2:, :]
-            gap = top2[:, 1, :] - top2[:, 0, :]
-            if np.abs(pre).min() < 1e-4 or not np.all((gap > 1e-4) | (top2[:, 1, :] == 0.0)):
-                safe = False
-                break
-        if safe:
-            break
-    else:
-        raise AssertionError("no margin-safe conv instance found")
-    names = sorted(model.params)
-    name = names[int(rng.integers(0, len(names)))]
-
-    def loss_fn(t):
-        saved = model.params[name]
-        model.params[name] = t
-        t.requires_grad = True
-        logits = md.forward(model, batch)
-        out = ad.reduce_sum(ad.softmax_cross_entropy(logits, batch.label_rows))
-        model.params[name] = saved
-        return out
-
-    return loss_fn, ad.Tensor(model.params[name].data.copy(), requires_grad=True)
-
-
-def _cnn_word_margins_ok(model, batch, j_index, lam, margin=1e-4):
-    """True when the mixed word grid keeps conv responses off relu kinks
-    and argmax ties, so a tiny lambda wiggle cannot flip a gate."""
-    grid = model.params["embed"].data[batch.token_ids]
-    col = lam.reshape(-1, 1, 1)
-    mixed = grid * col + grid[j_index] * (1.0 - col)
-    for width in model.filter_widths:
-        f = model.params[f"conv{width}"].data
-        t_out = mixed.shape[1] - width + 1
-        pre = np.zeros((mixed.shape[0], t_out, f.shape[2]))
-        for u in range(width):
-            pre += mixed[:, u : u + t_out, :] @ f[u]
-        act = np.maximum(pre, 0.0)
-        top2 = np.sort(act, axis=1)[:, -2:, :]
-        gap = top2[:, 1, :] - top2[:, 0, :]
-        if np.abs(pre).min() < margin or not np.all((gap > margin) | (top2[:, 1, :] == 0.0)):
-            return False
-    return True
+        if all(_conv_margins_ok(grid, model.params[f"conv{w}"].data, 1e-4)
+               for w in model.filter_widths):
+            return _param_loss(model, batch, rng)
+    raise AssertionError("no margin-safe conv instance found")
 
 
 def _lambda_instance(rng):
@@ -914,7 +793,15 @@ def _lambda_instance(rng):
         return md.init_embed_mlp(15, 4, 6, 3, rng), batch, layer, j_index, lam
     for _ in range(200):
         model = md.init_text_cnn(15, 3, (2, 3), 3, 3, rng, dropout=0.0)
-        if layer == "sent" or _cnn_word_margins_ok(model, batch, j_index, lam):
+        if layer == "sent":
+            return model, batch, layer, j_index, lam
+        # the mixed word grid must keep its conv gates fixed under a
+        # tiny lambda wiggle
+        grid = model.params["embed"].data[batch.token_ids]
+        col = lam.reshape(-1, 1, 1)
+        mixed = grid * col + grid[j_index] * (1.0 - col)
+        if all(_conv_margins_ok(mixed, model.params[f"conv{w}"].data, 1e-4)
+               for w in model.filter_widths):
             return model, batch, layer, j_index, lam
     raise AssertionError("no margin-safe conv instance found")
 
@@ -983,11 +870,8 @@ _PRIMITIVE_CHECKS = (
     ("matmul", _gen_matmul, 1e-5, "coordinate"),
     ("embedding_lookup", _gen_embedding, 1e-5, "coordinate"),
     ("gather_rows", _gen_gather, 1e-5, "coordinate"),
-    ("mean_pool", _gen_mean_pool, 1e-5, "coordinate"),
     ("mean_pool_batch", _gen_mean_pool_batch, 1e-5, "coordinate"),
-    ("conv1d_maxpool", _gen_conv, 1e-5, "coordinate"),
     ("conv1d_maxpool_batch", _gen_conv_batch_filters, 1e-5, "coordinate"),
-    ("relu", _gen_relu, 1e-5, "coordinate"),
     ("tanh", _gen_tanh, 1e-5, "coordinate"),
     ("add", _gen_add, 1e-5, "coordinate"),
     ("mul", _gen_mul, 1e-5, "coordinate"),

@@ -48,7 +48,6 @@ class MixBatch:
     j_index: np.ndarray  # [n] partner for each position
     lam: np.ndarray  # [n] coefficients in [0, 1]
     mixed_hidden: md.Hidden
-    mixed_labels: np.ndarray  # [n, C] soft rows
     layer: str
     # wiring for a second pass over the same pairing
     lam_leaf: ad.Tensor = None
@@ -167,16 +166,24 @@ def rand_op(
     state and the label weights. Draw order is fixed (partner
     permutation, then lambda, then dropout mask) so policies sharing a
     seed see identical randomness; the override hooks skip no draws
-    except the one they replace.
+    except the one they replace. ``j_override`` must be a permutation of
+    ``range(n)`` and ``lam_override`` an [n] array in [0, 1].
     """
     config.validate()
     n = len(batch)
     if j_override is not None:
         j_index = np.asarray(j_override)
+        if j_index.dtype.kind not in "iu" or not np.array_equal(np.sort(j_index), np.arange(n)):
+            raise ValueError(f"j_override must be a permutation of range({n})")
     else:
         j_index = pair_batch(n, rng)
     if lam_override is not None:
         lam = np.asarray(lam_override, dtype=np.float64)
+        if lam.shape != (n,):
+            raise ValueError(f"lam_override must have shape ({n},), got {lam.shape}")
+        # NaN fails both comparisons, so this also rejects non-finite values
+        if not np.all((lam >= 0.0) & (lam <= 1.0)):
+            raise ValueError("lam_override must be finite and lie in [0, 1]")
     elif config.per_pair_lambda:
         lam = sample_lambda(config.alpha, n, rng)
     else:
@@ -204,7 +211,6 @@ def rand_op(
         j_index=j_index,
         lam=lam,
         mixed_hidden=mixed_hidden,
-        mixed_labels=mix_labels(y_i, y_j, lam),
         layer=config.layer,
         lam_leaf=lam_leaf,
         hidden_i=g_i,

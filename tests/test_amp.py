@@ -27,9 +27,10 @@ class TestClipGrad:
         out = amp.clip_grad(np.array([-3.0, -1.0, -0.2, 0.0, 0.7, 1.0, 5.0]))
         np.testing.assert_array_equal(out, [-1.0, -1.0, -0.2, 0.0, 0.7, 1.0, 1.0])
 
-    def test_infinities_clamp(self):
-        out = amp.clip_grad(np.array([-np.inf, np.inf]))
-        np.testing.assert_array_equal(out, [-1.0, 1.0])
+    def test_infinities_raise_divergence(self):
+        for value in (-np.inf, np.inf):
+            with pytest.raises(DivergenceError, match="infinity"):
+                amp.clip_grad(np.array([0.1, value]))
 
     def test_nan_raises_divergence(self):
         with pytest.raises(DivergenceError, match="NaN"):

@@ -50,6 +50,12 @@ class TestExitCodes:
         assert main(["train", "--config", str(path)]) == 1
         assert "not_a_key" in capsys.readouterr().err
 
+    def test_min_freq_below_one_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY + "min_freq = 0\n")
+        assert main(["train", "--config", str(path)]) == 1
+        assert "min_freq" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
@@ -159,9 +165,9 @@ class TestGradcheck:
         assert "all gradient checks passed" in out
 
     def test_corrupted_op_exits_two_and_names_it(self, capsys):
-        assert main(["gradcheck", "--instances", "2", "--corrupt", "relu"]) == 2
+        assert main(["gradcheck", "--instances", "2", "--corrupt", "tanh"]) == 2
         captured = capsys.readouterr()
-        assert "relu" in captured.err
+        assert "tanh" in captured.err
 
     def test_unknown_corrupt_target_is_config_error(self, capsys):
         assert main(["gradcheck", "--corrupt", "no_such_op"]) == 1

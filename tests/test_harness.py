@@ -118,6 +118,10 @@ class TestConfig:
             with pytest.raises(ValueError):
                 cfg.validate()
 
+    def test_min_freq_below_one_rejected(self):
+        with pytest.raises(ValueError, match="min_freq"):
+            hz.config_from_items({"min_freq": "0"})
+
     def test_file_dataset_requires_paths(self):
         cfg = tiny_config(dataset="file")
         with pytest.raises(ValueError, match="train_path"):
@@ -449,12 +453,20 @@ class TestLambdaSweep:
             hz.lambda_sweep(model_a, model_b, test_ds, vocab, cfg.max_len, grid_points=1)
 
 
+# the differentiable ops the tape module exports
+TAPE_OPS = [
+    name
+    for name in ad.__all__
+    if name not in ("Tensor", "Tape", "active_tape", "backward", "finite_diff_check")
+]
+
+
 class TestGradcheck:
     def test_full_sweep_passes(self):
         report = hz.gradcheck(instances=20)
         assert report.passed, report.format()
         names = [name for name, _, _ in report.rows]
-        assert "conv1d_maxpool" in names
+        assert "conv1d_maxpool_batch" in names
         assert "softmax_cross_entropy" in names
         assert "grad_lambda_fd" in names
         assert "grad_lambda_analytic" in names
@@ -477,6 +489,18 @@ class TestGradcheck:
     def test_unknown_corrupt_target_rejected(self):
         with pytest.raises(ValueError, match="unknown op"):
             hz.gradcheck(corrupt="made_up_op")
+
+    @pytest.mark.parametrize("op", TAPE_OPS)
+    def test_every_exported_op_is_audited(self, op):
+        report = hz.gradcheck(corrupt=op, instances=2)
+        assert not report.passed
+        if op == "reduce_sum":
+            # every primitive row scalarizes through reduce_sum, so its
+            # corruption fails all of them rather than a row of its own
+            rows = {name for name, _, _, _ in hz._PRIMITIVE_CHECKS}
+            assert rows <= set(report.failures())
+        else:
+            assert op in report.failures()
 
     def test_analytic_decomposition_matches_tape(self):
         rng = np.random.default_rng(5)

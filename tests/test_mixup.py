@@ -247,12 +247,35 @@ class TestRandOp:
         mix_batch, _, _ = mx.rand_op(model, batch, cfg, np.random.default_rng(6))
         assert np.unique(mix_batch.lam).size == 1
 
-    def test_mixed_labels_recorded(self):
+    def _rand_op(self, **overrides):
         model = make_model(np.random.default_rng(20))
         batch = make_batch(np.random.default_rng(21))
-        mix_batch, _, _ = mx.rand_op(model, batch, mx.MixConfig(), np.random.default_rng(6))
-        expected = mx.mix_labels(batch.label_rows, batch.label_rows[mix_batch.j_index], mix_batch.lam)
-        np.testing.assert_array_equal(mix_batch.mixed_labels, expected)
+        return mx.rand_op(model, batch, mx.MixConfig(), np.random.default_rng(6), **overrides)
+
+    def test_lam_override_shape_checked(self):
+        with pytest.raises(ValueError, match=r"lam_override must have shape \(6,\)"):
+            self._rand_op(lam_override=np.full(5, 0.5))
+
+    def test_lam_override_must_be_finite(self):
+        for bad in (np.nan, np.inf):
+            lam = np.full(6, 0.5)
+            lam[2] = bad
+            with pytest.raises(ValueError, match="lam_override must be finite"):
+                self._rand_op(lam_override=lam)
+
+    def test_lam_override_must_lie_in_unit_interval(self):
+        for bad in (-0.1, 1.5):
+            lam = np.full(6, 0.5)
+            lam[4] = bad
+            with pytest.raises(ValueError, match=r"lam_override .* \[0, 1\]"):
+                self._rand_op(lam_override=lam)
+        self._rand_op(lam_override=np.array([0.0, 1.0, 0.5, 0.0, 1.0, 0.25]))
+
+    def test_j_override_must_be_a_permutation(self):
+        for bad in ([0, 0, 1, 2, 3, 4], [1, 0, 2, 3, 4], [0, 1, 2, 3, 4, 6], np.arange(6.0)):
+            with pytest.raises(ValueError, match=r"j_override must be a permutation"):
+                self._rand_op(j_override=np.asarray(bad))
+        self._rand_op(j_override=np.array([5, 4, 3, 2, 1, 0]))
 
     def test_lambda_gradient_matches_finite_differences(self):
         model = make_model(np.random.default_rng(23))
