@@ -19,9 +19,9 @@ def main() -> None:
     w = ad.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     with ad.Tape() as tape:
         out = ad.reduce_sum(ad.tanh(ad.matmul(x, w)))
-        ad.backward(tape, out)
+        (grad_x,) = ad.backward(tape, out, [x])
     print(f"recorded {len(tape)} ops, output {out.data:.6f}")
-    print("grad wrt x, first row:", np.round(x.grad[0], 6))
+    print("grad wrt x, first row:", np.round(grad_x[0], 6))
 
     err = ad.finite_diff_check(lambda t: ad.reduce_sum(ad.tanh(ad.matmul(t, w))), x)
     print(f"max relative error vs central differences: {err:.2e}")
@@ -34,9 +34,9 @@ def main() -> None:
     with ad.Tape() as tape:
         mixed = ad.add(ad.mul(a, lam), ad.mul(b, ad.add(ad.scale(lam, -1.0), 1.0)))
         loss = ad.reduce_sum(ad.mul(mixed, mixed))
-        ad.backward(tape, loss)
+        (grad_lam,) = ad.backward(tape, loss, [lam])
     manual = float(2.0 * np.sum((lam.data * a.data + (1 - lam.data) * b.data) * (a.data - b.data)))
-    print(f"d loss / d lam: tape {float(lam.grad):.6f}, hand-derived {manual:.6f}")
+    print(f"d loss / d lam: tape {float(grad_lam):.6f}, hand-derived {manual:.6f}")
 
 
 if __name__ == "__main__":

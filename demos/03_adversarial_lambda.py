@@ -37,7 +37,7 @@ def main() -> None:
 
     with ad.Tape() as tape:
         total, bundle = amp.amp_step(model, batch, CONFIG.mix_config(), np.random.default_rng(3))
-        ad.backward(tape, total)
+        grads = ad.backward(tape, total, model.params.values())
 
     print(f"coefficient step size eps = {CONFIG.epsilon}, gradient clipped to [-1, 1]\n")
     print(f"{'lam':>6} {'grad':>7} {'lam_prime':>9} {'L':>7} {'L_prime':>8} {'kept':>5}")
@@ -54,8 +54,8 @@ def main() -> None:
         f"\nmean selected loss {bundle.loss_final.mean():.4f} "
         f">= mean unperturbed loss {bundle.loss.mean():.4f}"
     )
-    grads = sum(1 for p in model.params.values() if p.grad is not None and np.any(p.grad))
-    print(f"parameter tensors with nonzero gradient after backward: {grads}/{len(model.params)}")
+    nonzero = sum(1 for g in grads if g is not None and np.any(g))
+    print(f"parameter tensors with nonzero gradient after backward: {nonzero}/{len(model.params)}")
 
 
 if __name__ == "__main__":

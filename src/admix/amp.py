@@ -63,10 +63,10 @@ def grad_lambda(tape: ad.Tape, loss_sum: ad.Tensor, lam_leaf: ad.Tensor) -> np.n
     """Backprop ``loss_sum`` and return the gradient on the lambda leaf."""
     if not lam_leaf.requires_grad:
         raise ValueError("lambda leaf does not require grad")
-    ad.backward(tape, loss_sum)
-    if lam_leaf.grad is None:
+    (grad,) = ad.backward(tape, loss_sum, [lam_leaf])
+    if grad is None:
         raise ValueError("lambda leaf is not reachable from the loss on this tape")
-    return lam_leaf.grad.copy()
+    return grad
 
 
 def clip_grad(grad: np.ndarray) -> np.ndarray:
@@ -129,9 +129,7 @@ def amp_step(
 
     Returns ``(total, bundle)`` where ``total`` is the scalar
     mean(max(L, L')) ready for a backward pass, and ``bundle`` records
-    the per-sample quantities. Parameter and lambda grads left by the
-    internal ascent backprop are zeroed before returning, so the
-    caller's backward starts clean.
+    the per-sample quantities.
     """
     tape = ad.active_tape()
     if tape is None:
@@ -141,11 +139,7 @@ def amp_step(
     )
     n = len(batch)
 
-    g_lam = grad_lambda(tape, ad.reduce_sum(loss), mix_batch.lam_leaf)
-    model.zero_grads()
-    mix_batch.lam_leaf.grad = None
-
-    g_lam = clip_grad(g_lam)
+    g_lam = clip_grad(grad_lambda(tape, ad.reduce_sum(loss), mix_batch.lam_leaf))
     lam_prime = perturb_lambda(mix_batch.lam, g_lam, config.epsilon)
     loss_prime = recompute_loss(model, mix_batch, lam_prime)
 

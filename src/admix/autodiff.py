@@ -5,7 +5,8 @@ operation appends one node (inputs, output, backward closure) to the
 tape in creation order, which is a valid topological order because an
 op can only consume tensors that already exist. ``backward`` walks the
 node list once in reverse, so its cost is linear in the number of
-recorded ops.
+recorded ops, and it returns the gradients of the leaves it is asked
+for; no gradient is stored on a tensor.
 
 All values are stored as float64. Mixing-coefficient perturbations used
 elsewhere in this package are on the order of 1e-3, which is too close
@@ -16,10 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "Tape",
-    "active_tape",
+# Names of the ops that record a node on the active tape.
+OPS = (
     "matmul",
     "embedding_lookup",
     "gather_rows",
@@ -33,24 +32,19 @@ __all__ = [
     "concat",
     "reduce_sum",
     "softmax_cross_entropy",
-    "backward",
-    "finite_diff_check",
-]
+)
+
+__all__ = ["Tensor", "Tape", "active_tape", "backward", "finite_diff_check", *OPS]
 
 
 class Tensor:
-    """A float64 array plus gradient slot.
+    """A float64 array, flagged when gradients should flow into it."""
 
-    ``grad`` is populated for ``requires_grad`` leaves by ``backward``
-    and accumulates across calls; callers zero it between steps.
-    """
-
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -419,23 +413,23 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
 # reverse pass
 
 
-def backward(tape: Tape, root: Tensor) -> None:
-    """Accumulate d(root)/d(leaf) into ``.grad`` of every reachable leaf.
+def backward(tape: Tape, root: Tensor, leaves) -> list:
+    """Gradients of ``root`` with respect to each of ``leaves``, in order.
 
-    ``root`` must be scalar. Each tape node is visited exactly once, in
-    reverse creation order; nodes whose output received no gradient are
-    skipped. Leaf gradients add to whatever is already in ``.grad``, so
-    callers zero grads between optimization steps.
+    ``root`` must be scalar, and ``leaves`` are tensors that no node on
+    ``tape`` produced. Each tape node is visited exactly once, in reverse
+    creation order; nodes whose output received no gradient are skipped.
+    Every result is a fresh array, or None for a leaf that ``root`` does
+    not reach. Nothing is stored on the tensors, so repeated calls return
+    equal, independent gradients.
     """
     if root.data.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.shape}")
     pending: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    holders: dict[int, Tensor] = {id(root): root}
     visits = 0
     for node in reversed(tape.nodes):
         visits += 1
         out_grad = pending.pop(id(node.output), None)
-        holders.pop(id(node.output), None)
         if out_grad is None:
             continue
         in_grads = node.backward_fn(out_grad)
@@ -447,17 +441,10 @@ def backward(tape: Tape, root: Tensor) -> None:
                 pending[key] = pending[key] + grad
             else:
                 pending[key] = grad
-                holders[key] = tensor
     tape.last_visit_count = visits
-    # whatever was never produced by a node on this tape is a leaf
-    for key, grad in pending.items():
-        tensor = holders[key]
-        if not tensor.requires_grad:
-            continue
-        if tensor.grad is None:
-            tensor.grad = grad.copy()
-        else:
-            tensor.grad = tensor.grad + grad
+    # copies, because an op may hand one array to several of its inputs
+    grads = [pending.get(id(leaf)) for leaf in leaves]
+    return [None if grad is None else grad.copy() for grad in grads]
 
 
 def finite_diff_check(f, x: Tensor, h: float = 1e-5, denominator: str = "coordinate") -> float:
@@ -475,12 +462,10 @@ def finite_diff_check(f, x: Tensor, h: float = 1e-5, denominator: str = "coordin
     """
     if denominator not in ("coordinate", "scale"):
         raise ValueError(f"denominator must be 'coordinate' or 'scale', got {denominator!r}")
-    x.grad = None
     with Tape() as tape:
         y = f(x)
-    backward(tape, y)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    x.grad = None
+    (grad,) = backward(tape, y, [x])
+    analytic = np.zeros_like(x.data) if grad is None else grad
     flat = x.data.reshape(-1)
     fd = np.zeros_like(flat)
     for i in range(flat.size):

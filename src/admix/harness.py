@@ -394,14 +394,13 @@ def train(config: ExperimentConfig, seed: int, step_hook=None):
         pos += config.batch_size
         batch = _slice_batch(enc_train, idx)
 
-        model.zero_grads()
+        params = model.trainable_params()
         with ad.Tape() as tape:
             total, bundle = policy_step(model, batch, mix_cfg, mix_rng, dropout_rng)
-            ad.backward(tape, total)
+            grads = dict(zip(params, ad.backward(tape, total, params.values())))
         if not np.isfinite(total.data):
             raise DivergenceError(f"non-finite loss at step {step}")
-        grads = {name: p.grad for name, p in model.trainable_params().items()}
-        adam_update(model.trainable_params(), grads, optim)
+        adam_update(params, grads, optim)
 
         report.step_loss.append(float(np.mean(bundle.loss)))
         report.step_loss_prime.append(float(np.mean(bundle.loss_prime)))
@@ -842,12 +841,12 @@ def analytic_grad_lambda(model: md.Model, mix_batch: mx.MixBatch) -> np.ndarray:
         )
         loss = mx.mixup_loss(logits, mix_batch.y_i, mix_batch.y_j, ad.Tensor(mix_batch.lam))
         total = ad.reduce_sum(loss)
-    ad.backward(tape, total)
+    (grad,) = ad.backward(tape, total, [leaf])
     ce_i = ad.softmax_cross_entropy(logits, mix_batch.y_i).data
     ce_j = ad.softmax_cross_entropy(logits, mix_batch.y_j).data
     diff = mix_batch.hidden_i.data - mix_batch.hidden_j.data
     axes = tuple(range(1, diff.ndim))
-    return (ce_i - ce_j) + (leaf.grad * diff).sum(axis=axes)
+    return (ce_i - ce_j) + (grad * diff).sum(axis=axes)
 
 
 def _lambda_grad_analytic_error(rng) -> float:
@@ -858,7 +857,6 @@ def _lambda_grad_analytic_error(rng) -> float:
             model, batch, cfg, rng, lam_override=lam, j_override=j_index
         )
         tape_grad = am.grad_lambda(tape, ad.reduce_sum(loss), mix_batch.lam_leaf)
-    model.zero_grads()
     reference = analytic_grad_lambda(model, mix_batch)
     return float(np.max(np.abs(tape_grad - reference) / (np.abs(reference) + 1e-8)))
 
@@ -907,13 +905,13 @@ def gradcheck(corrupt: str | None = None, instances: int = 100, seed: int = 0) -
     """Finite-difference sweep over every op plus the coefficient gradient.
 
     Each row reports the max relative error over ``instances`` random
-    cases. ``corrupt`` names a primitive whose recorded gradient is
-    sign-flipped for the duration, a hook for verifying the checker
-    actually fails on wrong gradients.
+    cases. ``corrupt`` names a tape op in ``ad.OPS`` whose recorded
+    gradient is sign-flipped for the duration, a hook for verifying the
+    checker actually fails on wrong gradients.
     """
     restore = None
     if corrupt is not None:
-        if not hasattr(ad, corrupt):
+        if corrupt not in ad.OPS:
             raise ValueError(f"cannot corrupt unknown op {corrupt!r}")
         restore = getattr(ad, corrupt)
         setattr(ad, corrupt, _corrupting(restore))

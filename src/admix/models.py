@@ -53,16 +53,10 @@ class Model:
     sent_dim: int
     num_classes: int
     dropout: float = 0.0
-    embed_frozen: bool = False
     filter_widths: tuple[int, ...] = ()
-    layer_names: tuple[str, ...] = LAYER_NAMES
 
     def trainable_params(self) -> dict[str, ad.Tensor]:
         return {k: p for k, p in self.params.items() if p.requires_grad}
-
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
     def num_params(self) -> int:
         return sum(p.data.size for p in self.params.values())
@@ -160,17 +154,16 @@ def init_text_cnn(
 
 def freeze_embeddings(model: Model) -> None:
     model.params["embed"].requires_grad = False
-    model.embed_frozen = True
 
 
-def _check_layer(model: Model, layer: str) -> None:
-    if layer not in model.layer_names:
-        raise ValueError(f"unknown layer {layer!r}, expected one of {model.layer_names}")
+def _check_layer(layer: str) -> None:
+    if layer not in LAYER_NAMES:
+        raise ValueError(f"unknown layer {layer!r}, expected one of {LAYER_NAMES}")
 
 
 def forward_to_layer(model: Model, batch: Batch, layer: str) -> Hidden:
     """Run the network prefix and stop at the named cut point."""
-    _check_layer(model, layer)
+    _check_layer(layer)
     grid = ad.embedding_lookup(model.params["embed"], batch.token_ids)
     if layer == "word":
         return Hidden("word", grid, batch.valid_lens.copy())
@@ -206,7 +199,7 @@ def forward_from_layer(
     layer (entries 0 or 1/keep). Passing the same mask to two calls
     makes them share the dropped units; None means evaluation mode.
     """
-    _check_layer(model, hidden.layer)
+    _check_layer(hidden.layer)
     if hidden.layer == "word":
         hidden = _word_to_sent(model, hidden)
     sent = hidden.tensor

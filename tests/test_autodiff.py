@@ -86,9 +86,9 @@ class TestMatmul:
         w = rand(rng, 3, 2)
         with ad.Tape() as tape:
             y = weighted_sum(ad.matmul(a, b), w)
-        ad.backward(tape, y)
-        np.testing.assert_allclose(a.grad, w @ b.data.T, rtol=1e-12)
-        np.testing.assert_allclose(b.grad, a.data.T @ w, rtol=1e-12)
+        ga, gb = ad.backward(tape, y, [a, b])
+        np.testing.assert_allclose(ga, w @ b.data.T, rtol=1e-12)
+        np.testing.assert_allclose(gb, a.data.T @ w, rtol=1e-12)
 
 
 class TestEmbeddingLookup:
@@ -96,10 +96,10 @@ class TestEmbeddingLookup:
         table = ad.Tensor(np.arange(15.0).reshape(5, 3), requires_grad=True)
         with ad.Tape() as tape:
             y = ad.reduce_sum(ad.embedding_lookup(table, [0, 0]))
-        ad.backward(tape, y)
+        (grad,) = ad.backward(tape, y, [table])
         expected = np.zeros((5, 3))
         expected[0] = 2.0
-        np.testing.assert_array_equal(table.grad, expected)
+        np.testing.assert_array_equal(grad, expected)
 
     def test_scatter_matches_hand_count(self):
         rng = np.random.default_rng(11)
@@ -108,11 +108,11 @@ class TestEmbeddingLookup:
         w = rand(rng, 2, 3, 4)
         with ad.Tape() as tape:
             y = weighted_sum(ad.embedding_lookup(table, ids), w)
-        ad.backward(tape, y)
+        (grad,) = ad.backward(tape, y, [table])
         expected = np.zeros((6, 4))
         for pos in np.ndindex(ids.shape):
             expected[ids[pos]] += w[pos]
-        np.testing.assert_allclose(table.grad, expected, rtol=1e-12)
+        np.testing.assert_allclose(grad, expected, rtol=1e-12)
 
     def test_output_shape_follows_ids_shape(self):
         table = ad.Tensor(np.zeros((9, 5)))
@@ -142,8 +142,8 @@ class TestGatherRows:
         x = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         with ad.Tape() as tape:
             y = ad.reduce_sum(ad.gather_rows(x, np.array([1, 1, 0])))
-        ad.backward(tape, y)
-        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
+        (grad,) = ad.backward(tape, y, [x])
+        np.testing.assert_array_equal(grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
 
     def test_bad_index_raises(self):
         x = ad.Tensor(np.zeros((3, 2)))
@@ -156,11 +156,11 @@ class TestMeanPool:
         x = ad.Tensor(np.arange(24.0).reshape(2, 4, 3), requires_grad=True)
         with ad.Tape() as tape:
             y = ad.reduce_sum(ad.mean_pool_batch(x, [2, 3]))
-        ad.backward(tape, y)
+        (grad,) = ad.backward(tape, y, [x])
         expected = np.zeros((2, 4, 3))
         expected[0, :2] = 1.0 / 2.0
         expected[1, :3] = 1.0 / 3.0
-        np.testing.assert_array_equal(x.grad, expected)
+        np.testing.assert_array_equal(grad, expected)
 
     def test_valid_len_bounds(self):
         x = ad.Tensor(np.zeros((2, 4, 3)))
@@ -180,13 +180,13 @@ class TestMeanPool:
         with ad.Tape() as tape:
             out = ad.mean_pool_batch(xb, vls)
             y = weighted_sum(out, w)
-        ad.backward(tape, y)
+        (grad,) = ad.backward(tape, y, [xb])
         for s in range(5):
             vl = int(vls[s])
             np.testing.assert_allclose(out.data[s], x_data[s, :vl].mean(axis=0), rtol=1e-12)
             expected = np.zeros((6, 3))
             expected[:vl] = w[s] / vl
-            np.testing.assert_allclose(xb.grad[s], expected, rtol=1e-12)
+            np.testing.assert_allclose(grad[s], expected, rtol=1e-12)
 
     def test_batch_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(22)
@@ -228,9 +228,9 @@ class TestConvMaxpool:
         f = ad.Tensor(np.ones((2, 3, 4)), requires_grad=True)
         with ad.Tape() as tape:
             y = ad.reduce_sum(ad.conv1d_maxpool_batch(x, f))
-        ad.backward(tape, y)
-        np.testing.assert_array_equal(x.grad, np.zeros((2, 6, 3)))
-        np.testing.assert_array_equal(f.grad, np.zeros((2, 3, 4)))
+        gx, gf = ad.backward(tape, y, [x, f])
+        np.testing.assert_array_equal(gx, np.zeros((2, 6, 3)))
+        np.testing.assert_array_equal(gf, np.zeros((2, 3, 4)))
 
     def test_tie_routes_to_earliest_position(self):
         # width-1 identity filter; both positions produce the same value
@@ -238,8 +238,8 @@ class TestConvMaxpool:
         f = ad.Tensor(np.ones((1, 1, 1)))
         with ad.Tape() as tape:
             y = ad.reduce_sum(ad.conv1d_maxpool_batch(x, f))
-        ad.backward(tape, y)
-        np.testing.assert_array_equal(x.grad, [[[1.0], [0.0]]])
+        (grad,) = ad.backward(tape, y, [x])
+        np.testing.assert_array_equal(grad, [[[1.0], [0.0]]])
 
     def test_too_short_input_raises(self):
         with pytest.raises(ValueError, match="shorter"):
@@ -256,11 +256,11 @@ class TestConvMaxpool:
         with ad.Tape() as tape:
             out = ad.conv1d_maxpool_batch(xb, fb)
             y = weighted_sum(out, w)
-        ad.backward(tape, y)
+        gx, gf = ad.backward(tape, y, [xb, fb])
         ref_out, ref_gx, ref_gf = conv_maxpool_reference(x_data, f_data, w)
         np.testing.assert_allclose(out.data, ref_out, rtol=1e-12)
-        np.testing.assert_allclose(xb.grad, ref_gx, rtol=1e-12)
-        np.testing.assert_allclose(fb.grad, ref_gf, rtol=1e-12)
+        np.testing.assert_allclose(gx, ref_gx, rtol=1e-12)
+        np.testing.assert_allclose(gf, ref_gf, rtol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(32)
@@ -293,9 +293,9 @@ class TestElementwise:
         x_data = rand(rng, 4, 3)
         with ad.Tape() as tape:
             y = weighted_sum(ad.add(ad.Tensor(x_data), bias), w)
-        ad.backward(tape, y)
-        assert bias.grad.shape == (3,)
-        np.testing.assert_allclose(bias.grad, w.sum(axis=0), rtol=1e-12)
+        (grad,) = ad.backward(tape, y, [bias])
+        assert grad.shape == (3,)
+        np.testing.assert_allclose(grad, w.sum(axis=0), rtol=1e-12)
         err = ad.finite_diff_check(lambda t: weighted_sum(ad.add(ad.Tensor(x_data), t), w), bias)
         assert err <= 1e-6
 
@@ -306,17 +306,53 @@ class TestElementwise:
         other = rand(rng, 5, 2)
         with ad.Tape() as tape:
             y = weighted_sum(ad.mul(lam, ad.Tensor(other)), w)
-        ad.backward(tape, y)
-        np.testing.assert_allclose(lam.grad, (w * other).sum(axis=1, keepdims=True), rtol=1e-12)
+        (grad,) = ad.backward(tape, y, [lam])
+        np.testing.assert_allclose(grad, (w * other).sum(axis=1, keepdims=True), rtol=1e-12)
         err = ad.finite_diff_check(lambda t: weighted_sum(ad.mul(t, ad.Tensor(other)), w), lam)
         assert err <= 1e-6
+
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    def test_broadcast_gradients_match_scatter_oracle(self, op):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+        from hypothesis.extra.numpy import mutually_broadcastable_shapes
+
+        def scatter(shape, out_shape, weights):
+            # each output element adds its weight to the input element it was
+            # broadcast from; independent of autodiff._unbroadcast
+            size = int(np.prod(shape))
+            owner = np.broadcast_to(np.arange(size).reshape(shape), out_shape)
+            return np.bincount(owner.ravel(), weights.ravel(), minlength=size).reshape(shape)
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            shapes=mutually_broadcastable_shapes(
+                num_shapes=2, min_dims=0, max_dims=3, min_side=1, max_side=3
+            ),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(shapes, seed):
+            (a_shape, b_shape), out_shape = shapes
+            rng = np.random.default_rng(seed)
+            a = ad.Tensor(rng.standard_normal(a_shape), requires_grad=True)
+            b = ad.Tensor(rng.standard_normal(b_shape), requires_grad=True)
+            w = rng.standard_normal(out_shape)
+            with ad.Tape() as tape:
+                y = weighted_sum(getattr(ad, op)(a, b), w)
+            ga, gb = ad.backward(tape, y, [a, b])
+            wa = w * b.data if op == "mul" else w
+            wb = w * a.data if op == "mul" else w
+            np.testing.assert_allclose(ga, scatter(a_shape, out_shape, wa), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(gb, scatter(b_shape, out_shape, wb), rtol=1e-12, atol=1e-12)
+
+        check()
 
     def test_scalar_constants(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         with ad.Tape() as tape:
             y = ad.reduce_sum(ad.add(ad.scale(x, 3.0), 1.0))
-        ad.backward(tape, y)
-        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        (grad,) = ad.backward(tape, y, [x])
+        np.testing.assert_array_equal(grad, [3.0, 3.0])
 
     def test_concat_splits_gradient(self):
         a = ad.Tensor(np.ones((2, 2)), requires_grad=True)
@@ -324,17 +360,17 @@ class TestElementwise:
         w = np.arange(10.0).reshape(2, 5)
         with ad.Tape() as tape:
             y = weighted_sum(ad.concat([a, b], axis=1), w)
-        ad.backward(tape, y)
-        np.testing.assert_array_equal(a.grad, w[:, :2])
-        np.testing.assert_array_equal(b.grad, w[:, 2:])
+        ga, gb = ad.backward(tape, y, [a, b])
+        np.testing.assert_array_equal(ga, w[:, :2])
+        np.testing.assert_array_equal(gb, w[:, 2:])
 
     def test_reshape_round_trip(self):
         x = ad.Tensor(np.arange(6.0), requires_grad=True)
         w = np.arange(6.0).reshape(2, 3)
         with ad.Tape() as tape:
             y = weighted_sum(ad.reshape(x, (2, 3)), w)
-        ad.backward(tape, y)
-        np.testing.assert_array_equal(x.grad, w.reshape(6))
+        (grad,) = ad.backward(tape, y, [x])
+        np.testing.assert_array_equal(grad, w.reshape(6))
 
 
 class TestSoftmaxCrossEntropy:
@@ -370,10 +406,10 @@ class TestSoftmaxCrossEntropy:
         z = ad.Tensor(z_data, requires_grad=True)
         with ad.Tape() as tape:
             y = ad.reduce_sum(ad.softmax_cross_entropy(z, targets))
-        ad.backward(tape, y)
+        (grad,) = ad.backward(tape, y, [z])
         e = np.exp(z_data - z_data.max(axis=1, keepdims=True))
         softmax = e / e.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(z.grad, softmax - targets, rtol=1e-10)
+        np.testing.assert_allclose(grad, softmax - targets, rtol=1e-10)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(53)
@@ -395,14 +431,17 @@ class TestSoftmaxCrossEntropy:
 
 
 class TestBackward:
-    def test_two_backward_calls_double_leaf_grads(self):
-        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+    def test_repeated_calls_return_equal_independent_arrays(self):
+        a = ad.Tensor([1.0, 2.0], requires_grad=True)
+        b = ad.Tensor([3.0, 4.0], requires_grad=True)
         with ad.Tape() as tape:
-            y = ad.reduce_sum(ad.mul(x, x))
-        ad.backward(tape, y)
-        first = x.grad.copy()
-        ad.backward(tape, y)
-        np.testing.assert_array_equal(x.grad, 2.0 * first)
+            y = ad.reduce_sum(ad.add(a, b))  # add hands one array to both inputs
+        first = ad.backward(tape, y, [a, b])
+        ga, gb = ad.backward(tape, y, [a, b])
+        ga += 1.0
+        np.testing.assert_array_equal(gb, [1.0, 1.0])
+        for grad in first:
+            np.testing.assert_array_equal(grad, [1.0, 1.0])
 
     def test_each_node_visited_once(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
@@ -411,7 +450,7 @@ class TestBackward:
             b = ad.tanh(a)
             c = ad.add(a, b)  # diamond: `a` feeds two consumers
             y = ad.reduce_sum(c)
-        ad.backward(tape, y)
+        ad.backward(tape, y, [x])
         assert tape.last_visit_count == len(tape) == 4
 
     def test_shared_leaf_accumulates_across_branches(self):
@@ -423,32 +462,24 @@ class TestBackward:
             y = ad.add(
                 ad.reduce_sum(ad.mul(x, ad.Tensor(a))), ad.reduce_sum(ad.mul(x, ad.Tensor(b)))
             )
-        ad.backward(tape, y)
-        np.testing.assert_allclose(x.grad, a + b, rtol=1e-12)
+        (grad,) = ad.backward(tape, y, [x])
+        np.testing.assert_allclose(grad, a + b, rtol=1e-12)
 
     def test_non_scalar_root_rejected(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         with ad.Tape() as tape:
             y = ad.mul(x, x)
         with pytest.raises(ValueError, match="scalar"):
-            ad.backward(tape, y)
+            ad.backward(tape, y, [x])
 
     def test_unreached_leaf_keeps_none_grad(self):
         x = ad.Tensor([1.0], requires_grad=True)
         z = ad.Tensor([1.0], requires_grad=True)
         with ad.Tape() as tape:
             y = ad.reduce_sum(ad.mul(x, x))
-        ad.backward(tape, y)
-        assert z.grad is None
-
-    def test_intermediates_do_not_hold_grads(self):
-        x = ad.Tensor([1.0, 2.0], requires_grad=True)
-        with ad.Tape() as tape:
-            mid = ad.tanh(x)
-            y = ad.reduce_sum(mid)
-        ad.backward(tape, y)
-        assert mid.grad is None
-        assert x.grad is not None
+        gx, gz = ad.backward(tape, y, [x, z])
+        np.testing.assert_array_equal(gx, [2.0])
+        assert gz is None
 
 
 class TestFiniteDiffCheck:

@@ -169,8 +169,10 @@ class TestGradcheck:
         captured = capsys.readouterr()
         assert "tanh" in captured.err
 
-    def test_unknown_corrupt_target_is_config_error(self, capsys):
-        assert main(["gradcheck", "--corrupt", "no_such_op"]) == 1
+    @pytest.mark.parametrize("target", ["no_such_op", "backward", "Tensor"])
+    def test_unknown_corrupt_target_is_config_error(self, target, capsys):
+        assert main(["gradcheck", "--corrupt", target]) == 1
+        assert "unknown op" in capsys.readouterr().err
 
 
 class TestSvgRenderer:

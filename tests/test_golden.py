@@ -38,11 +38,10 @@ COMBOS = [
 def record(combo: str) -> dict:
     backbone, layer, policy = combo.split("/")
     config = hz.load_config(ROOT / "configs" / "acceptance.cfg")
+    dropout = 0.5 if backbone == "text-cnn" else config.dropout
     config = dataclasses.replace(
-        config, backbone=backbone, layer=layer, policy=policy, max_steps=STEPS
+        config, backbone=backbone, layer=layer, policy=policy, max_steps=STEPS, dropout=dropout
     )
-    if backbone == "text-cnn":
-        config = dataclasses.replace(config, dropout=0.5)
     _, report = hz.train(config, seed=0)
     entry = {"test_error": report.test_error}
     for name in TRACES:

@@ -118,8 +118,8 @@ class TestMixHidden:
         lam = ad.Tensor(rng.random(4), requires_grad=True)
         with ad.Tape() as tape:
             y = ad.reduce_sum(ad.mul(mx.mix_hidden(g_i, g_j, lam), ad.Tensor(w)))
-        ad.backward(tape, y)
-        np.testing.assert_allclose(lam.grad, (w * (g_i.data - g_j.data)).sum(axis=1), rtol=1e-12)
+        (grad,) = ad.backward(tape, y, [lam])
+        np.testing.assert_allclose(grad, (w * (g_i.data - g_j.data)).sum(axis=1), rtol=1e-12)
         err = ad.finite_diff_check(
             lambda t: ad.reduce_sum(ad.mul(mx.mix_hidden(g_i, g_j, t), ad.Tensor(w))),
             ad.Tensor(rng.random(4), requires_grad=True),
@@ -202,10 +202,10 @@ class TestMixupLoss:
         lam = ad.Tensor(rng.random(5), requires_grad=True)
         with ad.Tape() as tape:
             y = ad.reduce_sum(mx.mixup_loss(logits, y_i, y_j, lam))
-        ad.backward(tape, y)
+        (grad,) = ad.backward(tape, y, [lam])
         ce_i = ad.softmax_cross_entropy(logits, y_i).data
         ce_j = ad.softmax_cross_entropy(logits, y_j).data
-        np.testing.assert_allclose(lam.grad, ce_i - ce_j, rtol=1e-12)
+        np.testing.assert_allclose(grad, ce_i - ce_j, rtol=1e-12)
 
 
 class TestRandOp:
@@ -305,8 +305,7 @@ class TestRandOp:
             with ad.Tape() as tape:
                 mix_batch, _, loss = mx.rand_op(model, batch, cfg, np.random.default_rng(8))
                 total = ad.reduce_sum(loss)
-            ad.backward(tape, total)
-            tape_grad = mix_batch.lam_leaf.grad.copy()
+            (tape_grad,) = ad.backward(tape, total, [mix_batch.lam_leaf])
 
             leaf = ad.Tensor(mix_batch.mixed_hidden.tensor.data.copy(), requires_grad=True)
             with ad.Tape() as tape2:
@@ -317,12 +316,12 @@ class TestRandOp:
                     logits2, mix_batch.y_i, mix_batch.y_j, ad.Tensor(mix_batch.lam)
                 )
                 total2 = ad.reduce_sum(loss2)
-            ad.backward(tape2, total2)
+            (leaf_grad,) = ad.backward(tape2, total2, [leaf])
             ce_i = ad.softmax_cross_entropy(logits2, mix_batch.y_i).data
             ce_j = ad.softmax_cross_entropy(logits2, mix_batch.y_j).data
             diff = mix_batch.hidden_i.data - mix_batch.hidden_j.data
             axes = tuple(range(1, diff.ndim))
-            analytic = (ce_i - ce_j) + (leaf.grad * diff).sum(axis=axes)
+            analytic = (ce_i - ce_j) + (leaf_grad * diff).sum(axis=axes)
             np.testing.assert_allclose(tape_grad, analytic, rtol=1e-9, atol=1e-12)
 
 

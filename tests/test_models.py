@@ -54,7 +54,7 @@ class TestInit:
         assert "embed" in m.trainable_params()
         models.freeze_embeddings(m)
         assert "embed" not in m.trainable_params()
-        assert m.embed_frozen
+        assert not m.params["embed"].requires_grad
 
 
 class TestSplitForward:
