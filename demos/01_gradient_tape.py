@@ -1,7 +1,8 @@
 """Record a tiny computation on the tape and differentiate it.
 
 The tape is define-by-run: ops executed inside ``with Tape()`` append
-nodes, and ``backward`` walks them once in reverse. The same machinery
+nodes, and ``backward`` walks the ones downstream of the requested
+leaves once in reverse. The same machinery
 later gives the gradient with respect to a mixing coefficient, so this
 demo ends by differentiating through an interpolation weight.
 """

@@ -4,8 +4,9 @@ One training step runs three stages on a single tape:
 
 1. random stage: a plain interpolation pass (pairing, lambda draw,
    mixed forward) producing per-sample losses L;
-2. ascent stage: backprop of sum(L) yields dL/dlambda, which is
-   clipped to [-1, 1] and applied as lambda' = lambda + epsilon * grad,
+2. ascent stage: backprop of sum(L), walking only the tape nodes
+   downstream of the lambda leaf, yields dL/dlambda, which is clipped
+   to [-1, 1] and applied as lambda' = lambda + epsilon * grad,
    clamped to [0, 1]. Features are re-mixed at lambda' while the label
    weights keep the original lambda, then the suffix reruns under the
    same dropout mask, giving L';
@@ -60,7 +61,11 @@ class LossBundle:
 
 
 def grad_lambda(tape: ad.Tape, loss_sum: ad.Tensor, lam_leaf: ad.Tensor) -> np.ndarray:
-    """Backprop ``loss_sum`` and return the gradient on the lambda leaf."""
+    """Backprop ``loss_sum`` and return the gradient on the lambda leaf.
+
+    Only the nodes downstream of ``lam_leaf`` run their backward, so no
+    layer below the mixing layer is differentiated here.
+    """
     if not lam_leaf.requires_grad:
         raise ValueError("lambda leaf does not require grad")
     (grad,) = ad.backward(tape, loss_sum, [lam_leaf])

@@ -3,10 +3,13 @@
 A forward pass runs inside a recording ``Tape``. Every differentiable
 operation appends one node (inputs, output, backward closure) to the
 tape in creation order, which is a valid topological order because an
-op can only consume tensors that already exist. ``backward`` walks the
-node list once in reverse, so its cost is linear in the number of
-recorded ops, and it returns the gradients of the leaves it is asked
-for; no gradient is stored on a tensor.
+op can only consume tensors that already exist. ``backward`` first
+marks, in one forward sweep, the nodes downstream of the leaves it is
+asked for (the activity analysis of Griewank & Walther, *Evaluating
+Derivatives*), then walks only those nodes in reverse, so its cost is
+linear in the number of recorded ops and no node that cannot reach a
+requested leaf runs its backward. It returns the gradients of those
+leaves; no gradient is stored on a tensor.
 
 All values are stored as float64. Mixing-coefficient perturbations used
 elsewhere in this package are on the order of 1e-3, which is too close
@@ -82,8 +85,9 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        # Number of nodes visited by the most recent backward() call.
-        # Exposed so tests can assert the one-visit-per-node contract.
+        # Number of nodes visited by the most recent backward() call: the
+        # nodes downstream of its leaves, each once. Exposed so tests can
+        # assert the pruned walk.
         self.last_visit_count = 0
 
     def __enter__(self) -> "Tape":
@@ -417,18 +421,28 @@ def backward(tape: Tape, root: Tensor, leaves) -> list:
     """Gradients of ``root`` with respect to each of ``leaves``, in order.
 
     ``root`` must be scalar, and ``leaves`` are tensors that no node on
-    ``tape`` produced. Each tape node is visited exactly once, in reverse
-    creation order; nodes whose output received no gradient are skipped.
+    ``tape`` produced. Only the nodes downstream of ``leaves`` are
+    visited, each exactly once, in reverse creation order; a node that
+    no leaf reaches cannot add to a leaf's gradient, so pruning it leaves
+    every result bitwise unchanged. Visited nodes whose output received
+    no gradient are skipped.
     Every result is a fresh array, or None for a leaf that ``root`` does
     not reach. Nothing is stored on the tensors, so repeated calls return
     equal, independent gradients.
     """
     if root.data.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.shape}")
+    leaves = list(leaves)
+    # forward sweep: a node is active when one of its inputs is a leaf or
+    # the output of an active node; no other node can reach a leaf
+    reached = {id(leaf) for leaf in leaves}
+    active = []
+    for node in tape.nodes:
+        if not reached.isdisjoint(map(id, node.inputs)):
+            reached.add(id(node.output))
+            active.append(node)
     pending: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    visits = 0
-    for node in reversed(tape.nodes):
-        visits += 1
+    for node in reversed(active):
         out_grad = pending.pop(id(node.output), None)
         if out_grad is None:
             continue
@@ -441,7 +455,7 @@ def backward(tape: Tape, root: Tensor, leaves) -> list:
                 pending[key] = pending[key] + grad
             else:
                 pending[key] = grad
-    tape.last_visit_count = visits
+    tape.last_visit_count = len(active)
     # copies, because an op may hand one array to several of its inputs
     grads = [pending.get(id(leaf)) for leaf in leaves]
     return [None if grad is None else grad.copy() for grad in grads]

@@ -120,10 +120,17 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     config = hz.load_config(args.config)
     seed = config.seeds[0]
+    _, _, test_ds, vocab = hz.prepare_task(config, seed)
+    # checked before training, which is the slow part
+    if args.grid < 2:
+        raise ValueError(f"--grid must be >= 2, got {args.grid}")
+    pair = tuple(args.pair) if args.pair else None
+    if pair is not None and not all(0 <= k < len(test_ds) for k in pair):
+        raise ValueError(
+            f"--pair indices {pair[0]} {pair[1]} out of range for {len(test_ds)} test examples"
+        )
     model_a, _ = hz.train(dataclasses.replace(config, policy="amp"), seed)
     model_b, _ = hz.train(dataclasses.replace(config, policy="mixup"), seed)
-    _, _, test_ds, vocab = hz.prepare_task(config, seed)
-    pair = tuple(args.pair) if args.pair else None
     rows = hz.lambda_sweep(
         model_a, model_b, test_ds, vocab, config.max_len,
         grid_points=args.grid, layer=config.layer, pair=pair,

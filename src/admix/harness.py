@@ -830,7 +830,7 @@ def analytic_grad_lambda(model: md.Model, mix_batch: mx.MixBatch) -> np.ndarray:
 
     Computed as (ce_i - ce_j) + dL/d(mixed hidden) . (g_i - g_j), with
     the mixed hidden state entering as a fresh leaf, which makes this
-    independent of the full-graph backward pass it is checked against.
+    independent of the backward pass it is checked against.
     """
     leaf = ad.Tensor(mix_batch.mixed_hidden.tensor.data.copy(), requires_grad=True)
     with ad.Tape() as tape:
@@ -909,6 +909,8 @@ def gradcheck(corrupt: str | None = None, instances: int = 100, seed: int = 0) -
     gradient is sign-flipped for the duration, a hook for verifying the
     checker actually fails on wrong gradients.
     """
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
     restore = None
     if corrupt is not None:
         if corrupt not in ad.OPS:

@@ -18,7 +18,9 @@ def make_batch(rng, n=6, max_len=7, vocab=25, num_classes=3):
     return models.Batch(ids, vls, rows, label_ids)
 
 
-def make_model(rng, dropout=0.0):
+def make_model(rng, dropout=0.0, backbone="embed-mlp"):
+    if backbone == "text-cnn":
+        return models.init_text_cnn(25, 5, (2, 3), 4, 3, rng, dropout=dropout)
     return models.init_embed_mlp(25, 5, 6, 3, rng, dropout=dropout)
 
 
@@ -133,6 +135,71 @@ class TestGradLambda:
             total, bundle = amp.amp_step(model, batch, cfg, np.random.default_rng(9))
         assert np.abs(bundle.grad_lambda).max() <= 1.0
         assert bundle.lambda_prime.shape == bundle.lam.shape
+
+
+class TestPrunedAscent:
+    """The ascent walks only the nodes downstream of the lambda leaf."""
+
+    @pytest.mark.parametrize("layer", ["sent", "word"])
+    @pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
+    def test_lambda_gradient_bitwise_equal_to_full_walk(self, backbone, layer):
+        model = make_model(np.random.default_rng(70), dropout=0.3, backbone=backbone)
+        batch = make_batch(np.random.default_rng(71))
+        cfg = mx.MixConfig(policy="amp", layer=layer)
+        params = list(model.trainable_params().values())
+        with ad.Tape() as tape:
+            mix_batch, _, loss = mx.rand_op(
+                model, batch, cfg, np.random.default_rng(72), np.random.default_rng(73)
+            )
+            total = ad.reduce_sum(loss)
+        (pruned,) = ad.backward(tape, total, [mix_batch.lam_leaf])
+        pruned_visits = tape.last_visit_count
+        full = ad.backward(tape, total, [mix_batch.lam_leaf, *params])[0]
+        assert np.array_equal(pruned, full)
+        assert pruned_visits < tape.last_visit_count == len(tape)
+
+    def run_ascent(self, monkeypatch, backbone, layer):
+        """Op names whose backward ran during grad_lambda of one amp step."""
+        ran = []
+        original = amp.grad_lambda
+
+        def traced_grad_lambda(tape, loss_sum, lam_leaf):
+            for node in tape.nodes:
+                def fn(g, node=node, clean=node.backward_fn):
+                    ran.append(node.op)
+                    return clean(g)
+                node.backward_fn = fn
+            return original(tape, loss_sum, lam_leaf)
+
+        monkeypatch.setattr(amp, "grad_lambda", traced_grad_lambda)
+        model = make_model(np.random.default_rng(74), dropout=0.3, backbone=backbone)
+        batch = make_batch(np.random.default_rng(75))
+        cfg = mx.MixConfig(policy="amp", layer=layer)
+        with ad.Tape() as tape:
+            total, _ = amp.amp_step(
+                model, batch, cfg, np.random.default_rng(76), np.random.default_rng(77)
+            )
+        return model, tape, total, ran
+
+    def test_text_cnn_sent_ascent_runs_no_conv_backward(self, monkeypatch):
+        calls = []
+        conv_backward = ad._conv_backward
+
+        def counting(*args):
+            calls.append(1)
+            return conv_backward(*args)
+
+        monkeypatch.setattr(ad, "_conv_backward", counting)
+        model, tape, total, _ = self.run_ascent(monkeypatch, "text-cnn", "sent")
+        assert calls == []
+        # the final backward still differentiates the filters
+        ad.backward(tape, total, model.trainable_params().values())
+        assert len(calls) == len(model.filter_widths)
+
+    def test_embed_mlp_word_ascent_runs_no_scatter(self, monkeypatch):
+        _, _, _, ran = self.run_ascent(monkeypatch, "embed-mlp", "word")
+        assert ran
+        assert "embedding_lookup" not in ran and "gather_rows" not in ran
 
 
 class TestRecomputeLoss:

@@ -373,6 +373,163 @@ class TestElementwise:
         np.testing.assert_array_equal(grad, w.reshape(6))
 
 
+def shape_property(check):
+    """Run ``check(data)`` as a Hypothesis property; skipped without Hypothesis."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    hypothesis.settings(max_examples=60, deadline=None)(
+        hypothesis.given(data=st.data())(check)
+    )()
+
+
+def dims(min_dims=1, max_dims=3, min_side=1, max_side=4):
+    """Hypothesis strategy for a shape tuple."""
+    from hypothesis import strategies as st
+
+    return st.lists(st.integers(min_side, max_side), min_size=min_dims, max_size=max_dims).map(
+        tuple
+    )
+
+
+class TestShapeRules:
+    """Output shapes follow numpy, gradients come back in the input's
+    shape, and bad shapes or indices raise."""
+
+    def test_concat(self):
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def check(data):
+            shape = data.draw(dims())
+            axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+            sizes = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            shapes = []
+            for size in sizes:
+                piece = list(shape)
+                piece[axis] = size
+                shapes.append(tuple(piece))
+            xs = [ad.Tensor(rng.standard_normal(sh), requires_grad=True) for sh in shapes]
+            expected = np.concatenate([x.data for x in xs], axis=axis)
+            with ad.Tape() as tape:
+                out = ad.concat(xs, axis=axis)
+                w = rng.standard_normal(out.shape)
+                y = weighted_sum(out, w)
+            assert out.shape == expected.shape
+            np.testing.assert_array_equal(out.data, expected)
+            start = 0
+            for x, grad in zip(xs, ad.backward(tape, y, xs)):
+                assert grad.shape == x.shape
+                stop = start + x.shape[axis]
+                np.testing.assert_array_equal(grad, np.take(w, range(start, stop), axis=axis))
+                start = stop
+            if len(shape) > 1:
+                other = (axis + 1) % len(shape)
+                bad = list(shapes[0])
+                bad[other] += 1
+                with pytest.raises(ValueError):
+                    ad.concat([xs[0], ad.Tensor(np.zeros(bad))], axis=axis)
+            with pytest.raises(ValueError):
+                ad.concat(xs, axis=len(shape))
+
+        shape_property(check)
+        with pytest.raises(ValueError, match="at least one"):
+            ad.concat([])
+
+    def test_reshape(self):
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def check(data):
+            shape = data.draw(dims(min_dims=0))
+            size = int(np.prod(shape))
+            # same size: permute the sides, maybe merge two, add a 1, infer one
+            target = list(data.draw(st.permutations(shape)))
+            if len(target) > 1 and data.draw(st.booleans()):
+                target[:2] = [target[0] * target[1]]
+            if data.draw(st.booleans()):
+                target.append(1)
+            if target and data.draw(st.booleans()):
+                target[0] = -1
+            target = tuple(target)
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+            expected = np.reshape(x.data, target)
+            with ad.Tape() as tape:
+                out = ad.reshape(x, target)
+                w = rng.standard_normal(out.shape)
+                y = weighted_sum(out, w)
+            assert out.shape == expected.shape
+            (grad,) = ad.backward(tape, y, [x])
+            assert grad.shape == x.shape
+            np.testing.assert_array_equal(grad, w.reshape(x.shape))
+            with pytest.raises(ValueError):
+                ad.reshape(x, (size + 1,))
+
+        shape_property(check)
+
+    def test_gather_rows(self):
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def check(data):
+            shape = data.draw(dims())
+            n = shape[0]
+            idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=6)), dtype=np.int64)
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            x = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+            with ad.Tape() as tape:
+                out = ad.gather_rows(x, idx)
+                w = rng.standard_normal(out.shape)
+                y = weighted_sum(out, w)
+            assert out.shape == x.data[idx].shape == (idx.size, *shape[1:])
+            (grad,) = ad.backward(tape, y, [x])
+            assert grad.shape == x.shape
+            expected = np.zeros(shape)
+            for k, row in enumerate(idx):
+                expected[row] += w[k]
+            np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-12)
+            bad_row = data.draw(st.sampled_from([-1, n, n + 3]))
+            with pytest.raises(IndexError, match="out of range"):
+                ad.gather_rows(x, np.append(idx, bad_row))
+            with pytest.raises(ValueError, match="1-d integer"):
+                ad.gather_rows(x, idx.astype(np.float64))
+            with pytest.raises(ValueError, match="1-d integer"):
+                ad.gather_rows(x, idx.reshape(1, -1))
+
+        shape_property(check)
+
+    def test_mean_pool_batch(self):
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def check(data):
+            n, length, d = data.draw(dims(min_dims=3, max_dims=3))
+            vls = np.array(data.draw(st.lists(st.integers(1, length), min_size=n, max_size=n)))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            x = ad.Tensor(rng.standard_normal((n, length, d)), requires_grad=True)
+            w = rng.standard_normal((n, d))
+            with ad.Tape() as tape:
+                out = ad.mean_pool_batch(x, vls)
+                y = weighted_sum(out, w)
+            assert out.shape == (n, d)
+            (grad,) = ad.backward(tape, y, [x])
+            assert grad.shape == x.shape
+            for s, vl in enumerate(vls):
+                np.testing.assert_allclose(out.data[s], x.data[s, :vl].mean(axis=0), rtol=1e-12)
+                np.testing.assert_allclose(grad[s, :vl], np.broadcast_to(w[s] / vl, (vl, d)))
+                assert not grad[s, vl:].any()
+            row = data.draw(st.integers(0, n - 1))
+            for bad in (0, length + 1):
+                broken = vls.copy()
+                broken[row] = bad
+                with pytest.raises(ValueError, match="valid lengths"):
+                    ad.mean_pool_batch(x, broken)
+            with pytest.raises(ValueError, match="valid_lens must have shape"):
+                ad.mean_pool_batch(x, np.append(vls, 1))
+            with pytest.raises(ValueError, match="expects"):
+                ad.mean_pool_batch(ad.Tensor(x.data[0]), vls[:1])
+
+        shape_property(check)
+
+
 class TestSoftmaxCrossEntropy:
     def test_saturated_logits_stay_finite(self):
         logits = ad.Tensor([[1000.0, 0.0]])
@@ -452,6 +609,19 @@ class TestBackward:
             y = ad.reduce_sum(c)
         ad.backward(tape, y, [x])
         assert tape.last_visit_count == len(tape) == 4
+
+    def test_walk_skips_nodes_the_leaf_does_not_reach(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        w = ad.Tensor([0.5, -0.5], requires_grad=True)
+        with ad.Tape() as tape:
+            side = ad.tanh(ad.scale(w, 2.0))  # side branch: x does not reach it
+            y = ad.reduce_sum(ad.mul(x, side))
+        (gx,) = ad.backward(tape, y, [x])
+        assert tape.last_visit_count == 2 < len(tape) == 4  # mul, reduce_sum
+        np.testing.assert_array_equal(gx, side.data)
+        gx_full, _ = ad.backward(tape, y, [x, w])
+        assert tape.last_visit_count == len(tape)
+        np.testing.assert_array_equal(gx, gx_full)
 
     def test_shared_leaf_accumulates_across_branches(self):
         rng = np.random.default_rng(61)

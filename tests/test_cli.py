@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from admix import harness as hz
 from admix.cli import main, render_sweep_svg
 
 TINY = """
@@ -102,6 +103,27 @@ class TestSweep:
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text and "</svg>" in text
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--grid", "1"], "--grid must be >= 2, got 1"),
+            (["--pair", "0", "99999"], "out of range for 45 test examples"),
+            (["--pair", "-1", "0"], "out of range"),
+        ],
+    )
+    def test_bad_input_rejected_before_training(
+        self, config_file, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the sweep arguments")
+
+        monkeypatch.setattr(hz, "train", no_training)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", config_file, "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
 
 class TestLowres:
     def test_writes_experiments_summary_manifest(self, tmp_path, capsys):
@@ -168,6 +190,13 @@ class TestGradcheck:
         assert main(["gradcheck", "--instances", "2", "--corrupt", "tanh"]) == 2
         captured = capsys.readouterr()
         assert "tanh" in captured.err
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_no_instances_is_config_error(self, instances, capsys):
+        assert main(["gradcheck", "--instances", instances]) == 1
+        captured = capsys.readouterr()
+        assert "instances must be >= 1" in captured.err
+        assert "passed" not in captured.out
 
     @pytest.mark.parametrize("target", ["no_such_op", "backward", "Tensor"])
     def test_unknown_corrupt_target_is_config_error(self, target, capsys):

@@ -478,6 +478,12 @@ class TestGradcheck:
         hz.gradcheck(corrupt="matmul", instances=2)
         assert hz.gradcheck(instances=2).passed
 
+    @pytest.mark.parametrize("instances", [0, -3])
+    def test_no_instances_rejected(self, instances):
+        # zero instances would check nothing and still report a pass
+        with pytest.raises(ValueError, match="instances must be >= 1"):
+            hz.gradcheck(instances=instances)
+
     @pytest.mark.parametrize(
         "target", ["made_up_op", "backward", "finite_diff_check", "_conv_forward", "Tensor", "np"]
     )
