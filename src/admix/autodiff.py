@@ -236,24 +236,23 @@ def _conv_forward(x: np.ndarray, f: np.ndarray):
 
 
 def _conv_backward(g, x, f, pre, argmax, need_x, need_f):
-    n = x.shape[0]
+    n, length, d = x.shape
     w, _, channels = f.shape
-    rows = np.arange(n)
-    # route gradient to the argmax window, gated by the relu preactivation
-    gate = np.take_along_axis(pre, argmax[:, None, :], axis=1)[:, 0, :] > 0.0
-    gp = g * gate
+    t_out = length - w + 1
+    # route gradient to the argmax window, gated by the relu preactivation,
+    # as a dense [n, t_out, c] grid that is zero off each channel's argmax
+    where = argmax[:, None, :]
+    gate = np.take_along_axis(pre, where, axis=1) > 0.0
+    grid = np.zeros((n, t_out, channels))
+    np.put_along_axis(grid, where, g[:, None, :] * gate, axis=1)
+    flat = grid.reshape(-1, channels)
     gx = np.zeros_like(x) if need_x else None
-    gf = np.zeros_like(f) if need_f else None
-    for ch in range(channels):
-        t_star = argmax[:, ch]
-        gc = gp[:, ch]
-        for u in range(w):
-            window = x[rows, t_star + u, :]
-            if need_f:
-                gf[u, :, ch] += window.T @ gc
-            if need_x:
-                # sample indices are distinct, so plain fancy-index add is safe
-                gx[rows, t_star + u, :] += gc[:, None] * f[u, :, ch]
+    gf = np.empty_like(f) if need_f else None
+    for u in range(w):
+        if need_x:
+            gx[:, u : u + t_out, :] += (flat @ f[u].T).reshape(n, t_out, d)
+        if need_f:
+            gf[u] = x[:, u : u + t_out, :].reshape(-1, d).T @ flat
     return gx, gf
 
 
@@ -262,6 +261,12 @@ def conv1d_maxpool_batch(x: Tensor, filters: Tensor) -> Tensor:
 
     ``filters`` has shape [w, d, c] and the op has no bias term. Ties in
     the max take the earliest position.
+
+    The backward pass mirrors ``_conv_forward``: it writes the relu-gated
+    gradient into a dense [n, t_out, c] grid at each channel's argmax,
+    then runs one matmul per filter offset for each of the input and
+    filter gradients. BLAS sums over channels in its own order, so the
+    result agrees with a per-window loop to rounding, not bitwise.
     """
     if x.ndim != 3:
         raise ValueError(f"conv1d_maxpool_batch expects [n, len, d], got {x.shape}")

@@ -148,15 +148,25 @@ def cmd_sweep(args) -> int:
 
 def cmd_lowres(args) -> int:
     config = hz.load_config(args.config)
-    ratios = [float(piece) for piece in args.ratios.split(",") if piece.strip()]
-    if not ratios:
+    pieces = [piece.strip() for piece in args.ratios.split(",") if piece.strip()]
+    if not pieces:
         raise ValueError("--ratios must list at least one value")
+    # check every ratio before the first one trains; each ratio's files are
+    # named by its tag, so two ratios with one tag would overwrite each other
+    tags = {}
+    for piece in pieces:
+        ratio = float(piece)
+        dataclasses.replace(config, subsample_ratio=ratio).validate()
+        tag = f"{ratio:g}"
+        if tag in tags:
+            raise ValueError(f"--ratios {tags[tag]} and {piece} both write files tagged r{tag}")
+        tags[tag] = piece
     os.makedirs(args.outdir, exist_ok=True)
     policies = ("none", "mixup", "amp")
-    for ratio in ratios:
+    for tag, piece in tags.items():
+        ratio = float(piece)
         run_cfg = dataclasses.replace(config, subsample_ratio=ratio)
         results = hz.run_seeds(run_cfg, policies=policies)
-        tag = f"{ratio:g}"
         exp_rows = [
             [policy, str(report.seed), repr(float(report.test_error))]
             for policy in policies

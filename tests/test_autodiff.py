@@ -248,19 +248,48 @@ class TestConvMaxpool:
             ad.conv1d_maxpool_batch(ad.Tensor(np.zeros((1, 5, 3))), ad.Tensor(np.zeros((2, 4, 1))))
 
     def test_batch_matches_per_sample_loop(self):
-        rng = np.random.default_rng(31)
-        x_data, f_data = hz._conv_safe_instance(rng, 2, 7, 3, 3, 4)
-        w = rand(rng, 2, 4)
-        xb = ad.Tensor(x_data, requires_grad=True)
-        fb = ad.Tensor(f_data, requires_grad=True)
-        with ad.Tape() as tape:
-            out = ad.conv1d_maxpool_batch(xb, fb)
-            y = weighted_sum(out, w)
-        gx, gf = ad.backward(tape, y, [xb, fb])
-        ref_out, ref_gx, ref_gf = conv_maxpool_reference(x_data, f_data, w)
-        np.testing.assert_allclose(out.data, ref_out, rtol=1e-12)
-        np.testing.assert_allclose(gx, ref_gx, rtol=1e-12)
-        np.testing.assert_allclose(gf, ref_gf, rtol=1e-12)
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        # (length, width) with width <= length, so t_out = 1 is drawn too
+        sizes = st.integers(1, 8).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k)))
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(
+            n=st.integers(1, 3),
+            sizes=sizes,
+            d=st.integers(1, 3),
+            c=st.integers(1, 4),
+            integer=st.booleans(),
+            leaves=st.sampled_from(["x", "filters", "both"]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        @hypothesis.example(
+            n=2, sizes=(7, 3), d=3, c=4, integer=False, leaves="both", seed=31
+        )
+        def check(n, sizes, d, c, integer, leaves, seed):
+            length, width = sizes
+            rng = np.random.default_rng(seed)
+            if integer:
+                # small integers force argmax ties and all-nonpositive channels
+                x_data = rng.integers(-2, 3, (n, length, d)).astype(np.float64)
+                f_data = rng.integers(-1, 2, (width, d, c)).astype(np.float64)
+            else:
+                x_data, f_data = hz._conv_safe_instance(rng, n, length, d, width, c)
+            w = rand(rng, n, c)
+            ref_out, ref_gx, ref_gf = conv_maxpool_reference(x_data, f_data, w)
+            xb = ad.Tensor(x_data, requires_grad=leaves != "filters")
+            fb = ad.Tensor(f_data, requires_grad=leaves != "x")
+            pairs = [(t, ref) for t, ref in ((xb, ref_gx), (fb, ref_gf)) if t.requires_grad]
+            with ad.Tape() as tape:
+                out = ad.conv1d_maxpool_batch(xb, fb)
+                y = weighted_sum(out, w)
+            grads = ad.backward(tape, y, [t for t, _ in pairs])
+            np.testing.assert_allclose(out.data, ref_out, rtol=1e-12)
+            for grad, (_, ref) in zip(grads, pairs):
+                np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=1e-12)
+
+        check()
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(32)

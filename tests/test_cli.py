@@ -156,6 +156,31 @@ class TestLowres:
     def test_empty_ratios_rejected(self, config_file, capsys):
         assert main(["lowres", "--config", config_file, "--ratios", ","]) == 1
 
+    @pytest.mark.parametrize(
+        "ratios, message",
+        [
+            ("1.0,0", "subsample_ratio must be in (0, 1], got 0.0"),
+            ("0.5,1.5", "subsample_ratio must be in (0, 1], got 1.5"),
+            ("0.5,nan", "subsample_ratio must be in (0, 1], got nan"),
+            ("0.5,0.50", "--ratios 0.5 and 0.50 both write files tagged r0.5"),
+            ("0.1234567,0.1234568", "both write files tagged r0.123457"),
+        ],
+    )
+    def test_bad_ratios_rejected_before_training(
+        self, config_file, tmp_path, monkeypatch, capsys, ratios, message
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking --ratios")
+
+        monkeypatch.setattr(hz, "run_seeds", no_training)
+        outdir = tmp_path / "out"
+        code = main(["lowres", "--config", config_file, "--ratios", ratios,
+                     "--outdir", str(outdir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not outdir.exists()
+
     def test_creates_missing_outdir(self, tmp_path):
         path = tmp_path / "fast.cfg"
         path.write_text(TINY.replace("max_steps = 20", "max_steps = 6"))
