@@ -10,6 +10,7 @@ demo ends by differentiating through an interpolation weight.
 import numpy as np
 
 from admix import autodiff as ad
+from admix.gradcheck import finite_diff_check
 
 
 def main() -> None:
@@ -24,7 +25,7 @@ def main() -> None:
     print(f"recorded {len(tape)} ops, output {out.data:.6f}")
     print("grad wrt x, first row:", np.round(grad_x[0], 6))
 
-    err = ad.finite_diff_check(lambda t: ad.reduce_sum(ad.tanh(ad.matmul(t, w))), x)
+    err = finite_diff_check(lambda t: ad.reduce_sum(ad.tanh(ad.matmul(t, w))), x)
     print(f"max relative error vs central differences: {err:.2e}")
 
     # The coefficient of a convex combination is itself a leaf: the tape

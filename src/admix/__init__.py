@@ -7,7 +7,8 @@ Subpackages:
 - ``mixup``: beta-distributed interpolation of hidden states and labels
 - ``amp``: the min-max-rand step that perturbs the mixing coefficient
 - ``data``: corpus loading, vocabulary, encoding, synthetic task generator
-- ``harness``: training loop, seed sweeps, ablations, diagnostics
+- ``harness``: Adam, config, training loop, seed sweeps, ablations, lambda sweep
+- ``gradcheck``: finite-difference and closed-form audit of every gradient
 """
 
 from .errors import DivergenceError

@@ -11,6 +11,10 @@ linear in the number of recorded ops and no node that cannot reach a
 requested leaf runs its backward. It returns the gradients of those
 leaves; no gradient is stored on a tensor.
 
+This module is only the tape, ``backward`` and the 13 ops named in
+``OPS``, and it depends on numpy alone. The finite-difference audit of
+those ops is ``admix.gradcheck``.
+
 All values are stored as float64. Mixing-coefficient perturbations used
 elsewhere in this package are on the order of 1e-3, which is too close
 to single-precision rounding noise to train reliably in float32.
@@ -37,7 +41,7 @@ OPS = (
     "softmax_cross_entropy",
 )
 
-__all__ = ["Tensor", "Tape", "active_tape", "backward", "finite_diff_check", *OPS]
+__all__ = ["Tensor", "Tape", "active_tape", "backward", *OPS]
 
 
 class Tensor:
@@ -465,39 +469,3 @@ def backward(tape: Tape, root: Tensor, leaves) -> list:
     grads = [pending.get(id(leaf)) for leaf in leaves]
     return [None if grad is None else grad.copy() for grad in grads]
 
-
-def finite_diff_check(f, x: Tensor, h: float = 1e-5, denominator: str = "coordinate") -> float:
-    """Max relative error between tape gradient of ``f`` and central differences.
-
-    ``f`` maps a Tensor to a scalar Tensor. With the default
-    ``coordinate`` denominator the relative error at coordinate i is
-    |fd_i - g_i| / (|g_i| + 1e-8); the max over coordinates is
-    returned. The ``scale`` denominator divides by max|g| + 1e-8
-    instead, for functions whose true partials span many orders of
-    magnitude (saturated softmax regions), where a near-zero partial
-    would otherwise be compared against pure rounding noise in the
-    difference quotient. A function that ignores ``x`` checks out at
-    error 0.
-    """
-    if denominator not in ("coordinate", "scale"):
-        raise ValueError(f"denominator must be 'coordinate' or 'scale', got {denominator!r}")
-    with Tape() as tape:
-        y = f(x)
-    (grad,) = backward(tape, y, [x])
-    analytic = np.zeros_like(x.data) if grad is None else grad
-    flat = x.data.reshape(-1)
-    fd = np.zeros_like(flat)
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + h
-        hi = float(f(Tensor(x.data)).data)
-        flat[i] = keep - h
-        lo = float(f(Tensor(x.data)).data)
-        flat[i] = keep
-        fd[i] = (hi - lo) / (2.0 * h)
-    fd = fd.reshape(x.shape)
-    if denominator == "scale":
-        rel = np.abs(fd - analytic) / (np.abs(analytic).max(initial=0.0) + 1e-8)
-    else:
-        rel = np.abs(fd - analytic) / (np.abs(analytic) + 1e-8)
-    return float(rel.max()) if rel.size else 0.0

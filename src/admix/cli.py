@@ -18,6 +18,7 @@ import os
 import sys
 
 from . import data as dt
+from . import gradcheck as gk
 from . import harness as hz
 from .errors import DivergenceError
 
@@ -195,7 +196,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    report = hz.gradcheck(corrupt=args.corrupt, instances=args.instances, seed=args.seed)
+    report = gk.gradcheck(corrupt=args.corrupt, instances=args.instances, seed=args.seed)
     print(report.format())
     if not report.passed:
         print(f"FAILED: {', '.join(report.failures())}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Training loop, multi-seed experiments, ablations, sweeps, diagnostics.
+"""Adam, config, training loop, multi-seed experiments, ablations, sweeps.
 
 Randomness is organized as named substreams of one master seed (init,
 data, shuffle, mix, dropout), so switching the mixing policy never
@@ -27,6 +27,12 @@ from .errors import DivergenceError
 _STREAMS = {"init": 0, "data": 1, "shuffle": 2, "mix": 3, "dropout": 4}
 
 
+def _check_seed(seed: int, key: str) -> None:
+    """Reject a negative seed by its config key; ``SeedSequence`` needs >= 0."""
+    if seed < 0:
+        raise ValueError(f"{key} must be nonnegative, got {seed}")
+
+
 def _stream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), _STREAMS[name]]))
 
@@ -35,14 +41,16 @@ def _stream(seed: int, name: str) -> np.random.Generator:
 # optimizer
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimState:
     """Adam moments plus step count; moments allocate lazily per parameter."""
 
     lr: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -61,13 +69,13 @@ def adam_update(params: dict, grads: dict, state: OptimState) -> None:
             raise ValueError(f"gradient shape {grad.shape} differs from {name!r} {param.shape}")
         m = state.m.setdefault(name, np.zeros_like(param.data))
         v = state.v.setdefault(name, np.zeros_like(param.data))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
-        m_hat = m / (1.0 - state.beta1**state.t)
-        v_hat = v / (1.0 - state.beta2**state.t)
-        param.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1**state.t)
+        v_hat = v / (1.0 - ADAM_BETA2**state.t)
+        param.data -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +138,12 @@ class ExperimentConfig:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        for seed in self.seeds:
+            _check_seed(seed, "seeds")
+        if len(set(self.seeds)) != len(self.seeds):
+            # a repeated seed would count one run twice in every summary
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        _check_seed(self.data_seed, "data_seed")
         if self.dataset not in ("synthetic", "file"):
             raise ValueError(f"dataset must be 'synthetic' or 'file', got {self.dataset!r}")
         if self.dataset == "file" and not (self.train_path and self.test_path):
@@ -144,8 +158,14 @@ class ExperimentConfig:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
         if self.min_freq < 1:
             raise ValueError(f"min_freq must be >= 1, got {self.min_freq}")
-        if self.lr <= 0.0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if self.test_per_class < 0:
+            raise ValueError(
+                f"test_per_class must be >= 0 (0 means per_class), got {self.test_per_class}"
+            )
+        if self.noise_len < 0:
+            raise ValueError(f"noise_len must be >= 0, got {self.noise_len}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -350,6 +370,7 @@ def train(config: ExperimentConfig, seed: int, step_hook=None):
     after each optimization step.
     """
     config.validate()
+    _check_seed(seed, "seed")
     start = time.perf_counter()
     init_rng = _stream(seed, "init")
     shuffle_rng = _stream(seed, "shuffle")
@@ -571,384 +592,3 @@ def plain_mean_loss(model: md.Model, dataset: dt.Dataset, vocab: dt.Vocab, max_l
     losses = ad.softmax_cross_entropy(logits, enc.label_rows)
     return float(np.mean(losses.data))
 
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-@dataclass
-class GradcheckReport:
-    rows: list  # (name, max_rel_err, tolerance)
-
-    @property
-    def passed(self) -> bool:
-        return all(err <= tol for _, err, tol in self.rows)
-
-    def failures(self) -> list:
-        return [name for name, err, tol in self.rows if err > tol]
-
-    def format(self) -> str:
-        lines = []
-        for name, err, tol in self.rows:
-            verdict = "pass" if err <= tol else "FAIL"
-            lines.append(f"{name:<26s} max_rel_err={err:.3e}  tol={tol:.0e}  {verdict}")
-        return "\n".join(lines)
-
-
-def _conv_margins_ok(x, f, margin) -> bool:
-    """True when every conv response of ``x`` under filters ``f`` sits at
-    least ``margin`` from the relu kink and every channel's max beats its
-    runner-up by more than ``margin``, so a small input shift cannot flip
-    a gate. An all-clipped channel pools to exactly 0, which is smooth."""
-    pre, _, _ = ad._conv_forward(x, f)
-    if np.abs(pre).min() < margin:
-        return False
-    if pre.shape[1] == 1:  # one window: no runner-up to tie with
-        return True
-    top2 = np.sort(np.maximum(pre, 0.0), axis=1)[:, -2:, :]
-    gap = top2[:, 1, :] - top2[:, 0, :]
-    return bool(np.all((gap > margin) | (top2[:, 1, :] == 0.0)))
-
-
-def _conv_safe_instance(rng, n, length, depth, width, channels, margin=1e-3):
-    """Inputs whose conv responses sit away from relu kinks and argmax ties."""
-    for _ in range(200):
-        x = rng.standard_normal((n, length, depth))
-        f = rng.standard_normal((width, depth, channels))
-        if _conv_margins_ok(x, f, margin):
-            return x, f
-    raise AssertionError("no margin-safe conv instance found")
-
-
-def _random_batch(rng, n, max_len, vocab_size, num_classes):
-    ids = rng.integers(0, vocab_size, size=(n, max_len))
-    vls = rng.integers(1, max_len + 1, size=n)
-    labels = rng.integers(0, num_classes, size=n)
-    return md.Batch(ids, vls, np.eye(num_classes)[labels], labels)
-
-
-def _scalarized(op_output, weights):
-    return ad.reduce_sum(ad.mul(op_output, ad.Tensor(weights)))
-
-
-def _gen_matmul(rng):
-    b = ad.Tensor(rng.standard_normal((4, 3)))
-    w = rng.standard_normal((3, 3))
-    x = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    return lambda t: _scalarized(ad.matmul(t, b), w), x
-
-
-def _gen_embedding(rng):
-    ids = rng.integers(0, 6, size=(2, 4))
-    w = rng.standard_normal((2, 4, 3))
-    x = ad.Tensor(rng.standard_normal((6, 3)), requires_grad=True)
-    return lambda t: _scalarized(ad.embedding_lookup(t, ids), w), x
-
-
-def _gen_gather(rng):
-    idx = rng.integers(0, 5, size=7)
-    w = rng.standard_normal((7, 2))
-    x = ad.Tensor(rng.standard_normal((5, 2)), requires_grad=True)
-    return lambda t: _scalarized(ad.gather_rows(t, idx), w), x
-
-
-def _gen_mean_pool_batch(rng):
-    vls = rng.integers(1, 7, size=4)
-    w = rng.standard_normal((4, 2))
-    x = ad.Tensor(rng.standard_normal((4, 6, 2)), requires_grad=True)
-    return lambda t: _scalarized(ad.mean_pool_batch(t, vls), w), x
-
-
-def _gen_conv_batch_filters(rng):
-    x_data, f_data = _conv_safe_instance(rng, 2, 7, 2, 3, 3)
-    w = rng.standard_normal((2, 3))
-    x_const = ad.Tensor(x_data)
-    f = ad.Tensor(f_data, requires_grad=True)
-    return lambda t: _scalarized(ad.conv1d_maxpool_batch(x_const, t), w), f
-
-
-def _gen_conv_batch_input(rng):
-    x_data, f_data = _conv_safe_instance(rng, 2, 7, 2, 3, 3)
-    w = rng.standard_normal((2, 3))
-    f_const = ad.Tensor(f_data)
-    x = ad.Tensor(x_data, requires_grad=True)
-    return lambda t: _scalarized(ad.conv1d_maxpool_batch(t, f_const), w), x
-
-
-def _gen_tanh(rng):
-    w = rng.standard_normal(8)
-    x = ad.Tensor(rng.standard_normal(8), requires_grad=True)
-    return lambda t: _scalarized(ad.tanh(t), w), x
-
-
-def _gen_add(rng):
-    other = ad.Tensor(rng.standard_normal((5, 3)))
-    w = rng.standard_normal((5, 3))
-    x = ad.Tensor(rng.standard_normal(3), requires_grad=True)
-    return lambda t: _scalarized(ad.add(other, t), w), x
-
-
-def _gen_mul(rng):
-    other = rng.standard_normal((5, 3))
-    w = rng.standard_normal((5, 3))
-    x = ad.Tensor(rng.standard_normal((5, 1)), requires_grad=True)
-    # the weights fold into the constant: a second recorded mul would
-    # cancel a sign-flipped adjoint in the first
-    weighted = ad.Tensor(other * w)
-    return lambda t: ad.reduce_sum(ad.mul(weighted, t)), x
-
-
-def _gen_scale(rng):
-    c = float(rng.standard_normal())
-    w = rng.standard_normal(6)
-    x = ad.Tensor(rng.standard_normal(6), requires_grad=True)
-    return lambda t: _scalarized(ad.scale(t, c), w), x
-
-
-def _gen_reshape(rng):
-    w = rng.standard_normal((2, 6))
-    x = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    return lambda t: _scalarized(ad.reshape(t, (2, 6)), w), x
-
-
-def _gen_concat(rng):
-    other = ad.Tensor(rng.standard_normal((3, 2)))
-    w = rng.standard_normal((3, 6))
-    x = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    return lambda t: _scalarized(ad.concat([t, other], axis=1), w), x
-
-
-def _gen_softmax_ce(rng):
-    targets = rng.random((4, 5))
-    targets /= targets.sum(axis=1, keepdims=True)
-    w = rng.standard_normal(4)
-    x = ad.Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-    return lambda t: _scalarized(ad.softmax_cross_entropy(t, targets), w), x
-
-
-def _gen_mix_hidden(rng):
-    g_i = ad.Tensor(rng.standard_normal((4, 5)))
-    g_j = ad.Tensor(rng.standard_normal((4, 5)))
-    w = rng.standard_normal((4, 5))
-    lam = ad.Tensor(rng.uniform(0.05, 0.95, 4), requires_grad=True)
-    return lambda t: _scalarized(mx.mix_hidden(g_i, g_j, t), w), lam
-
-
-def _gen_mixup_loss(rng):
-    # identical label pairs make the loss exactly coefficient-independent,
-    # leaving the difference quotient nothing but rounding noise; distinct
-    # pairs keep every partial visible
-    logits = ad.Tensor(rng.standard_normal((4, 3)))
-    i_cls = rng.integers(0, 3, 4)
-    j_cls = (i_cls + 1 + rng.integers(0, 2, 4)) % 3
-    y_i = np.eye(3)[i_cls]
-    y_j = np.eye(3)[j_cls]
-    lam = ad.Tensor(rng.uniform(0.05, 0.95, 4), requires_grad=True)
-    return lambda t: ad.reduce_sum(mx.mixup_loss(logits, y_i, y_j, t)), lam
-
-
-def _param_loss(model, batch, rng):
-    """Summed cross entropy as a function of one randomly picked parameter."""
-    names = sorted(model.params)
-    name = names[int(rng.integers(0, len(names)))]
-
-    def loss_fn(t):
-        saved = model.params[name]
-        model.params[name] = t
-        t.requires_grad = True
-        logits = md.forward(model, batch)
-        out = ad.reduce_sum(ad.softmax_cross_entropy(logits, batch.label_rows))
-        model.params[name] = saved
-        return out
-
-    return loss_fn, ad.Tensor(model.params[name].data.copy(), requires_grad=True)
-
-
-def _gen_model_embed_mlp(rng):
-    model = md.init_embed_mlp(12, 4, 5, 3, rng)
-    return _param_loss(model, _random_batch(rng, 4, 6, 12, 3), rng)
-
-
-def _gen_model_text_cnn(rng):
-    # margin 1e-4 vs fd shifts of ~3e-6 keeps relu and argmax gates fixed;
-    # init-scale parameters keep the softmax unsaturated, so no parameter's
-    # whole gradient cancels down to rounding dust
-    for _ in range(200):
-        model = md.init_text_cnn(12, 3, (2, 3), 3, 3, rng, dropout=0.0)
-        batch = _random_batch(rng, 3, 6, 12, 3)
-        grid = model.params["embed"].data[batch.token_ids]
-        if all(_conv_margins_ok(grid, model.params[f"conv{w}"].data, 1e-4)
-               for w in model.filter_widths):
-            return _param_loss(model, batch, rng)
-    raise AssertionError("no margin-safe conv instance found")
-
-
-def _lambda_instance(rng):
-    """Random (backbone, layer, batch, lambda) scene for coefficient grads.
-
-    Pairings are resampled until no sample partners with itself: a
-    self-pair makes the loss exactly coefficient-independent, which the
-    analytic check verifies as a true zero, while finite differences on
-    it would only measure rounding noise in the loss evaluations.
-    """
-    pick = int(rng.integers(0, 4))
-    layer = ("sent", "word")[pick % 2]
-    batch = _random_batch(rng, 4, 6, 15, 3)
-    j_index = mx.pair_batch(len(batch), rng)
-    while np.any(j_index == np.arange(len(batch))):
-        j_index = mx.pair_batch(len(batch), rng)
-    lam = rng.uniform(0.05, 0.95, len(batch))
-    if pick < 2:
-        return md.init_embed_mlp(15, 4, 6, 3, rng), batch, layer, j_index, lam
-    for _ in range(200):
-        model = md.init_text_cnn(15, 3, (2, 3), 3, 3, rng, dropout=0.0)
-        if layer == "sent":
-            return model, batch, layer, j_index, lam
-        # the mixed word grid must keep its conv gates fixed under a
-        # tiny lambda wiggle
-        grid = model.params["embed"].data[batch.token_ids]
-        col = lam.reshape(-1, 1, 1)
-        mixed = grid * col + grid[j_index] * (1.0 - col)
-        if all(_conv_margins_ok(mixed, model.params[f"conv{w}"].data, 1e-4)
-               for w in model.filter_widths):
-            return model, batch, layer, j_index, lam
-    raise AssertionError("no margin-safe conv instance found")
-
-
-def _lambda_grad_fd_error(rng) -> float:
-    model, batch, layer, j_index, lam = _lambda_instance(rng)
-    hidden = md.forward_to_layer(model, batch, layer)
-    h_data = hidden.tensor.data
-    vls = None
-    if hidden.valid_lens is not None:
-        vls = np.maximum(hidden.valid_lens, hidden.valid_lens[j_index])
-    y_i = batch.label_rows
-    y_j = batch.label_rows[j_index]
-
-    def loss_at(lam_t):
-        mixed = mx.mix_hidden(ad.Tensor(h_data), ad.Tensor(h_data[j_index]), lam_t)
-        logits = md.forward_from_layer(model, md.Hidden(layer, mixed, vls))
-        return ad.reduce_sum(mx.mixup_loss(logits, y_i, y_j, lam_t))
-
-    return ad.finite_diff_check(
-        loss_at, ad.Tensor(lam, requires_grad=True), h=1e-6, denominator="scale"
-    )
-
-
-def analytic_grad_lambda(model: md.Model, mix_batch: mx.MixBatch) -> np.ndarray:
-    """Closed-form coefficient gradient from a suffix-only graph.
-
-    Computed as (ce_i - ce_j) + dL/d(mixed hidden) . (g_i - g_j), with
-    the mixed hidden state entering as a fresh leaf, which makes this
-    independent of the backward pass it is checked against.
-    """
-    leaf = ad.Tensor(mix_batch.mixed_hidden.tensor.data.copy(), requires_grad=True)
-    with ad.Tape() as tape:
-        logits = md.forward_from_layer(
-            model,
-            md.Hidden(mix_batch.layer, leaf, mix_batch.mixed_valid_lens),
-            dropout_mask=mix_batch.dropout_mask,
-        )
-        loss = mx.mixup_loss(logits, mix_batch.y_i, mix_batch.y_j, ad.Tensor(mix_batch.lam))
-        total = ad.reduce_sum(loss)
-    (grad,) = ad.backward(tape, total, [leaf])
-    ce_i = ad.softmax_cross_entropy(logits, mix_batch.y_i).data
-    ce_j = ad.softmax_cross_entropy(logits, mix_batch.y_j).data
-    diff = mix_batch.hidden_i.data - mix_batch.hidden_j.data
-    axes = tuple(range(1, diff.ndim))
-    return (ce_i - ce_j) + (grad * diff).sum(axis=axes)
-
-
-def _lambda_grad_analytic_error(rng) -> float:
-    model, batch, layer, j_index, lam = _lambda_instance(rng)
-    cfg = mx.MixConfig(policy="amp", layer=layer)
-    with ad.Tape() as tape:
-        mix_batch, _, loss = mx.rand_op(
-            model, batch, cfg, rng, lam_override=lam, j_override=j_index
-        )
-        tape_grad = am.grad_lambda(tape, ad.reduce_sum(loss), mix_batch.lam_leaf)
-    reference = analytic_grad_lambda(model, mix_batch)
-    return float(np.max(np.abs(tape_grad - reference) / (np.abs(reference) + 1e-8)))
-
-
-# (name, instance generator, fd step, error denominator); the model-level
-# rows compare against the gradient scale because saturated softmax rows
-# produce true partials far below the difference-quotient noise floor.
-_PRIMITIVE_CHECKS = (
-    ("matmul", _gen_matmul, 1e-5, "coordinate"),
-    ("embedding_lookup", _gen_embedding, 1e-5, "coordinate"),
-    ("gather_rows", _gen_gather, 1e-5, "coordinate"),
-    ("mean_pool_batch", _gen_mean_pool_batch, 1e-5, "coordinate"),
-    ("conv1d_maxpool_batch", _gen_conv_batch_filters, 1e-5, "coordinate"),
-    ("tanh", _gen_tanh, 1e-5, "coordinate"),
-    ("add", _gen_add, 1e-5, "coordinate"),
-    ("mul", _gen_mul, 1e-5, "coordinate"),
-    ("scale", _gen_scale, 1e-5, "coordinate"),
-    ("reshape", _gen_reshape, 1e-5, "coordinate"),
-    ("concat", _gen_concat, 1e-5, "coordinate"),
-    ("softmax_cross_entropy", _gen_softmax_ce, 1e-5, "coordinate"),
-    ("mix_hidden", _gen_mix_hidden, 1e-5, "coordinate"),
-    ("mixup_loss", _gen_mixup_loss, 1e-5, "coordinate"),
-    ("model_embed_mlp", _gen_model_embed_mlp, 1e-5, "scale"),
-    ("model_text_cnn", _gen_model_text_cnn, 1e-5, "scale"),
-    ("conv1d_maxpool_batch_input", _gen_conv_batch_input, 1e-5, "coordinate"),
-)
-
-
-def _corrupting(original_op):
-    """Wrap an op so the node it records returns sign-flipped gradients."""
-
-    def wrapper(*args, **kwargs):
-        out = original_op(*args, **kwargs)
-        tape = ad.active_tape()
-        if tape is not None and tape.nodes and tape.nodes[-1].output is out:
-            node = tape.nodes[-1]
-            clean = node.backward_fn
-            node.backward_fn = lambda g: tuple(
-                None if piece is None else -piece for piece in clean(g)
-            )
-        return out
-
-    return wrapper
-
-
-def gradcheck(corrupt: str | None = None, instances: int = 100, seed: int = 0) -> GradcheckReport:
-    """Finite-difference sweep over every op plus the coefficient gradient.
-
-    Each row reports the max relative error over ``instances`` random
-    cases. ``corrupt`` names a tape op in ``ad.OPS`` whose recorded
-    gradient is sign-flipped for the duration, a hook for verifying the
-    checker actually fails on wrong gradients.
-    """
-    if instances < 1:
-        raise ValueError(f"instances must be >= 1, got {instances}")
-    restore = None
-    if corrupt is not None:
-        if corrupt not in ad.OPS:
-            raise ValueError(f"cannot corrupt unknown op {corrupt!r}")
-        restore = getattr(ad, corrupt)
-        setattr(ad, corrupt, _corrupting(restore))
-    try:
-        rows = []
-        tol_fd = 1e-4
-        for index, (name, generator, h, mode) in enumerate(_PRIMITIVE_CHECKS):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-            worst = 0.0
-            for _ in range(instances):
-                f, x = generator(rng)
-                worst = max(worst, ad.finite_diff_check(f, x, h=h, denominator=mode))
-            rows.append((name, worst, tol_fd))
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 991]))
-        worst = 0.0
-        for _ in range(instances):
-            worst = max(worst, _lambda_grad_fd_error(rng))
-        rows.append(("grad_lambda_fd", worst, tol_fd))
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 992]))
-        worst = 0.0
-        for _ in range(instances):
-            worst = max(worst, _lambda_grad_analytic_error(rng))
-        rows.append(("grad_lambda_analytic", worst, 1e-6))
-        return GradcheckReport(rows)
-    finally:
-        if restore is not None:
-            setattr(ad, corrupt, restore)

@@ -33,10 +33,11 @@ class MixConfig:
     def validate(self) -> None:
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        # chained comparisons are False for NaN, so NaN fails these too
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
         if self.layer not in md.LAYER_NAMES:
             raise ValueError(f"layer must be one of {md.LAYER_NAMES}, got {self.layer!r}")
 

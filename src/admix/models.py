@@ -125,6 +125,10 @@ def init_text_cnn(
     widths = tuple(int(w) for w in filter_widths)
     if not widths or min(widths) < 1:
         raise ValueError("filter_widths must be positive integers")
+    for w in widths:
+        # each width names one conv parameter, so a repeat would share it
+        if widths.count(w) > 1:
+            raise ValueError(f"filter_widths repeats width {w}")
     if max_len is not None and max(widths) > max_len:
         raise ValueError(
             f"filter width {max(widths)} exceeds sequence length {max_len}"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from admix import autodiff as ad
-from admix import harness as hz
+from admix import gradcheck as gk
 
 
 def rand(rng, *shape):
@@ -68,13 +68,13 @@ class TestMatmul:
         b_data = rand(rng, 4, 2)
         w = rand(rng, 3, 2)
         a = ad.Tensor(rand(rng, 3, 4), requires_grad=True)
-        err_a = ad.finite_diff_check(
+        err_a = gk.finite_diff_check(
             lambda t: weighted_sum(ad.matmul(t, ad.Tensor(b_data)), w), a
         )
         assert err_a <= 1e-6
         a_data = rand(rng, 3, 4)
         b = ad.Tensor(b_data, requires_grad=True)
-        err_b = ad.finite_diff_check(
+        err_b = gk.finite_diff_check(
             lambda t: weighted_sum(ad.matmul(ad.Tensor(a_data), t), w), b
         )
         assert err_b <= 1e-6
@@ -131,7 +131,7 @@ class TestEmbeddingLookup:
         ids = np.array([3, 1, 3, 0])
         w = rand(rng, 4, 3)
         table = ad.Tensor(rand(rng, 5, 3), requires_grad=True)
-        err = ad.finite_diff_check(
+        err = gk.finite_diff_check(
             lambda t: weighted_sum(ad.embedding_lookup(t, ids), w), table
         )
         assert err <= 1e-6
@@ -193,7 +193,7 @@ class TestMeanPool:
         vls = np.array([2, 4, 1])
         w = rand(rng, 3, 2)
         x = ad.Tensor(rand(rng, 3, 4, 2), requires_grad=True)
-        err = ad.finite_diff_check(lambda t: weighted_sum(ad.mean_pool_batch(t, vls), w), x)
+        err = gk.finite_diff_check(lambda t: weighted_sum(ad.mean_pool_batch(t, vls), w), x)
         assert err <= 1e-6
 
 
@@ -275,7 +275,7 @@ class TestConvMaxpool:
                 x_data = rng.integers(-2, 3, (n, length, d)).astype(np.float64)
                 f_data = rng.integers(-1, 2, (width, d, c)).astype(np.float64)
             else:
-                x_data, f_data = hz._conv_safe_instance(rng, n, length, d, width, c)
+                x_data, f_data = gk._conv_safe_instance(rng, n, length, d, width, c)
             w = rand(rng, n, c)
             ref_out, ref_gx, ref_gf = conv_maxpool_reference(x_data, f_data, w)
             xb = ad.Tensor(x_data, requires_grad=leaves != "filters")
@@ -293,15 +293,15 @@ class TestConvMaxpool:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(32)
-        x_data, f_data = hz._conv_safe_instance(rng, 2, 7, 3, 3, 4)
+        x_data, f_data = gk._conv_safe_instance(rng, 2, 7, 3, 3, 4)
         w = rand(rng, 2, 4)
         x = ad.Tensor(x_data, requires_grad=True)
-        err_x = ad.finite_diff_check(
+        err_x = gk.finite_diff_check(
             lambda t: weighted_sum(ad.conv1d_maxpool_batch(t, ad.Tensor(f_data)), w), x
         )
         assert err_x <= 1e-6
         f = ad.Tensor(f_data, requires_grad=True)
-        err_f = ad.finite_diff_check(
+        err_f = gk.finite_diff_check(
             lambda t: weighted_sum(ad.conv1d_maxpool_batch(ad.Tensor(x_data), t), w), f
         )
         assert err_f <= 1e-6
@@ -312,7 +312,7 @@ class TestElementwise:
         rng = np.random.default_rng(41)
         w = rand(rng, 6)
         x = ad.Tensor(rand(rng, 6), requires_grad=True)
-        err = ad.finite_diff_check(lambda t: weighted_sum(ad.tanh(t), w), x)
+        err = gk.finite_diff_check(lambda t: weighted_sum(ad.tanh(t), w), x)
         assert err <= 1e-6
 
     def test_add_broadcast_unbroadcasts_gradient(self):
@@ -325,7 +325,7 @@ class TestElementwise:
         (grad,) = ad.backward(tape, y, [bias])
         assert grad.shape == (3,)
         np.testing.assert_allclose(grad, w.sum(axis=0), rtol=1e-12)
-        err = ad.finite_diff_check(lambda t: weighted_sum(ad.add(ad.Tensor(x_data), t), w), bias)
+        err = gk.finite_diff_check(lambda t: weighted_sum(ad.add(ad.Tensor(x_data), t), w), bias)
         assert err <= 1e-6
 
     def test_mul_broadcast_gradients(self):
@@ -337,7 +337,7 @@ class TestElementwise:
             y = weighted_sum(ad.mul(lam, ad.Tensor(other)), w)
         (grad,) = ad.backward(tape, y, [lam])
         np.testing.assert_allclose(grad, (w * other).sum(axis=1, keepdims=True), rtol=1e-12)
-        err = ad.finite_diff_check(lambda t: weighted_sum(ad.mul(t, ad.Tensor(other)), w), lam)
+        err = gk.finite_diff_check(lambda t: weighted_sum(ad.mul(t, ad.Tensor(other)), w), lam)
         assert err <= 1e-6
 
     @pytest.mark.parametrize("op", ["add", "mul"])
@@ -602,7 +602,7 @@ class TestSoftmaxCrossEntropy:
         targets = np.array([[0.25, 0.75, 0.0], [0.4, 0.1, 0.5]])
         w = rand(rng, 2)
         z = ad.Tensor(rand(rng, 2, 3), requires_grad=True)
-        err = ad.finite_diff_check(
+        err = gk.finite_diff_check(
             lambda t: weighted_sum(ad.softmax_cross_entropy(t, targets), w), z
         )
         assert err <= 1e-6
@@ -684,10 +684,10 @@ class TestBackward:
 class TestFiniteDiffCheck:
     def test_quadratic_checks_out(self):
         x = ad.Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        err = ad.finite_diff_check(lambda t: ad.reduce_sum(ad.mul(t, t)), x)
+        err = gk.finite_diff_check(lambda t: ad.reduce_sum(ad.mul(t, t)), x)
         assert err <= 1e-8
 
     def test_function_constant_in_x_reports_zero(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
-        err = ad.finite_diff_check(lambda t: ad.reduce_sum(ad.Tensor([5.0])), x)
+        err = gk.finite_diff_check(lambda t: ad.reduce_sum(ad.Tensor([5.0])), x)
         assert err == 0.0

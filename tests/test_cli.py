@@ -79,6 +79,37 @@ class TestTrain:
         assert main(["train", "--config", config_file, "--seed", "7"]) == 0
         assert "seed=7" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("alpha", "nan", "alpha must be positive and finite"),
+            ("lr", "inf", "lr must be positive and finite"),
+            ("seeds", "0, 0", "seeds must be distinct"),
+            ("noise_len", "-3", "noise_len must be >= 0"),
+        ],
+    )
+    def test_bad_value_is_config_error_before_training(
+        self, tmp_path, monkeypatch, capsys, key, value, message
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before validating the config")
+
+        monkeypatch.setattr(hz, "train", no_training)
+        lines = [line for line in TINY.splitlines() if not line.startswith(f"{key} =")]
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_negative_seed_is_config_error(self, config_file, monkeypatch, capsys):
+        def no_task(*args, **kwargs):
+            raise AssertionError("built the task before checking the seed")
+
+        monkeypatch.setattr(hz, "prepare_task", no_task)
+        assert main(["train", "--config", config_file, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
+
 
 class TestSweep:
     def test_csv_format_and_symmetry(self, config_file, tmp_path, capsys):

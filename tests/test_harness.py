@@ -7,6 +7,7 @@ import pytest
 
 import admix.autodiff as ad
 import admix.data as dt
+import admix.gradcheck as gk
 import admix.harness as hz
 import admix.mixup as mx
 import admix.models as md
@@ -117,6 +118,37 @@ class TestConfig:
             setattr(cfg, field, value)
             with pytest.raises(ValueError):
                 cfg.validate()
+
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("alpha", "nan", "alpha must be positive and finite, got nan"),
+            ("alpha", "inf", "alpha must be positive and finite, got inf"),
+            ("epsilon", "nan", "epsilon must be nonnegative and finite, got nan"),
+            ("epsilon", "inf", "epsilon must be nonnegative and finite, got inf"),
+            ("lr", "nan", "lr must be positive and finite, got nan"),
+            ("lr", "inf", "lr must be positive and finite, got inf"),
+            ("seeds", "0,-1", "seeds must be nonnegative, got -1"),
+            ("seeds", "0,0", "seeds must be distinct, got (0, 0)"),
+            ("data_seed", "-1", "data_seed must be nonnegative, got -1"),
+            ("test_per_class", "-5", "test_per_class must be >= 0"),
+            ("noise_len", "-3", "noise_len must be >= 0, got -3"),
+        ],
+    )
+    def test_nonfinite_and_out_of_range_values_rejected(self, key, raw, message):
+        # each of these used to pass validation and fail later, inside
+        # training or numpy, with a message that named no key
+        with pytest.raises(ValueError) as info:
+            hz.config_from_items({key: raw})
+        assert message in str(info.value)
+
+    def test_negative_run_seed_rejected_before_any_work(self, monkeypatch):
+        def no_task(*args, **kwargs):
+            raise AssertionError("built the task before checking the seed")
+
+        monkeypatch.setattr(hz, "prepare_task", no_task)
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            hz.train(tiny_config(), -1)
 
     def test_min_freq_below_one_rejected(self):
         with pytest.raises(ValueError, match="min_freq"):
@@ -454,8 +486,46 @@ class TestLambdaSweep:
 
 
 class TestGradcheck:
+    ROW_NAMES = [
+        "matmul",
+        "embedding_lookup",
+        "gather_rows",
+        "mean_pool_batch",
+        "conv1d_maxpool_batch",
+        "tanh",
+        "add",
+        "mul",
+        "scale",
+        "reshape",
+        "concat",
+        "softmax_cross_entropy",
+        "mix_hidden",
+        "mixup_loss",
+        "model_embed_mlp",
+        "model_text_cnn",
+        "conv1d_maxpool_batch_input",
+        "grad_lambda_fd",
+        "grad_lambda_analytic",
+    ]
+
+    def test_row_names_in_order(self):
+        # each row draws from the stream keyed in its table entry; pinning
+        # the order catches a row that is dropped, added or reordered
+        report = gk.gradcheck(instances=1)
+        assert [name for name, _, _ in report.rows] == self.ROW_NAMES
+        assert [key for _, key, _, _ in gk._CHECKS] == [*range(17), 991, 992]
+
+    def test_nan_error_fails_its_row(self, monkeypatch):
+        # a NaN relative error must fail, not vanish in a running max
+        errors = iter([0.0, np.nan, 0.0])
+        monkeypatch.setattr(gk, "_CHECKS", (("row", 0, lambda rng: next(errors), 1e-4),))
+        report = gk.gradcheck(instances=3)
+        assert not report.passed
+        assert report.failures() == ["row"]
+        assert "FAIL" in report.format()
+
     def test_full_sweep_passes(self):
-        report = hz.gradcheck(instances=20)
+        report = gk.gradcheck(instances=20)
         assert report.passed, report.format()
         names = [name for name, _, _ in report.rows]
         assert "conv1d_maxpool_batch" in names
@@ -464,41 +534,41 @@ class TestGradcheck:
         assert "grad_lambda_analytic" in names
 
     def test_deterministic(self):
-        a = hz.gradcheck(instances=5)
-        b = hz.gradcheck(instances=5)
+        a = gk.gradcheck(instances=5)
+        b = gk.gradcheck(instances=5)
         assert a.rows == b.rows
 
     def test_corrupted_op_is_caught_and_named(self):
-        report = hz.gradcheck(corrupt="tanh", instances=3)
+        report = gk.gradcheck(corrupt="tanh", instances=3)
         assert not report.passed
         assert "tanh" in report.failures()
         assert "FAIL" in report.format()
 
     def test_corruption_is_undone(self):
-        hz.gradcheck(corrupt="matmul", instances=2)
-        assert hz.gradcheck(instances=2).passed
+        gk.gradcheck(corrupt="matmul", instances=2)
+        assert gk.gradcheck(instances=2).passed
 
     @pytest.mark.parametrize("instances", [0, -3])
     def test_no_instances_rejected(self, instances):
         # zero instances would check nothing and still report a pass
         with pytest.raises(ValueError, match="instances must be >= 1"):
-            hz.gradcheck(instances=instances)
+            gk.gradcheck(instances=instances)
 
     @pytest.mark.parametrize(
-        "target", ["made_up_op", "backward", "finite_diff_check", "_conv_forward", "Tensor", "np"]
+        "target", ["made_up_op", "backward", "active_tape", "_conv_forward", "Tensor", "np"]
     )
     def test_unknown_corrupt_target_rejected(self, target):
         with pytest.raises(ValueError, match="unknown op"):
-            hz.gradcheck(corrupt=target)
+            gk.gradcheck(corrupt=target)
 
     @pytest.mark.parametrize("op", ad.OPS)
     def test_every_exported_op_is_audited(self, op):
-        report = hz.gradcheck(corrupt=op, instances=2)
+        report = gk.gradcheck(corrupt=op, instances=2)
         assert not report.passed
         if op == "reduce_sum":
             # every primitive row scalarizes through reduce_sum, so its
             # corruption fails all of them rather than a row of its own
-            rows = {name for name, _, _, _ in hz._PRIMITIVE_CHECKS}
+            rows = {name for name in self.ROW_NAMES if not name.startswith("grad_lambda_")}
             assert rows <= set(report.failures())
         else:
             assert op in report.failures()
@@ -506,11 +576,11 @@ class TestGradcheck:
     def test_analytic_decomposition_matches_tape(self):
         rng = np.random.default_rng(5)
         model = md.init_embed_mlp(20, 4, 6, 3, rng)
-        batch = hz._random_batch(rng, 6, 8, 20, 3)
+        batch = gk._random_batch(rng, 6, 8, 20, 3)
         cfg = mx.MixConfig(policy="amp", layer="sent")
         with ad.Tape() as tape:
             mix_batch, _, loss = mx.rand_op(model, batch, cfg, rng)
             total = ad.reduce_sum(loss)
             (tape_grad,) = ad.backward(tape, total, [mix_batch.lam_leaf])
-        reference = hz.analytic_grad_lambda(model, mix_batch)
+        reference = gk.analytic_grad_lambda(model, mix_batch)
         assert np.allclose(tape_grad, reference, rtol=1e-9, atol=1e-12)

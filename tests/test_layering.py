@@ -1,0 +1,60 @@
+"""Import layering of the package, read from the source with ``ast``.
+
+``autodiff`` is the bottom layer and depends on numpy alone; training
+code does not reach into the gradient audit; nothing imports the
+command-line front end.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "admix"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def imports(module: str) -> tuple[set, set]:
+    """(package modules, outside top-level modules) that ``module`` imports."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    inside, outside = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "admix":
+                    inside.add(rest.partition(".")[0])
+                else:
+                    outside.add(top)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not node.module.startswith("admix"):
+                outside.add(node.module.partition(".")[0])
+            elif node.module in (None, "admix"):  # from . import x
+                inside.update(alias.name for alias in node.names)
+            else:
+                inside.add(node.module.removeprefix("admix.").partition(".")[0])
+    return inside, outside
+
+
+def test_reader_sees_package_imports():
+    inside, outside = imports("cli")
+    assert {"data", "gradcheck", "harness", "errors"} <= inside
+    assert {"argparse", "sys"} <= outside
+
+
+def test_autodiff_needs_only_numpy_and_the_stdlib():
+    inside, outside = imports("autodiff")
+    assert inside == set()
+    assert outside <= {"numpy"} | set(sys.stdlib_module_names)
+
+
+def test_training_does_not_import_the_audit():
+    inside, _ = imports("harness")
+    assert "gradcheck" not in inside
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_nothing_imports_the_cli(module):
+    inside, _ = imports(module)
+    assert "cli" not in inside

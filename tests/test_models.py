@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from admix import autodiff as ad
+from admix import gradcheck as gk
 from admix import models
 
 
@@ -48,6 +49,14 @@ class TestInit:
             models.init_text_cnn(10, 4, (3, 9), 2, 3, rng, max_len=8)
         with pytest.raises(ValueError):
             models.init_text_cnn(10, 4, (), 2, 3, rng)
+
+    @pytest.mark.parametrize("widths", [(3, 3), (2, 4, 2), (5, 3, 5, 5)])
+    def test_repeated_filter_width_rejected(self, widths):
+        # one conv parameter per width: a repeat would feed the same
+        # filters to two feature blocks and double sent_dim
+        repeated = next(w for w in widths if widths.count(w) > 1)
+        with pytest.raises(ValueError, match=f"repeats width {repeated}"):
+            models.init_text_cnn(10, 4, widths, 2, 3, np.random.default_rng(0))
 
     def test_freeze_embeddings_removes_from_trainable(self):
         m = models.init_embed_mlp(10, 4, 8, 2, np.random.default_rng(0))
@@ -136,7 +145,7 @@ class TestGradients:
                 m.params[name] = saved
                 return out
 
-            err = ad.finite_diff_check(loss_fn, ad.Tensor(param.data, requires_grad=True))
+            err = gk.finite_diff_check(loss_fn, ad.Tensor(param.data, requires_grad=True))
             assert err <= 1e-4, f"{name}: {err}"
 
     def test_text_cnn_param_gradients_match_finite_differences(self):
@@ -177,7 +186,7 @@ class TestGradients:
                 m.params[name] = saved
                 return out
 
-            err = ad.finite_diff_check(loss_fn, ad.Tensor(param.data, requires_grad=True))
+            err = gk.finite_diff_check(loss_fn, ad.Tensor(param.data, requires_grad=True))
             assert err <= 1e-4, f"{name}: {err}"
 
 
