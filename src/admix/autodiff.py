@@ -22,6 +22,8 @@ to single-precision rounding noise to train reliably in float32.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Names of the ops that record a node on the active tape.
@@ -155,19 +157,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _scatter_rows(shape: tuple[int, ...], idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Zeros of ``shape`` with each row ``g[i]`` added at row ``idx[i]``.
+
+    ``g`` has shape ``idx.shape + shape[1:]``. One ``np.bincount`` over the
+    flattened ``row * width + k`` positions adds the weights in input order
+    into zeros, the order ``np.add.at`` uses, so the sums are bitwise equal.
+    """
+    width = math.prod(shape[1:])
+    # intp first: uint64 ids times the int64 offsets would promote to float64
+    flat = idx.astype(np.intp, copy=False).reshape(-1, 1) * width + np.arange(width)
+    summed = np.bincount(flat.ravel(), weights=g.ravel(), minlength=shape[0] * width)
+    return summed.reshape(shape)
+
+
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of ``table`` by integer id; ids may have any shape.
 
     Output shape is ``ids.shape + (embed_dim,)``. The backward pass
-    scatter-adds into the table so repeated ids accumulate.
+    scatter-adds into the table with ``_scatter_rows``, so repeated ids
+    accumulate in the order ``np.add.at`` would add them.
     """
     if table.ndim != 2:
         raise ValueError(f"embedding table must be 2-d, got shape {table.shape}")
     idx = np.asarray(ids)
     if idx.dtype.kind not in "iu":
-        if idx.dtype.kind == "f" or idx.dtype == object:
-            raise ValueError("ids must be integers")
-        idx = idx.astype(np.int64)
+        raise ValueError("ids must be integers")
     vocab = table.shape[0]
     if idx.size:
         lo = int(idx.min())
@@ -178,16 +193,18 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     out = Tensor(table.data[idx], requires_grad=table.requires_grad)
 
     def backward_fn(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
+        return (_scatter_rows(table.shape, idx, g),)
 
     _record("embedding_lookup", (table,), out, backward_fn)
     return out
 
 
 def gather_rows(x: Tensor, index) -> Tensor:
-    """Select rows along axis 0; backward scatter-adds to the source."""
+    """Select rows along axis 0.
+
+    The backward pass scatter-adds to the source with ``_scatter_rows``,
+    in the order ``np.add.at`` would add repeated rows.
+    """
     idx = np.asarray(index)
     if idx.ndim != 1 or idx.dtype.kind not in "iu":
         raise ValueError("gather_rows index must be a 1-d integer array")
@@ -197,9 +214,7 @@ def gather_rows(x: Tensor, index) -> Tensor:
     out = Tensor(x.data[idx], requires_grad=x.requires_grad)
 
     def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        return (gx,)
+        return (_scatter_rows(x.shape, idx, g),)
 
     _record("gather_rows", (x,), out, backward_fn)
     return out

@@ -48,34 +48,60 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimState:
-    """Adam moments plus step count; moments allocate lazily per parameter."""
+    """Adam step count and moments.
+
+    ``m`` and ``v`` are each one flat vector over every parameter, laid
+    out in the iteration order of the ``params`` dict, and are allocated
+    by the first ``adam_update``.
+    """
 
     lr: float = 2e-4
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_update(params: dict, grads: dict, state: OptimState) -> None:
-    """One in-place Adam step with bias correction."""
-    state.t += 1
+    """One in-place Adam step with bias correction.
+
+    A missing gradient counts as zero. The update runs once over the
+    concatenated gradients, with the same elementwise expressions in the
+    same order as a per-parameter loop, so the result is bitwise equal to
+    it. Every check runs before any parameter or moment changes.
+    """
+    flat = []
     for name, param in params.items():
         grad = grads.get(name)
         if grad is None:
             grad = np.zeros_like(param.data)
-        if not np.all(np.isfinite(grad)):
-            raise DivergenceError(f"non-finite gradient for {name!r} at step {state.t}")
-        if grad.shape != param.data.shape:
+        elif grad.shape != param.data.shape:
             raise ValueError(f"gradient shape {grad.shape} differs from {name!r} {param.shape}")
-        m = state.m.setdefault(name, np.zeros_like(param.data))
-        v = state.v.setdefault(name, np.zeros_like(param.data))
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = m / (1.0 - ADAM_BETA1**state.t)
-        v_hat = v / (1.0 - ADAM_BETA2**state.t)
-        param.data -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        flat.append(grad.ravel())
+    grad = np.concatenate(flat)
+    if state.m is not None and state.m.size != grad.size:
+        raise ValueError(
+            f"optimizer state holds {state.m.size} moments, parameters have {grad.size} entries"
+        )
+    if not np.all(np.isfinite(grad)):
+        bad = next(name for name, g in zip(params, flat) if not np.all(np.isfinite(g)))
+        raise DivergenceError(f"non-finite gradient for {bad!r} at step {state.t + 1}")
+    if state.m is None:
+        state.m = np.zeros_like(grad)
+        state.v = np.zeros_like(grad)
+    state.t += 1
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = v / (1.0 - ADAM_BETA2**state.t)
+    step = state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    offset = 0
+    for param in params.values():
+        size = param.data.size
+        param.data -= step[offset : offset + size].reshape(param.data.shape)
+        offset += size
 
 
 # ---------------------------------------------------------------------------

@@ -87,8 +87,9 @@ def _gamma_core(shape: float, rng: np.random.Generator) -> float:
 
 def sample_lambda(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n coefficients from Beta(alpha, alpha) as a gamma ratio."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    # chained comparisons are False for NaN, so NaN fails this too
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if n < 1:
         raise ValueError(f"need at least one draw, got n={n}")
     out = np.empty(n)
@@ -102,14 +103,20 @@ def sample_lambda(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def pair_batch(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random permutation (Fisher-Yates) assigning each row a partner."""
+    """Uniform random permutation (Fisher-Yates) assigning each row a partner.
+
+    The swap targets come from one vectorized draw, ``j`` in ``[0, i]`` for
+    ``i = n - 1, ..., 1``. It consumes the generator exactly as one scalar
+    ``rng.integers(0, i + 1)`` per swap would, so the permutation and the
+    generator's state afterwards match that loop.
+    """
     if n < 1:
         raise ValueError(f"batch must be nonempty, got n={n}")
-    perm = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    perm = list(range(n))
+    js = rng.integers(0, np.arange(n, 1, -1)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), js):
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return np.array(perm)
 
 
 def mix_hidden(g_i: ad.Tensor, g_j: ad.Tensor, lam: ad.Tensor) -> ad.Tensor:

@@ -126,6 +126,25 @@ class TestEmbeddingLookup:
         with pytest.raises(IndexError, match="-1"):
             ad.embedding_lookup(table, [-1])
 
+    def test_non_integer_ids_rejected(self):
+        table = ad.Tensor(np.zeros((4, 2)))
+        for ids in ([1.0, 2.0], np.array([True, False]), np.array(["3", "1"]), [None]):
+            with pytest.raises(ValueError, match="ids must be integers"):
+                ad.embedding_lookup(table, ids)
+
+    def test_unsigned_ids_give_the_int64_gradient_bitwise(self):
+        rng = np.random.default_rng(13)
+        ids = np.array([[4, 0, 4], [2, 4, 1]])
+        g = rand(rng, 2, 3, 3)
+        grads = []
+        for dtype in (np.int64, np.uint8, np.uint64):
+            table = ad.Tensor(rand(np.random.default_rng(14), 5, 3), requires_grad=True)
+            with ad.Tape() as tape:
+                ad.embedding_lookup(table, ids.astype(dtype))
+            (grad,) = tape.nodes[-1].backward_fn(g)
+            grads.append(grad.tobytes())
+        assert grads[1] == grads[0] and grads[2] == grads[0]
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         ids = np.array([3, 1, 3, 0])
@@ -523,6 +542,35 @@ class TestShapeRules:
                 ad.gather_rows(x, idx.astype(np.float64))
             with pytest.raises(ValueError, match="1-d integer"):
                 ad.gather_rows(x, idx.reshape(1, -1))
+
+        shape_property(check)
+
+    def test_scatter_backward_matches_add_at_bitwise(self):
+        """Both scatter backwards equal an ``np.add.at`` oracle byte for byte."""
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def check(data):
+            shape = data.draw(dims(max_side=5))
+            n = shape[0]
+            idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=12)), dtype=np.int64)
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            g_shape = (idx.size, *shape[1:])
+            # magnitudes 1e-8..1e8 make any other summation order show in the bits
+            g = rng.standard_normal(g_shape) * 10.0 ** rng.integers(-8, 9, g_shape)
+            g[rng.random(g.shape) < 0.2] = 0.0
+            g[rng.random(g.shape) < 0.2] = -0.0
+            expected = np.zeros(shape)
+            np.add.at(expected, idx, g)
+            x = ad.Tensor(np.zeros(shape), requires_grad=True)
+            with ad.Tape() as tape:
+                ad.gather_rows(x, idx)
+                if len(shape) == 2:
+                    ids = idx.reshape(data.draw(st.sampled_from([(-1,), (1, -1), (-1, 1)])))
+                    ad.embedding_lookup(x, ids)
+            for node in tape.nodes:
+                (grad,) = node.backward_fn(g.reshape(node.output.shape))
+                assert grad.shape == expected.shape
+                assert grad.tobytes() == expected.tobytes(), node.op
 
         shape_property(check)
 

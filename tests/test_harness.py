@@ -58,6 +58,64 @@ class TestAdam:
         with pytest.raises(DivergenceError, match="p"):
             hz.adam_update({"p": p}, {"p": np.array([np.nan])}, hz.OptimState())
 
+    def test_bad_input_raises_before_anything_changes(self):
+        rng = np.random.default_rng(0)
+        params = {k: ad.Tensor(rng.standard_normal(3), requires_grad=True) for k in "abc"}
+        state = hz.OptimState(lr=0.1)
+        hz.adam_update(params, {k: np.ones(3) for k in params}, state)
+        before = {k: p.data.copy() for k, p in params.items()}
+        moments = (state.m.copy(), state.v.copy())
+        cases = [
+            (DivergenceError, "'c'", params, {"a": np.ones(3), "c": np.array([1.0, np.inf, 0.0])}),
+            (ValueError, "'b'", params, {"b": np.ones(4)}),
+            # a state built for three parameters never steps a set of two
+            (ValueError, "optimizer state", {k: params[k] for k in "ab"}, {}),
+        ]
+        for error, match, ps, grads in cases:
+            with pytest.raises(error, match=match):
+                hz.adam_update(ps, grads, state)
+            assert state.t == 1
+            assert np.array_equal(state.m, moments[0]) and np.array_equal(state.v, moments[1])
+            for k, p in params.items():
+                assert np.array_equal(p.data, before[k])
+
+    @pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
+    def test_flat_update_matches_per_parameter_loop_bitwise(self, backbone):
+        def per_parameter(params, grads, st):
+            st["t"] += 1
+            for name, param in params.items():
+                grad = grads.get(name)
+                if grad is None:
+                    grad = np.zeros_like(param.data)
+                m = st["m"].setdefault(name, np.zeros_like(param.data))
+                v = st["v"].setdefault(name, np.zeros_like(param.data))
+                m *= hz.ADAM_BETA1
+                m += (1.0 - hz.ADAM_BETA1) * grad
+                v *= hz.ADAM_BETA2
+                v += (1.0 - hz.ADAM_BETA2) * grad * grad
+                m_hat = m / (1.0 - hz.ADAM_BETA1 ** st["t"])
+                v_hat = v / (1.0 - hz.ADAM_BETA2 ** st["t"])
+                param.data -= st["lr"] * m_hat / (np.sqrt(v_hat) + hz.ADAM_EPS)
+
+        init = md.init_embed_mlp if backbone == "embed-mlp" else md.init_text_cnn
+        args = (32,) if backbone == "embed-mlp" else ((3, 4, 5), 16)
+        model = init(502, 16, *args, 6, np.random.default_rng(1))
+        params = model.trainable_params()
+        ref = {k: ad.Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
+        state, ref_state = hz.OptimState(lr=1e-2), {"t": 0, "m": {}, "v": {}, "lr": 1e-2}
+        rng = np.random.default_rng(2)
+        for _ in range(120):
+            # some gradients missing, magnitudes spread over 1e-6..1e2
+            grads = {
+                k: rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+                for k, p in params.items()
+                if rng.random() > 0.2
+            }
+            hz.adam_update(params, grads, state)
+            per_parameter(ref, grads, ref_state)
+        for k, p in params.items():
+            assert p.data.tobytes() == ref[k].data.tobytes(), k
+
     def test_bias_correction_across_steps(self):
         # two steps of constant gradient 1: both moments stay exactly 1
         # after correction, so each step subtracts lr/(1 + eps)
@@ -219,6 +277,28 @@ class TestTrain:
         assert r1.test_error == r2.test_error
         for name in m1.params:
             assert np.array_equal(m1.params[name].data, m2.params[name].data)
+
+    def test_word_layer_step_makes_no_add_at_call(self, monkeypatch):
+        real_add = np.add
+        calls = []
+
+        class CountingAdd:
+            def __call__(self, *args, **kwargs):
+                return real_add(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(real_add, name)
+
+            def at(self, *args, **kwargs):
+                calls.append(args)
+                return real_add.at(*args, **kwargs)
+
+        monkeypatch.setattr(np, "add", CountingAdd())
+        np.add.at(np.zeros(2), [0], 1.0)
+        assert len(calls) == 1  # the counter sees autodiff's np.add.at
+        cfg = tiny_config(backbone="embed-mlp", layer="word", policy="amp", max_steps=1)
+        hz.train(cfg, seed=0)
+        assert len(calls) == 1
 
     def test_policies_share_data_and_init_randomness(self):
         # same seed, different policy: identical init and batch order, so

@@ -51,10 +51,9 @@ class TestSampleLambda:
 
     def test_bad_arguments(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="alpha"):
-            mx.sample_lambda(0.0, 5, rng)
-        with pytest.raises(ValueError, match="alpha"):
-            mx.sample_lambda(-1.0, 5, rng)
+        for alpha in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                mx.sample_lambda(alpha, 5, rng)
         with pytest.raises(ValueError):
             mx.sample_lambda(1.0, 0, rng)
 
@@ -79,6 +78,27 @@ class TestPairBatch:
         assert len(counts) == 6
         for key, count in counts.items():
             assert 0.12 <= count / trials <= 0.21, (key, count)
+
+    def test_matches_scalar_draw_loop_and_generator_state(self):
+        def scalar_draws(n, rng):
+            perm = np.arange(n)
+            for i in range(n - 1, 0, -1):
+                j = int(rng.integers(0, i + 1))
+                perm[i], perm[j] = perm[j], perm[i]
+            return perm
+
+        for n in [*range(1, 40), 64, 257, 1000]:
+            for seed in range(5):
+                # a prior small draw leaves PCG64 holding a cached uint32 half
+                for warm in (False, True):
+                    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+                    if warm:
+                        fast.integers(0, 5)
+                        slow.integers(0, 5)
+                    perm = mx.pair_batch(n, fast)
+                    np.testing.assert_array_equal(perm, scalar_draws(n, slow))
+                    assert perm.dtype == np.arange(n).dtype
+                    assert fast.bit_generator.state == slow.bit_generator.state, (n, seed, warm)
 
     def test_deterministic_under_seed(self):
         a = mx.pair_batch(10, np.random.default_rng(7))
