@@ -2,16 +2,20 @@
 
 Each of the 12 runs trains on ``configs/acceptance.cfg`` with seed 0
 (text-cnn with dropout 0.5) and is compared against the traces stored in
-``golden_traces.json``. A refactor that leaves the arithmetic alone
-reproduces the stored sha256 digests bitwise; the test itself allows the
-float64 tolerance perfbench uses, so that another machine's BLAS
-summation order does not fail it. ``test_error`` is compared exactly.
+``golden_traces.json``. For each (backbone, layer), the amp- and
+mixup-trained models of those runs are also swept over an 11-point lambda
+grid on the test set, once over the full pairing and once over a single
+pair. A refactor that leaves the arithmetic alone reproduces the stored
+sha256 digests bitwise; the test itself allows the float64 tolerance
+perfbench uses, so that another machine's BLAS summation order does not
+fail it. ``test_error`` is compared exactly.
 
 Rewrite the file with ``PYTHONPATH=src python tests/test_golden.py``,
 only for a change that is meant to move the traces, and state the drift.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -33,21 +37,58 @@ COMBOS = [
     for layer in ("sent", "word")
     for policy in ("none", "mixup", "amp")
 ]
+SWEEP_GRID = 11
+SWEEP_PAIR = (2, 5)
+SWEEPS = {"full": None, "pair": SWEEP_PAIR}
+SWEEP_COMBOS = [
+    f"{backbone}/{layer}/sweep"
+    for backbone in ("embed-mlp", "text-cnn")
+    for layer in ("sent", "word")
+]
+
+
+def _config(backbone: str, layer: str, policy: str):
+    config = hz.load_config(ROOT / "configs" / "acceptance.cfg")
+    dropout = 0.5 if backbone == "text-cnn" else config.dropout
+    return dataclasses.replace(
+        config, backbone=backbone, layer=layer, policy=policy, max_steps=STEPS, dropout=dropout
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _train(combo: str):
+    """(model, report) of one golden run; the sweeps reuse its model."""
+    return hz.train(_config(*combo.split("/")), seed=0)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
 
 
 def record(combo: str) -> dict:
-    backbone, layer, policy = combo.split("/")
-    config = hz.load_config(ROOT / "configs" / "acceptance.cfg")
-    dropout = 0.5 if backbone == "text-cnn" else config.dropout
-    config = dataclasses.replace(
-        config, backbone=backbone, layer=layer, policy=policy, max_steps=STEPS, dropout=dropout
-    )
-    _, report = hz.train(config, seed=0)
+    _, report = _train(combo)
     entry = {"test_error": report.test_error}
     for name in TRACES:
-        values = np.asarray(getattr(report, name), dtype=np.float64)
-        entry[name] = values.tolist()
-        entry[f"{name}_sha256"] = hashlib.sha256(values.tobytes()).hexdigest()
+        values = getattr(report, name)
+        entry[name] = np.asarray(values, dtype=np.float64).tolist()
+        entry[f"{name}_sha256"] = _digest(values)
+    return entry
+
+
+def record_sweep(combo: str) -> dict:
+    backbone, layer, _ = combo.split("/")
+    model_amp, _ = _train(f"{backbone}/{layer}/amp")
+    model_mix, _ = _train(f"{backbone}/{layer}/mixup")
+    config = _config(backbone, layer, "amp")
+    _, _, test_ds, vocab = hz.prepare_task(config, seed=0)
+    entry = {}
+    for name, pair in SWEEPS.items():
+        rows = hz.lambda_sweep(
+            model_amp, model_mix, test_ds, vocab, config.max_len,
+            grid_points=SWEEP_GRID, layer=layer, pair=pair,
+        )
+        entry[name] = np.asarray(rows, dtype=np.float64).tolist()
+        entry[f"{name}_sha256"] = _digest(rows)
     return entry
 
 
@@ -67,7 +108,18 @@ def test_trace_matches_golden(combo, golden):
         )
 
 
+@pytest.mark.parametrize("combo", SWEEP_COMBOS)
+def test_sweep_matches_golden(combo, golden):
+    expected = golden[combo]
+    got = record_sweep(combo)
+    for name in SWEEPS:
+        np.testing.assert_allclose(
+            got[name], expected[name], rtol=RTOL, atol=ATOL, err_msg=f"{combo} {name}"
+        )
+
+
 if __name__ == "__main__":
     traces = {combo: record(combo) for combo in COMBOS}
+    traces.update({combo: record_sweep(combo) for combo in SWEEP_COMBOS})
     GOLDEN.write_text(json.dumps(traces, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")
