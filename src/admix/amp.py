@@ -7,9 +7,9 @@ One training step runs three stages on a single tape:
 2. ascent stage: backprop of sum(L), walking only the tape nodes
    downstream of the lambda leaf, yields dL/dlambda, which is clipped
    to [-1, 1] and applied as lambda' = lambda + epsilon * grad,
-   clamped to [0, 1]. Features are re-mixed at lambda' while the label
-   weights keep the original lambda, then the suffix reruns under the
-   same dropout mask, giving L';
+   clamped to [0, 1]. ``mixup.score`` re-mixes the same pairing at
+   lambda' while the label weights keep the original lambda, and reruns
+   the suffix under the same dropout mask, giving L';
 3. selection stage: per sample, the step keeps whichever loss is
    larger, via mask = 1 when L' - L > 0, so the optimized objective is
    mean(max(L, L')).
@@ -93,19 +93,17 @@ def perturb_lambda(lam: np.ndarray, grad: np.ndarray, epsilon: float) -> np.ndar
     return np.clip(lam + epsilon * grad, 0.0, 1.0)
 
 
-def recompute_loss(model: md.Model, mix_batch: mx.MixBatch, lambda_prime: np.ndarray) -> ad.Tensor:
-    """Re-mix the saved hidden states at lambda' and rescore.
+def recompute_loss(
+    model: md.Model, pairs: mx.MixBatch, lam_leaf: ad.Tensor, lambda_prime: np.ndarray
+) -> ad.Tensor:
+    """Re-mix the saved pairing at lambda' and rescore.
 
     The perturbed coefficient enters as a constant (no gradient flows
     back into the ascent step), the label weights stay at the original
     lambda leaf, and the suffix reuses the saved dropout mask, so the
     two passes differ only through the interpolation point.
     """
-    lam_p = ad.Tensor(np.asarray(lambda_prime, dtype=np.float64))
-    mixed = mx.mix_hidden(mix_batch.hidden_i, mix_batch.hidden_j, lam_p)
-    hidden = md.Hidden(mix_batch.layer, mixed, mix_batch.mixed_valid_lens)
-    logits = md.forward_from_layer(model, hidden, dropout_mask=mix_batch.dropout_mask)
-    return mx.mixup_loss(logits, mix_batch.y_i, mix_batch.y_j, mix_batch.lam_leaf)
+    return mx.score(model, pairs, lambda_prime, lam_leaf)
 
 
 def compute_mask(loss: np.ndarray, loss_prime: np.ndarray) -> np.ndarray:
@@ -127,8 +125,6 @@ def amp_step(
     config: mx.MixConfig,
     rng: np.random.Generator,
     dropout_rng: np.random.Generator | None = None,
-    lam_override: np.ndarray | None = None,
-    j_override: np.ndarray | None = None,
 ):
     """Run the full three-stage step on the ambient tape.
 
@@ -139,14 +135,12 @@ def amp_step(
     tape = ad.active_tape()
     if tape is None:
         raise RuntimeError("amp_step needs a recording tape")
-    mix_batch, _, loss = mx.rand_op(
-        model, batch, config, rng, dropout_rng, lam_override=lam_override, j_override=j_override
-    )
+    pairs, lam_leaf, loss = mx.rand_op(model, batch, config, rng, dropout_rng)
     n = len(batch)
 
-    g_lam = clip_grad(grad_lambda(tape, ad.reduce_sum(loss), mix_batch.lam_leaf))
-    lam_prime = perturb_lambda(mix_batch.lam, g_lam, config.epsilon)
-    loss_prime = recompute_loss(model, mix_batch, lam_prime)
+    g_lam = clip_grad(grad_lambda(tape, ad.reduce_sum(loss), lam_leaf))
+    lam_prime = perturb_lambda(lam_leaf.data, g_lam, config.epsilon)
+    loss_prime = recompute_loss(model, pairs, lam_leaf, lam_prime)
 
     if config.force_mask_ones:
         mask = np.ones(n)
@@ -161,7 +155,7 @@ def amp_step(
         delta=loss_prime.data - loss.data,
         mask=mask,
         loss_final=loss_final.data.copy(),
-        lam=mix_batch.lam.copy(),
+        lam=lam_leaf.data.copy(),
         grad_lambda=g_lam,
         lambda_prime=lam_prime,
     )

@@ -297,57 +297,46 @@ def _lambda_instance(rng):
 
 def _lambda_grad_fd_error(rng) -> float:
     model, batch, layer, j_index, lam = _lambda_instance(rng)
-    hidden = md.forward_to_layer(model, batch, layer)
-    h_data = hidden.tensor.data
-    vls = None
-    if hidden.valid_lens is not None:
-        vls = np.maximum(hidden.valid_lens, hidden.valid_lens[j_index])
-    y_i = batch.label_rows
-    y_j = batch.label_rows[j_index]
-
-    def loss_at(lam_t):
-        mixed = mx.mix_hidden(ad.Tensor(h_data), ad.Tensor(h_data[j_index]), lam_t)
-        logits = md.forward_from_layer(model, md.Hidden(layer, mixed, vls))
-        return ad.reduce_sum(mx.mixup_loss(logits, y_i, y_j, lam_t))
-
+    pairs = mx.pair_up(md.forward_to_layer(model, batch, layer), batch.label_rows, j_index)
     return finite_diff_check(
-        loss_at, ad.Tensor(lam, requires_grad=True), h=1e-6, denominator="scale"
+        lambda t: ad.reduce_sum(mx.score(model, pairs, t, t)),
+        ad.Tensor(lam, requires_grad=True),
+        h=1e-6,
+        denominator="scale",
     )
 
 
-def analytic_grad_lambda(model: md.Model, mix_batch: mx.MixBatch) -> np.ndarray:
+def analytic_grad_lambda(model: md.Model, pairs: mx.MixBatch, lam: np.ndarray) -> np.ndarray:
     """Closed-form coefficient gradient from a suffix-only graph.
 
     Computed as (ce_i - ce_j) + dL/d(mixed hidden) . (g_i - g_j), with
-    the mixed hidden state entering as a fresh leaf, which makes this
-    independent of the backward pass it is checked against.
+    the mixed hidden state recomputed in numpy and entering as a fresh
+    leaf, which makes this independent of the backward pass it is
+    checked against.
     """
-    leaf = ad.Tensor(mix_batch.mixed_hidden.tensor.data.copy(), requires_grad=True)
+    g_i, g_j = pairs.hidden_i.data, pairs.hidden_j.data
+    col = np.reshape(lam, (-1,) + (1,) * (g_i.ndim - 1))
+    leaf = ad.Tensor(g_i * col + g_j * (1.0 - col), requires_grad=True)
     with ad.Tape() as tape:
         logits = md.forward_from_layer(
-            model,
-            md.Hidden(mix_batch.layer, leaf, mix_batch.mixed_valid_lens),
-            dropout_mask=mix_batch.dropout_mask,
+            model, md.Hidden(pairs.layer, leaf, pairs.valid_lens), dropout_mask=pairs.dropout_mask
         )
-        loss = mx.mixup_loss(logits, mix_batch.y_i, mix_batch.y_j, ad.Tensor(mix_batch.lam))
-        total = ad.reduce_sum(loss)
+        total = ad.reduce_sum(mx.mixup_loss(logits, pairs.y_i, pairs.y_j, lam))
     (grad,) = ad.backward(tape, total, [leaf])
-    ce_i = ad.softmax_cross_entropy(logits, mix_batch.y_i).data
-    ce_j = ad.softmax_cross_entropy(logits, mix_batch.y_j).data
-    diff = mix_batch.hidden_i.data - mix_batch.hidden_j.data
-    axes = tuple(range(1, diff.ndim))
-    return (ce_i - ce_j) + (grad * diff).sum(axis=axes)
+    ce_i = ad.softmax_cross_entropy(logits, pairs.y_i).data
+    ce_j = ad.softmax_cross_entropy(logits, pairs.y_j).data
+    axes = tuple(range(1, g_i.ndim))
+    return (ce_i - ce_j) + (grad * (g_i - g_j)).sum(axis=axes)
 
 
 def _lambda_grad_analytic_error(rng) -> float:
     model, batch, layer, j_index, lam = _lambda_instance(rng)
-    cfg = mx.MixConfig(policy="amp", layer=layer)
+    lam_leaf = ad.Tensor(lam, requires_grad=True)
     with ad.Tape() as tape:
-        mix_batch, _, loss = mx.rand_op(
-            model, batch, cfg, rng, lam_override=lam, j_override=j_index
-        )
-        tape_grad = am.grad_lambda(tape, ad.reduce_sum(loss), mix_batch.lam_leaf)
-    reference = analytic_grad_lambda(model, mix_batch)
+        pairs = mx.pair_up(md.forward_to_layer(model, batch, layer), batch.label_rows, j_index)
+        loss = mx.score(model, pairs, lam_leaf, lam_leaf)
+        tape_grad = am.grad_lambda(tape, ad.reduce_sum(loss), lam_leaf)
+    reference = analytic_grad_lambda(model, pairs, lam)
     return float(np.max(np.abs(tape_grad - reference) / (np.abs(reference) + 1e-8)))
 
 

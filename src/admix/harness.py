@@ -115,7 +115,6 @@ class ExperimentConfig:
     alpha: float = 1.0
     epsilon: float = 0.002
     layer: str = "sent"
-    per_pair_lambda: bool = True
     force_mask_ones: bool = False
     # backbone
     backbone: str = "embed-mlp"
@@ -158,6 +157,9 @@ class ExperimentConfig:
         self.mix_config().validate()
         if self.backbone not in ("embed-mlp", "text-cnn"):
             raise ValueError(f"unknown backbone {self.backbone!r}")
+        for key in ("embed_dim", "hidden_dim"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_steps < 1:
@@ -330,7 +332,6 @@ class TrainReport:
     seed: int
     policy: str
     step_loss: list = field(default_factory=list)  # mean L
-    step_loss_prime: list = field(default_factory=list)  # mean L'
     step_mask_rate: list = field(default_factory=list)
     step_grad_lambda: list = field(default_factory=list)  # mean |clipped dL/dlam|
     step_objective: list = field(default_factory=list)  # scalar actually minimized
@@ -356,8 +357,8 @@ def policy_step(model, batch, mix_cfg, mix_rng, dropout_rng):
         loss = ad.softmax_cross_entropy(logits, batch.label_rows)
         lam = np.ones(n)
     else:
-        mix_batch, _, loss = mx.rand_op(model, batch, mix_cfg, mix_rng, dropout_rng)
-        lam = mix_batch.lam
+        _, lam_leaf, loss = mx.rand_op(model, batch, mix_cfg, mix_rng, dropout_rng)
+        lam = lam_leaf.data
     total = ad.scale(ad.reduce_sum(loss), 1.0 / n)
     return total, am.LossBundle.unperturbed(loss.data, lam)
 
@@ -450,7 +451,6 @@ def train(config: ExperimentConfig, seed: int, step_hook=None):
         adam_update(params, grads, optim)
 
         report.step_loss.append(float(np.mean(bundle.loss)))
-        report.step_loss_prime.append(float(np.mean(bundle.loss_prime)))
         report.step_mask_rate.append(float(np.mean(bundle.mask)))
         report.step_grad_lambda.append(float(np.mean(np.abs(bundle.grad_lambda))))
         report.step_objective.append(float(total.data))
@@ -581,32 +581,33 @@ def lambda_sweep(
         i, j = int(pair[0]), int(pair[1])
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"pair indices {pair} out of range for {n} examples")
-        keep = np.array([i])
-        partner = np.array([j])
     else:
         order = np.random.default_rng(pairing_seed).permutation(n)
         partner = np.empty(n, dtype=np.int64)
         partner[order] = order[::-1]
-        keep = np.arange(n)
 
     grid = np.linspace(0.0, 1.0, grid_points)
     per_model = []
     for model in (model_a, model_b):
         hidden = md.forward_to_layer(model, enc, layer)
-        h = hidden.tensor.data
-        h_i = h[keep]
-        h_j = h[partner]
-        vls = None
-        if hidden.valid_lens is not None:
-            vls = np.maximum(hidden.valid_lens[keep], hidden.valid_lens[partner])
-        y_i = enc.label_rows[keep]
-        y_j = enc.label_rows[partner]
+        if pair is None:
+            pairs = mx.pair_up(hidden, enc.label_rows, partner)
+        else:
+            # score the one row alone, so the suffix sees a one-row batch
+            vls = hidden.valid_lens
+            pairs = mx.MixBatch(
+                layer,
+                ad.Tensor(hidden.tensor.data[[i]]),
+                ad.Tensor(hidden.tensor.data[[j]]),
+                None if vls is None else np.maximum(vls[[i]], vls[[j]]),
+                enc.label_rows[[i]],
+                enc.label_rows[[j]],
+                None,
+            )
         means = []
         for lam in grid:
-            mixed = h_i * lam + h_j * (1.0 - lam)
-            logits = md.forward_from_layer(model, md.Hidden(layer, ad.Tensor(mixed), vls))
-            losses = mx.mixup_loss(logits, y_i, y_j, np.full(len(keep), lam))
-            means.append(float(np.mean(losses.data)))
+            lam_row = np.full(len(pairs.y_i), lam)
+            means.append(float(np.mean(mx.score(model, pairs, lam_row, lam_row).data)))
         per_model.append(means)
     return [(float(grid[k]), per_model[0][k], per_model[1][k]) for k in range(grid_points)]
 

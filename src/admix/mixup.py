@@ -26,7 +26,6 @@ class MixConfig:
     alpha: float = 1.0
     epsilon: float = 0.002
     layer: str = "sent"
-    per_pair_lambda: bool = True
     # ablation switch: always adopt the perturbed branch of the step
     force_mask_ones: bool = False
 
@@ -44,20 +43,15 @@ class MixConfig:
 
 @dataclass
 class MixBatch:
-    """Everything a mixed step produces and the perturbation stage reuses."""
+    """One pairing of hidden states, ready to be scored at any coefficient."""
 
-    j_index: np.ndarray  # [n] partner for each position
-    lam: np.ndarray  # [n] coefficients in [0, 1]
-    mixed_hidden: md.Hidden
     layer: str
-    # wiring for a second pass over the same pairing
-    lam_leaf: ad.Tensor = None
-    hidden_i: ad.Tensor = None
-    hidden_j: ad.Tensor = None
-    y_i: np.ndarray = None
-    y_j: np.ndarray = None
-    mixed_valid_lens: np.ndarray | None = None
-    dropout_mask: np.ndarray | None = None
+    hidden_i: ad.Tensor
+    hidden_j: ad.Tensor  # row s: the partner of hidden_i row s
+    valid_lens: np.ndarray | None  # longer of each pair's lengths, at "word"
+    y_i: np.ndarray
+    y_j: np.ndarray
+    dropout_mask: np.ndarray | None
 
 
 def _gamma_boosted(shape: float, rng: np.random.Generator) -> float:
@@ -158,74 +152,66 @@ def mixup_loss(logits: ad.Tensor, y_i: np.ndarray, y_j: np.ndarray, lam) -> ad.T
     return ad.add(ad.mul(lam_t, ce_i), ad.mul(one_minus, ce_j))
 
 
+def pair_up(
+    hidden: md.Hidden,
+    label_rows: np.ndarray,
+    j_index: np.ndarray,
+    dropout_mask: np.ndarray | None = None,
+) -> MixBatch:
+    """Pair row s of ``hidden`` with row ``j_index[s]``.
+
+    The partner rows are gathered on the active tape, so gradients reach
+    both endpoints. A mixed word grid pools over the longer of the two
+    valid lengths.
+    """
+    valid_lens = None
+    if hidden.valid_lens is not None:
+        valid_lens = np.maximum(hidden.valid_lens, hidden.valid_lens[j_index])
+    return MixBatch(
+        layer=hidden.layer,
+        hidden_i=hidden.tensor,
+        hidden_j=ad.gather_rows(hidden.tensor, j_index),
+        valid_lens=valid_lens,
+        y_i=label_rows,
+        y_j=label_rows[j_index],
+        dropout_mask=dropout_mask,
+    )
+
+
+def score(model: md.Model, pairs: MixBatch, lam_mix, lam_label) -> ad.Tensor:
+    """Per-sample loss of ``pairs`` mixed at ``lam_mix``, labels weighted by ``lam_label``.
+
+    Either coefficient may be a leaf tensor or an [n] array. The suffix
+    runs under the pairing's saved dropout mask, so two scores of one
+    pairing differ only through the coefficients.
+    """
+    if not isinstance(lam_mix, ad.Tensor):
+        lam_mix = ad.Tensor(lam_mix)
+    mixed = mix_hidden(pairs.hidden_i, pairs.hidden_j, lam_mix)
+    hidden = md.Hidden(pairs.layer, mixed, pairs.valid_lens)
+    logits = md.forward_from_layer(model, hidden, dropout_mask=pairs.dropout_mask)
+    return mixup_loss(logits, pairs.y_i, pairs.y_j, lam_label)
+
+
 def rand_op(
     model: md.Model,
     batch: md.Batch,
     config: MixConfig,
     rng: np.random.Generator,
     dropout_rng: np.random.Generator | None = None,
-    lam_override: np.ndarray | None = None,
-    j_override: np.ndarray | None = None,
 ):
     """One random-interpolation pass: pair, draw lambda, mix, score.
 
-    Returns ``(mix_batch, logits, per_sample_loss)``. The loss tensor
-    depends on ``mix_batch.lam_leaf`` through both the mixed hidden
-    state and the label weights. Draw order is fixed (partner
-    permutation, then lambda, then dropout mask) so policies sharing a
-    seed see identical randomness; the override hooks skip no draws
-    except the one they replace. ``j_override`` must be a permutation of
-    ``range(n)`` and ``lam_override`` an [n] array in [0, 1].
+    Returns ``(pairs, lam_leaf, per_sample_loss)``. The loss depends on
+    the leaf through both the mixed hidden state and the label weights.
+    Draw order is fixed (partner permutation, then lambda, then dropout
+    mask) so policies sharing a seed see identical randomness.
     """
     config.validate()
     n = len(batch)
-    if j_override is not None:
-        j_index = np.asarray(j_override)
-        if j_index.dtype.kind not in "iu" or not np.array_equal(np.sort(j_index), np.arange(n)):
-            raise ValueError(f"j_override must be a permutation of range({n})")
-    else:
-        j_index = pair_batch(n, rng)
-    if lam_override is not None:
-        lam = np.asarray(lam_override, dtype=np.float64)
-        if lam.shape != (n,):
-            raise ValueError(f"lam_override must have shape ({n},), got {lam.shape}")
-        # NaN fails both comparisons, so this also rejects non-finite values
-        if not np.all((lam >= 0.0) & (lam <= 1.0)):
-            raise ValueError("lam_override must be finite and lie in [0, 1]")
-    elif config.per_pair_lambda:
-        lam = sample_lambda(config.alpha, n, rng)
-    else:
-        lam = np.full(n, sample_lambda(config.alpha, 1, rng)[0])
-
+    j_index = pair_batch(n, rng)
+    lam_leaf = ad.Tensor(sample_lambda(config.alpha, n, rng), requires_grad=True)
     hidden = md.forward_to_layer(model, batch, config.layer)
-    g_i = hidden.tensor
-    g_j = ad.gather_rows(g_i, j_index)
-    mixed_vls = None
-    if hidden.valid_lens is not None:
-        mixed_vls = np.maximum(hidden.valid_lens, hidden.valid_lens[j_index])
-
-    lam_leaf = ad.Tensor(lam, requires_grad=True)
-    mixed = mix_hidden(g_i, g_j, lam_leaf)
-    mixed_hidden = md.Hidden(config.layer, mixed, mixed_vls)
-
     dropout_mask = md.make_dropout_mask(model, n, dropout_rng)
-    logits = md.forward_from_layer(model, mixed_hidden, dropout_mask=dropout_mask)
-
-    y_i = batch.label_rows
-    y_j = batch.label_rows[j_index]
-    loss = mixup_loss(logits, y_i, y_j, lam_leaf)
-
-    mix_batch = MixBatch(
-        j_index=j_index,
-        lam=lam,
-        mixed_hidden=mixed_hidden,
-        layer=config.layer,
-        lam_leaf=lam_leaf,
-        hidden_i=g_i,
-        hidden_j=g_j,
-        y_i=y_i,
-        y_j=y_j,
-        mixed_valid_lens=mixed_vls,
-        dropout_mask=dropout_mask,
-    )
-    return mix_batch, logits, loss
+    pairs = pair_up(hidden, batch.label_rows, j_index, dropout_mask)
+    return pairs, lam_leaf, score(model, pairs, lam_leaf, lam_leaf)

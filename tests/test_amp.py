@@ -24,6 +24,11 @@ def make_model(rng, dropout=0.0, backbone="embed-mlp"):
     return models.init_embed_mlp(25, 5, 6, 3, rng, dropout=dropout)
 
 
+def fixed_pairing(model, batch, j_index, layer="sent"):
+    """A pairing chosen by hand, recorded on the active tape."""
+    return mx.pair_up(models.forward_to_layer(model, batch, layer), batch.label_rows, j_index)
+
+
 class TestClipGrad:
     def test_values_clamped_to_unit_interval(self):
         out = amp.clip_grad(np.array([-3.0, -1.0, -0.2, 0.0, 0.7, 1.0, 5.0]))
@@ -118,13 +123,13 @@ class TestGradLambda:
     def test_self_pairing_gives_exactly_zero(self):
         model = make_model(np.random.default_rng(4))
         batch = make_batch(np.random.default_rng(5))
-        cfg = mx.MixConfig(policy="amp")
+        lam_leaf = ad.Tensor(
+            mx.sample_lambda(1.0, len(batch), np.random.default_rng(6)), requires_grad=True
+        )
         with ad.Tape() as tape:
-            mix_batch, _, loss = mx.rand_op(
-                model, batch, cfg, np.random.default_rng(6),
-                j_override=np.arange(len(batch)),
-            )
-            g = amp.grad_lambda(tape, ad.reduce_sum(loss), mix_batch.lam_leaf)
+            pairs = fixed_pairing(model, batch, np.arange(len(batch)))
+            loss = mx.score(model, pairs, lam_leaf, lam_leaf)
+            g = amp.grad_lambda(tape, ad.reduce_sum(loss), lam_leaf)
         np.testing.assert_array_equal(g, np.zeros(len(batch)))
 
     def test_matches_value_from_full_step(self):
@@ -148,13 +153,13 @@ class TestPrunedAscent:
         cfg = mx.MixConfig(policy="amp", layer=layer)
         params = list(model.trainable_params().values())
         with ad.Tape() as tape:
-            mix_batch, _, loss = mx.rand_op(
+            _, lam_leaf, loss = mx.rand_op(
                 model, batch, cfg, np.random.default_rng(72), np.random.default_rng(73)
             )
             total = ad.reduce_sum(loss)
-        (pruned,) = ad.backward(tape, total, [mix_batch.lam_leaf])
+        (pruned,) = ad.backward(tape, total, [lam_leaf])
         pruned_visits = tape.last_visit_count
-        full = ad.backward(tape, total, [mix_batch.lam_leaf, *params])[0]
+        full = ad.backward(tape, total, [lam_leaf, *params])[0]
         assert np.array_equal(pruned, full)
         assert pruned_visits < tape.last_visit_count == len(tape)
 
@@ -208,23 +213,23 @@ class TestRecomputeLoss:
         batch = make_batch(np.random.default_rng(11))
         cfg = mx.MixConfig(policy="amp")
         with ad.Tape():
-            mix_batch, _, loss = mx.rand_op(
+            pairs, lam_leaf, loss = mx.rand_op(
                 model, batch, cfg, np.random.default_rng(12), np.random.default_rng(13)
             )
-            again = amp.recompute_loss(model, mix_batch, mix_batch.lam)
+            again = amp.recompute_loss(model, pairs, lam_leaf, lam_leaf.data)
         np.testing.assert_array_equal(again.data, loss.data)
 
     def test_identical_endpoints_make_perturbation_inert(self):
         model = make_model(np.random.default_rng(14))
         batch = make_batch(np.random.default_rng(15))
         # pair every row with itself, so g_i == g_j and y_i == y_j
-        cfg = mx.MixConfig(policy="amp")
+        lam_leaf = ad.Tensor(
+            mx.sample_lambda(1.0, len(batch), np.random.default_rng(16)), requires_grad=True
+        )
         with ad.Tape():
-            mix_batch, _, loss = mx.rand_op(
-                model, batch, cfg, np.random.default_rng(16),
-                j_override=np.arange(len(batch)),
-            )
-            moved = amp.recompute_loss(model, mix_batch, np.clip(mix_batch.lam + 0.3, 0, 1))
+            pairs = fixed_pairing(model, batch, np.arange(len(batch)))
+            loss = mx.score(model, pairs, lam_leaf, lam_leaf)
+            moved = amp.recompute_loss(model, pairs, lam_leaf, np.clip(lam_leaf.data + 0.3, 0, 1))
         np.testing.assert_allclose(moved.data, loss.data, rtol=1e-12)
 
 
@@ -285,7 +290,8 @@ class TestAmpStep:
 
     def test_ascent_direction_raises_loss_on_average(self):
         # the perturbed coefficient should not sit below the original loss:
-        # across many steps the mean of L' - L stays positive
+        # across many steps the mean of L' - L stays positive; lambda is
+        # drawn from a uniform on [0.05, 0.95], so no step starts clamped
         deltas = []
         rng_pool = np.random.default_rng(50)
         for _ in range(200):
@@ -293,12 +299,15 @@ class TestAmpStep:
             model = make_model(np.random.default_rng(seeds[0]))
             batch = make_batch(np.random.default_rng(seeds[1]))
             lam = np.random.default_rng(seeds[2]).uniform(0.05, 0.95, len(batch))
-            cfg = mx.MixConfig(policy="amp", epsilon=0.01)
-            with ad.Tape():
-                _, bundle = amp.amp_step(
-                    model, batch, cfg, np.random.default_rng(seeds[3]), lam_override=lam
-                )
-            deltas.append(bundle.delta.mean())
+            lam_leaf = ad.Tensor(lam, requires_grad=True)
+            with ad.Tape() as tape:
+                j = mx.pair_batch(len(batch), np.random.default_rng(seeds[3]))
+                pairs = fixed_pairing(model, batch, j)
+                loss = mx.score(model, pairs, lam_leaf, lam_leaf)
+                g_lam = amp.clip_grad(amp.grad_lambda(tape, ad.reduce_sum(loss), lam_leaf))
+                lam_prime = amp.perturb_lambda(lam, g_lam, 0.01)
+                loss_prime = amp.recompute_loss(model, pairs, lam_leaf, lam_prime)
+            deltas.append(np.mean(loss_prime.data - loss.data))
         assert np.mean(deltas) > 0.0
 
     def test_label_weights_keep_original_lambda(self):
@@ -309,23 +318,11 @@ class TestAmpStep:
         batch = make_batch(np.random.default_rng(61))
         cfg = mx.MixConfig(policy="amp")
         with ad.Tape():
-            mix_batch, _, _ = mx.rand_op(model, batch, cfg, np.random.default_rng(62))
-            swapped = amp.recompute_loss(model, mix_batch, 1.0 - mix_batch.lam)
-            relabeled = mx.mixup_loss(
-                models.forward_from_layer(
-                    model,
-                    models.Hidden(
-                        "sent",
-                        mx.mix_hidden(
-                            mix_batch.hidden_i, mix_batch.hidden_j, ad.Tensor(1.0 - mix_batch.lam)
-                        ),
-                    ),
-                ),
-                mix_batch.y_i,
-                mix_batch.y_j,
-                1.0 - mix_batch.lam,
-            )
+            pairs, lam_leaf, _ = mx.rand_op(model, batch, cfg, np.random.default_rng(62))
+            flipped = 1.0 - lam_leaf.data
+            swapped = amp.recompute_loss(model, pairs, lam_leaf, flipped)
+            relabeled = mx.score(model, pairs, flipped, flipped)
         # same features, different label weights: the two must disagree
         # whenever the pair's labels differ
-        differs = np.any(mix_batch.y_i != mix_batch.y_j, axis=1)
+        differs = np.any(pairs.y_i != pairs.y_j, axis=1)
         assert np.abs(swapped.data - relabeled.data)[differs].max() > 1e-6

@@ -102,6 +102,23 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "key, value", [("embed_dim", "0"), ("embed_dim", "-2"), ("hidden_dim", "0")]
+    )
+    def test_nonpositive_width_is_config_error_before_task(
+        self, tmp_path, monkeypatch, capsys, key, value
+    ):
+        # text-cnn with embed_dim = 0 used to build the task and the model,
+        # then die in the first conv backward with a numpy reshape error
+        def no_task(*args, **kwargs):
+            raise AssertionError("built the task before validating the config")
+
+        monkeypatch.setattr(hz, "prepare_task", no_task)
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY + f"backbone = text-cnn\n{key} = {value}\n")
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be >= 1, got {value}")
+
     def test_negative_seed_is_config_error(self, config_file, monkeypatch, capsys):
         def no_task(*args, **kwargs):
             raise AssertionError("built the task before checking the seed")

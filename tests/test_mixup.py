@@ -233,70 +233,35 @@ class TestRandOp:
     def test_lambda_one_matches_unmixed_forward(self):
         model = make_model(np.random.default_rng(20))
         batch = make_batch(np.random.default_rng(21))
-        cfg = mx.MixConfig(policy="mixup")
-        _, logits, loss = mx.rand_op(
-            model, batch, cfg, np.random.default_rng(22), lam_override=np.ones(len(batch))
-        )
-        plain_logits = models.forward(model, batch)
-        plain_loss = ad.softmax_cross_entropy(plain_logits, batch.label_rows)
-        np.testing.assert_array_equal(logits.data, plain_logits.data)
+        j = mx.pair_batch(len(batch), np.random.default_rng(22))
+        pairs = mx.pair_up(models.forward_to_layer(model, batch, "sent"), batch.label_rows, j)
+        ones = np.ones(len(batch))
+        loss = mx.score(model, pairs, ones, ones)
+        plain_loss = ad.softmax_cross_entropy(models.forward(model, batch), batch.label_rows)
         np.testing.assert_array_equal(loss.data, plain_loss.data)
 
     def test_deterministic_under_seed(self):
         model = make_model(np.random.default_rng(20))
         batch = make_batch(np.random.default_rng(21))
         cfg = mx.MixConfig()
-        m1, _, l1 = mx.rand_op(model, batch, cfg, np.random.default_rng(5))
-        m2, _, l2 = mx.rand_op(model, batch, cfg, np.random.default_rng(5))
-        np.testing.assert_array_equal(m1.j_index, m2.j_index)
-        np.testing.assert_array_equal(m1.lam, m2.lam)
+        p1, lam1, l1 = mx.rand_op(model, batch, cfg, np.random.default_rng(5))
+        p2, lam2, l2 = mx.rand_op(model, batch, cfg, np.random.default_rng(5))
+        np.testing.assert_array_equal(p1.y_j, p2.y_j)
+        np.testing.assert_array_equal(p1.hidden_j.data, p2.hidden_j.data)
+        np.testing.assert_array_equal(lam1.data, lam2.data)
         np.testing.assert_array_equal(l1.data, l2.data)
 
     def test_word_layer_takes_longer_valid_length(self):
         model = make_model(np.random.default_rng(20))
         batch = make_batch(np.random.default_rng(21))
-        cfg = mx.MixConfig(layer="word")
-        mix_batch, _, _ = mx.rand_op(model, batch, cfg, np.random.default_rng(6))
-        expected = np.maximum(batch.valid_lens, batch.valid_lens[mix_batch.j_index])
-        np.testing.assert_array_equal(mix_batch.mixed_valid_lens, expected)
-        assert mix_batch.mixed_hidden.layer == "word"
-
-    def test_shared_lambda_mode_uses_one_draw(self):
-        model = make_model(np.random.default_rng(20))
-        batch = make_batch(np.random.default_rng(21))
-        cfg = mx.MixConfig(per_pair_lambda=False)
-        mix_batch, _, _ = mx.rand_op(model, batch, cfg, np.random.default_rng(6))
-        assert np.unique(mix_batch.lam).size == 1
-
-    def _rand_op(self, **overrides):
-        model = make_model(np.random.default_rng(20))
-        batch = make_batch(np.random.default_rng(21))
-        return mx.rand_op(model, batch, mx.MixConfig(), np.random.default_rng(6), **overrides)
-
-    def test_lam_override_shape_checked(self):
-        with pytest.raises(ValueError, match=r"lam_override must have shape \(6,\)"):
-            self._rand_op(lam_override=np.full(5, 0.5))
-
-    def test_lam_override_must_be_finite(self):
-        for bad in (np.nan, np.inf):
-            lam = np.full(6, 0.5)
-            lam[2] = bad
-            with pytest.raises(ValueError, match="lam_override must be finite"):
-                self._rand_op(lam_override=lam)
-
-    def test_lam_override_must_lie_in_unit_interval(self):
-        for bad in (-0.1, 1.5):
-            lam = np.full(6, 0.5)
-            lam[4] = bad
-            with pytest.raises(ValueError, match=r"lam_override .* \[0, 1\]"):
-                self._rand_op(lam_override=lam)
-        self._rand_op(lam_override=np.array([0.0, 1.0, 0.5, 0.0, 1.0, 0.25]))
-
-    def test_j_override_must_be_a_permutation(self):
-        for bad in ([0, 0, 1, 2, 3, 4], [1, 0, 2, 3, 4], [0, 1, 2, 3, 4, 6], np.arange(6.0)):
-            with pytest.raises(ValueError, match=r"j_override must be a permutation"):
-                self._rand_op(j_override=np.asarray(bad))
-        self._rand_op(j_override=np.array([5, 4, 3, 2, 1, 0]))
+        j = mx.pair_batch(len(batch), np.random.default_rng(6))
+        hidden = models.forward_to_layer(model, batch, "word")
+        pairs = mx.pair_up(hidden, batch.label_rows, j)
+        expected = np.maximum(batch.valid_lens, batch.valid_lens[j])
+        np.testing.assert_array_equal(pairs.valid_lens, expected)
+        np.testing.assert_array_equal(pairs.hidden_j.data, hidden.tensor.data[j])
+        np.testing.assert_array_equal(pairs.y_j, batch.label_rows[j])
+        assert pairs.layer == "word" and pairs.hidden_i is hidden.tensor
 
     def test_lambda_gradient_matches_finite_differences(self):
         model = make_model(np.random.default_rng(23))
@@ -319,31 +284,47 @@ class TestRandOp:
 
     def test_lambda_gradient_matches_analytic_decomposition(self):
         # dL_s/dlam_s = (ce_i - ce_j)_s + dL/dg_hat_s . (g_i - g_j)_s
+        cases = []
         for layer in ("sent", "word"):
             model = make_model(np.random.default_rng(25))
             batch = make_batch(np.random.default_rng(26), n=5)
-            cfg = mx.MixConfig(layer=layer)
+            cases.append((layer, model, batch, np.random.default_rng(8)))
+        rng = np.random.default_rng(5)
+        model = models.init_embed_mlp(20, 4, 6, 3, rng)
+        cases.append(("sent", model, gk._random_batch(rng, 6, 8, 20, 3), rng))
+        for layer, model, batch, mix_rng in cases:
+            cfg = mx.MixConfig(policy="amp", layer=layer)
             with ad.Tape() as tape:
-                mix_batch, _, loss = mx.rand_op(model, batch, cfg, np.random.default_rng(8))
-                total = ad.reduce_sum(loss)
-            (tape_grad,) = ad.backward(tape, total, [mix_batch.lam_leaf])
-
-            leaf = ad.Tensor(mix_batch.mixed_hidden.tensor.data.copy(), requires_grad=True)
-            with ad.Tape() as tape2:
-                logits2 = models.forward_from_layer(
-                    model, models.Hidden(layer, leaf, mix_batch.mixed_valid_lens)
-                )
-                loss2 = mx.mixup_loss(
-                    logits2, mix_batch.y_i, mix_batch.y_j, ad.Tensor(mix_batch.lam)
-                )
-                total2 = ad.reduce_sum(loss2)
-            (leaf_grad,) = ad.backward(tape2, total2, [leaf])
-            ce_i = ad.softmax_cross_entropy(logits2, mix_batch.y_i).data
-            ce_j = ad.softmax_cross_entropy(logits2, mix_batch.y_j).data
-            diff = mix_batch.hidden_i.data - mix_batch.hidden_j.data
-            axes = tuple(range(1, diff.ndim))
-            analytic = (ce_i - ce_j) + (leaf_grad * diff).sum(axis=axes)
+                pairs, lam_leaf, loss = mx.rand_op(model, batch, cfg, mix_rng)
+                (tape_grad,) = ad.backward(tape, ad.reduce_sum(loss), [lam_leaf])
+            analytic = gk.analytic_grad_lambda(model, pairs, lam_leaf.data)
             np.testing.assert_allclose(tape_grad, analytic, rtol=1e-9, atol=1e-12)
+
+
+class TestScore:
+    @pytest.mark.parametrize("layer", ["sent", "word"])
+    @pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
+    def test_rescoring_the_pairing_repeats_rand_op(self, backbone, layer):
+        # the random pass is pair_up + score; scoring its pairing again at
+        # the same leaf records the same ops after the gather and the
+        # same loss, bit for bit
+        rng = np.random.default_rng(30)
+        if backbone == "text-cnn":
+            model = models.init_text_cnn(25, 5, (2, 3), 4, 3, rng, dropout=0.3)
+        else:
+            model = models.init_embed_mlp(25, 5, 6, 3, rng, dropout=0.3)
+        batch = make_batch(np.random.default_rng(31))
+        cfg = mx.MixConfig(layer=layer)
+        with ad.Tape() as tape:
+            pairs, lam_leaf, loss = mx.rand_op(
+                model, batch, cfg, np.random.default_rng(32), np.random.default_rng(33)
+            )
+            ops = [node.op for node in tape.nodes]
+            again = mx.score(model, pairs, lam_leaf, lam_leaf)
+        assert pairs.dropout_mask is not None
+        assert ops.count("gather_rows") == 1
+        assert [node.op for node in tape.nodes][len(ops):] == ops[ops.index("gather_rows") + 1:]
+        np.testing.assert_array_equal(again.data, loss.data)
 
 
 class TestMixConfig:
