@@ -57,5 +57,6 @@ def main() -> None:
             f"(labels weighted {lam_value:.2f}/{1 - lam_value:.2f})"
         )
 
+
 if __name__ == "__main__":
     main()

@@ -593,7 +593,7 @@ def lambda_sweep(
         if pair is None:
             pairs = mx.pair_up(hidden, enc.label_rows, partner)
         else:
-            # score the one row alone, so the suffix sees a one-row batch
+            # a one-row batch: the suffix over more rows can round differently
             vls = hidden.valid_lens
             pairs = mx.MixBatch(
                 layer,
