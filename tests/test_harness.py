@@ -9,6 +9,7 @@ import admix.autodiff as ad
 import admix.data as dt
 import admix.gradcheck as gk
 import admix.harness as hz
+import admix.mixup as mx
 import admix.models as md
 from admix.errors import DivergenceError
 
@@ -654,3 +655,14 @@ class TestGradcheck:
             assert rows <= set(report.failures())
         else:
             assert op in report.failures()
+
+    def test_analytic_decomposition_matches_tape(self):
+        rng = np.random.default_rng(5)
+        model = md.init_embed_mlp(20, 4, 6, 3, rng)
+        batch = gk._random_batch(rng, 6, 8, 20, 3)
+        cfg = mx.MixConfig(policy="amp", layer="sent")
+        with ad.Tape() as tape:
+            pairs, lam_leaf, loss = mx.rand_op(model, batch, cfg, rng)
+            (tape_grad,) = ad.backward(tape, ad.reduce_sum(loss), [lam_leaf])
+        reference = gk.analytic_grad_lambda(model, pairs, lam_leaf.data)
+        assert np.allclose(tape_grad, reference, rtol=1e-9, atol=1e-12)

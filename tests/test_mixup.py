@@ -289,9 +289,6 @@ class TestRandOp:
             model = make_model(np.random.default_rng(25))
             batch = make_batch(np.random.default_rng(26), n=5)
             cases.append((layer, model, batch, np.random.default_rng(8)))
-        rng = np.random.default_rng(5)
-        model = models.init_embed_mlp(20, 4, 6, 3, rng)
-        cases.append(("sent", model, gk._random_batch(rng, 6, 8, 20, 3), rng))
         for layer, model, batch, mix_rng in cases:
             cfg = mx.MixConfig(policy="amp", layer=layer)
             with ad.Tape() as tape:
