@@ -36,7 +36,7 @@ def main() -> None:
     batch = cross_class_batch(train_split, vocab, CONFIG.max_len)
 
     with ad.Tape() as tape:
-        total, bundle = amp.amp_step(model, batch, CONFIG.mix_config(), np.random.default_rng(3))
+        total, bundle = amp.amp_step(model, batch, CONFIG, np.random.default_rng(3))
         grads = ad.backward(tape, total, model.params.values())
 
     print(f"coefficient step size eps = {CONFIG.epsilon}, gradient clipped to [-1, 1]\n")

@@ -20,6 +20,7 @@ step reduces to the plain interpolation policy, reproducing it bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,9 @@ def clip_grad(grad: np.ndarray) -> np.ndarray:
 
 def perturb_lambda(lam: np.ndarray, grad: np.ndarray, epsilon: float) -> np.ndarray:
     """lambda' = clamp(lambda + epsilon * grad, 0, 1)."""
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    # chained comparisons are False for NaN, so NaN fails this too
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon}")
     grad = np.asarray(grad)
     if np.abs(grad).max(initial=0.0) > 1.0:
         raise ValueError("gradient must be clipped to [-1, 1] before perturbing")

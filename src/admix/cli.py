@@ -163,15 +163,14 @@ def cmd_lowres(args) -> int:
             raise ValueError(f"--ratios {tags[tag]} and {piece} both write files tagged r{tag}")
         tags[tag] = piece
     os.makedirs(args.outdir, exist_ok=True)
-    policies = ("none", "mixup", "amp")
     for tag, piece in tags.items():
         ratio = float(piece)
         run_cfg = dataclasses.replace(config, subsample_ratio=ratio)
-        results = hz.run_seeds(run_cfg, policies=policies)
+        results = hz.run_seeds(run_cfg)
         exp_rows = [
             [policy, str(report.seed), repr(float(report.test_error))]
-            for policy in policies
-            for report in results[policy]
+            for policy, reports in results.items()
+            for report in reports
         ]
         _write_csv(f"{args.outdir}/experiments_r{tag}.csv", EXPERIMENTS_HEADER, exp_rows)
         summary = hz.summarize(results)

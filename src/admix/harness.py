@@ -109,13 +109,9 @@ def adam_update(params: dict, grads: dict, state: OptimState) -> None:
 
 
 @dataclass
-class ExperimentConfig:
-    # mixing policy
-    policy: str = "mixup"
-    alpha: float = 1.0
-    epsilon: float = 0.002
-    layer: str = "sent"
-    force_mask_ones: bool = False
+class ExperimentConfig(mx.MixConfig):
+    """Every run setting: the inherited mixing settings first, then these."""
+
     # backbone
     backbone: str = "embed-mlp"
     embed_dim: int = 16
@@ -135,8 +131,7 @@ class ExperimentConfig:
     max_len: int = 24
     min_freq: int = 1
     subsample_ratio: float = 1.0
-    dataset: str = "synthetic"
-    train_path: str = ""
+    train_path: str = ""  # with test_path: a file corpus instead of the synthetic one
     test_path: str = ""
     # synthetic task shape
     num_classes: int = 6
@@ -148,13 +143,8 @@ class ExperimentConfig:
     label_noise: float = 0.1
     data_seed: int = 1234
 
-    def mix_config(self) -> mx.MixConfig:
-        return mx.MixConfig(
-            **{f.name: getattr(self, f.name) for f in dataclasses.fields(mx.MixConfig)}
-        )
-
     def validate(self) -> None:
-        self.mix_config().validate()
+        super().validate()
         if self.backbone not in ("embed-mlp", "text-cnn"):
             raise ValueError(f"unknown backbone {self.backbone!r}")
         for key in ("embed_dim", "hidden_dim"):
@@ -172,10 +162,9 @@ class ExperimentConfig:
             # a repeated seed would count one run twice in every summary
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
         _check_seed(self.data_seed, "data_seed")
-        if self.dataset not in ("synthetic", "file"):
-            raise ValueError(f"dataset must be 'synthetic' or 'file', got {self.dataset!r}")
-        if self.dataset == "file" and not (self.train_path and self.test_path):
-            raise ValueError("file dataset needs train_path and test_path")
+        if bool(self.train_path) != bool(self.test_path):
+            given = "train_path" if self.train_path else "test_path"
+            raise ValueError(f"train_path and test_path must be set together, got only {given}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 <= self.dev_fraction < 1.0:
@@ -269,7 +258,7 @@ def prepare_task(config: ExperimentConfig, seed: int):
     split, so different seeds see different subsets of a fixed task.
     """
     data_rng = _stream(seed, "data")
-    if config.dataset == "synthetic":
+    if not config.train_path:
         shape = dict(
             num_classes=config.num_classes,
             per_class=config.per_class,
@@ -342,22 +331,22 @@ class TrainReport:
     wall_time: float = 0.0
 
 
-def policy_step(model, batch, mix_cfg, mix_rng, dropout_rng):
+def policy_step(model, batch, config, mix_rng, dropout_rng):
     """Build one optimization step's forward graph by policy.
 
     Returns ``(total, bundle)``. ``none`` and ``mixup`` minimize the mean
     per-sample loss and leave lambda unperturbed (``none`` reports it as 1).
     """
-    if mix_cfg.policy == "amp":
-        return am.amp_step(model, batch, mix_cfg, mix_rng, dropout_rng)
+    if config.policy == "amp":
+        return am.amp_step(model, batch, config, mix_rng, dropout_rng)
     n = len(batch)
-    if mix_cfg.policy == "none":
+    if config.policy == "none":
         mask = md.make_dropout_mask(model, n, dropout_rng)
         logits = md.forward(model, batch, dropout_mask=mask)
         loss = ad.softmax_cross_entropy(logits, batch.label_rows)
         lam = np.ones(n)
     else:
-        _, lam_leaf, loss = mx.rand_op(model, batch, mix_cfg, mix_rng, dropout_rng)
+        _, lam_leaf, loss = mx.rand_op(model, batch, config, mix_rng, dropout_rng)
         lam = lam_leaf.data
     total = ad.scale(ad.reduce_sum(loss), 1.0 / n)
     return total, am.LossBundle.unperturbed(loss.data, lam)
@@ -407,7 +396,6 @@ def train(config: ExperimentConfig, seed: int, step_hook=None):
     train_split, dev_split, test_ds, vocab = prepare_task(config, seed)
     num_classes = train_split.num_classes
     model = build_model(config, vocab, num_classes, init_rng)
-    mix_cfg = config.mix_config()
 
     enc_train = dt.encode_batch(train_split.examples, vocab, config.max_len, num_classes)
     enc_dev = (
@@ -419,7 +407,7 @@ def train(config: ExperimentConfig, seed: int, step_hook=None):
         warnings.warn("empty dev split; final parameters are used as-is")
     enc_test = dt.encode_batch(test_ds.examples, vocab, config.max_len, num_classes)
 
-    report = TrainReport(seed=seed, policy=mix_cfg.policy)
+    report = TrainReport(seed=seed, policy=config.policy)
     optim = OptimState(lr=config.lr)
     best_state = None
 
@@ -444,7 +432,7 @@ def train(config: ExperimentConfig, seed: int, step_hook=None):
 
         params = model.trainable_params()
         with ad.Tape() as tape:
-            total, bundle = policy_step(model, batch, mix_cfg, mix_rng, dropout_rng)
+            total, bundle = policy_step(model, batch, config, mix_rng, dropout_rng)
             grads = dict(zip(params, ad.backward(tape, total, params.values())))
         if not np.isfinite(total.data):
             raise DivergenceError(f"non-finite loss at step {step}")
@@ -475,7 +463,7 @@ def train(config: ExperimentConfig, seed: int, step_hook=None):
 # experiment runners
 
 
-def run_seeds(config: ExperimentConfig, policies=("none", "mixup", "amp")):
+def run_seeds(config: ExperimentConfig, policies=mx.POLICIES):
     """Train every (policy, seed) pair; results join in seed order."""
     config.validate()
     if len(config.seeds) < 2:
@@ -581,6 +569,8 @@ def lambda_sweep(
         i, j = int(pair[0]), int(pair[1])
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"pair indices {pair} out of range for {n} examples")
+        # a two-row prefix gives the full prefix's rows bitwise; one row need not
+        enc = _slice_batch(enc, np.array([i, j]))
     else:
         order = np.random.default_rng(pairing_seed).permutation(n)
         partner = np.empty(n, dtype=np.int64)
@@ -597,11 +587,11 @@ def lambda_sweep(
             vls = hidden.valid_lens
             pairs = mx.MixBatch(
                 layer,
-                ad.Tensor(hidden.tensor.data[[i]]),
-                ad.Tensor(hidden.tensor.data[[j]]),
-                None if vls is None else np.maximum(vls[[i]], vls[[j]]),
-                enc.label_rows[[i]],
-                enc.label_rows[[j]],
+                ad.Tensor(hidden.tensor.data[:1]),
+                ad.Tensor(hidden.tensor.data[1:]),
+                None if vls is None else np.maximum(vls[:1], vls[1:]),
+                enc.label_rows[:1],
+                enc.label_rows[1:],
                 None,
             )
         means = []

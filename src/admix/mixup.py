@@ -22,6 +22,8 @@ POLICIES = ("none", "mixup", "amp")
 
 @dataclass
 class MixConfig:
+    """The mixing settings every policy shares; ``harness.ExperimentConfig`` extends it."""
+
     policy: str = "mixup"
     alpha: float = 1.0
     epsilon: float = 0.002
@@ -205,9 +207,10 @@ def rand_op(
     Returns ``(pairs, lam_leaf, per_sample_loss)``. The loss depends on
     the leaf through both the mixed hidden state and the label weights.
     Draw order is fixed (partner permutation, then lambda, then dropout
-    mask) so policies sharing a seed see identical randomness.
+    mask) so policies sharing a seed see identical randomness. The caller
+    checks ``config`` once; ``sample_lambda`` and ``forward_to_layer``
+    still reject a bad alpha or layer.
     """
-    config.validate()
     n = len(batch)
     j_index = pair_batch(n, rng)
     lam_leaf = ad.Tensor(sample_lambda(config.alpha, n, rng), requires_grad=True)

@@ -49,7 +49,6 @@ class Hidden:
 class Model:
     kind: str  # "embed-mlp" or "text-cnn"
     params: dict[str, ad.Tensor]
-    embed_dim: int
     sent_dim: int
     num_classes: int
     dropout: float = 0.0
@@ -99,7 +98,6 @@ def init_embed_mlp(
     return Model(
         kind="embed-mlp",
         params=params,
-        embed_dim=embed_dim,
         sent_dim=hidden_dim,
         num_classes=num_classes,
         dropout=float(dropout),
@@ -148,7 +146,6 @@ def init_text_cnn(
     return Model(
         kind="text-cnn",
         params=params,
-        embed_dim=embed_dim,
         sent_dim=sent_dim,
         num_classes=num_classes,
         dropout=float(dropout),

@@ -1,11 +1,14 @@
 """Coefficient perturbation, branch selection, and the full three-stage step."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from admix import DivergenceError
 from admix import autodiff as ad
 from admix import amp
+from admix import harness as hz
 from admix import mixup as mx
 from admix import models
 
@@ -68,8 +71,9 @@ class TestPerturbLambda:
     def test_rejects_unclipped_gradient_and_bad_epsilon(self):
         with pytest.raises(ValueError, match="clipped"):
             amp.perturb_lambda(np.array([0.5]), np.array([1.5]), 0.002)
-        with pytest.raises(ValueError, match="epsilon"):
-            amp.perturb_lambda(np.array([0.5]), np.array([0.5]), -0.1)
+        for epsilon in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="epsilon"):
+                amp.perturb_lambda(np.array([0.5]), np.array([0.5]), epsilon)
 
 
 class TestMaskAndFinalLoss:
@@ -282,6 +286,15 @@ class TestAmpStep:
         with pytest.raises(RuntimeError, match="tape"):
             amp.amp_step(model, batch, mx.MixConfig(policy="amp"), np.random.default_rng(42))
 
+    @pytest.mark.parametrize(
+        "field, value", [("alpha", float("nan")), ("layer", "char"), ("epsilon", float("nan"))]
+    )
+    def test_direct_caller_gets_bad_setting_rejected(self, field, value):
+        # the step does not validate its config; the function that uses
+        # each setting rejects a bad value on its own
+        with pytest.raises(ValueError, match=field):
+            self.run_step(**{field: value})
+
     def test_backward_reaches_every_trainable_param(self):
         model, tape, total, _ = self.run_step()
         params = model.trainable_params()
@@ -326,3 +339,30 @@ class TestAmpStep:
         # whenever the pair's labels differ
         differs = np.any(pairs.y_i != pairs.y_j, axis=1)
         assert np.abs(swapped.data - relabeled.data)[differs].max() > 1e-6
+
+
+class TestExperimentConfigAsMixConfig:
+    """The harness passes its whole config to the step; only the mixing fields count."""
+
+    @pytest.mark.parametrize("layer", ["sent", "word"])
+    def test_step_bitwise_equal_under_either_config(self, layer):
+        full = hz.ExperimentConfig(
+            policy="amp", alpha=0.5, epsilon=0.3, layer=layer, backbone="text-cnn", max_steps=7
+        )
+        mix = mx.MixConfig(
+            **{f.name: getattr(full, f.name) for f in dataclasses.fields(mx.MixConfig)}
+        )
+        model = make_model(np.random.default_rng(80), dropout=0.3, backbone="text-cnn")
+        batch = make_batch(np.random.default_rng(81))
+        runs = []
+        for cfg in (full, mix):
+            rng, dropout_rng = np.random.default_rng(82), np.random.default_rng(83)
+            with ad.Tape():
+                total, bundle = amp.amp_step(model, batch, cfg, rng, dropout_rng)
+            with ad.Tape():
+                _, lam_leaf, loss = mx.rand_op(model, batch, cfg, rng, dropout_rng)
+            values = [total.data, lam_leaf.data, loss.data]
+            values += [getattr(bundle, f.name) for f in dataclasses.fields(amp.LossBundle)]
+            states = (rng.bit_generator.state, dropout_rng.bit_generator.state)
+            runs.append(([np.asarray(v).tobytes() for v in values], states))
+        assert runs[0] == runs[1]

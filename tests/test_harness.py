@@ -169,7 +169,6 @@ class TestConfig:
             ("batch_size", 0),
             ("dropout", 1.0),
             ("subsample_ratio", 0.0),
-            ("dataset", "tiny"),
             ("lr", -1.0),
         ]:
             cfg = tiny_config()
@@ -216,9 +215,12 @@ class TestConfig:
             hz.config_from_items({"min_freq": "0"})
 
     def test_file_dataset_requires_paths(self):
-        cfg = tiny_config(dataset="file")
-        with pytest.raises(ValueError, match="train_path"):
-            cfg.validate()
+        # one path alone used to validate and then train on the synthetic corpus
+        for key in ("train_path", "test_path"):
+            with pytest.raises(ValueError) as info:
+                hz.config_from_items({key: "/nonexistent.tsv"})
+            message = str(info.value)
+            assert "train_path" in message and "test_path" in message
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -262,9 +264,7 @@ class TestPrepareTask:
         test = tmp_path / "test.tsv"
         train.write_text("pos\tgood fine\nneg\tbad awful\npos\tnice\nneg\tpoor\n")
         test.write_text("neg\tawful\npos\tfine\n")
-        cfg = tiny_config(
-            dataset="file", train_path=str(train), test_path=str(test), dev_fraction=0.0
-        )
+        cfg = tiny_config(train_path=str(train), test_path=str(test), dev_fraction=0.0)
         train_split, _, test_ds, _ = hz.prepare_task(cfg, seed=0)
         assert train_split.label_names == test_ds.label_names
         assert test_ds.examples[0][1] == train_split.label_names["neg"]

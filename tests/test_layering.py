@@ -54,6 +54,13 @@ def test_training_does_not_import_the_audit():
     assert "gradcheck" not in inside
 
 
+@pytest.mark.parametrize("module", ["mixup", "amp"])
+def test_mixing_does_not_import_the_harness(module):
+    # the harness config extends mixup.MixConfig, not the other way round
+    inside, _ = imports(module)
+    assert "harness" not in inside
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_nothing_imports_the_cli(module):
     inside, _ = imports(module)
