@@ -139,6 +139,13 @@ def build_vocab(dataset: Dataset, min_freq: int = 1) -> Vocab:
     return Vocab(token_to_id, id_to_token)
 
 
+def check_labels(examples, num_classes: int) -> None:
+    """Raise on the first (text, label) pair whose label is not a class id."""
+    for _, label in examples:
+        if not 0 <= label < num_classes:
+            raise ValueError(f"label {label} out of range for {num_classes} classes")
+
+
 def encode_batch(examples, vocab: Vocab, max_len: int, num_classes: int) -> Batch:
     """Encode (text, label) pairs into a padded id matrix plus one-hot rows.
 
@@ -147,6 +154,7 @@ def encode_batch(examples, vocab: Vocab, max_len: int, num_classes: int) -> Batc
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
+    check_labels(examples, num_classes)
     n = len(examples)
     ids = np.full((n, max_len), PAD_ID, dtype=np.int64)
     valid = np.empty(n, dtype=np.int64)
@@ -157,8 +165,6 @@ def encode_batch(examples, vocab: Vocab, max_len: int, num_classes: int) -> Batc
             token_ids = [UNK_ID]
         ids[row, : len(token_ids)] = token_ids
         valid[row] = len(token_ids)
-        if not 0 <= label < num_classes:
-            raise ValueError(f"label {label} out of range for {num_classes} classes")
         label_ids[row] = label
     rows = np.eye(num_classes)[label_ids]
     return Batch(ids, valid, rows, label_ids)
@@ -241,24 +247,22 @@ def generate_synthetic_corpus(
     if not 0.0 <= label_noise <= 1.0:
         raise ValueError(f"label_noise must be in [0, 1], got {label_noise}")
 
-    def token(k: int) -> str:
-        return f"w{k}"
-
+    names = [f"w{k}" for k in range(vocab_size)]
     examples = []
     for label in range(num_classes):
         block_lo = label * signal_tokens_per_class
         for _ in range(per_class):
             n_signal = int(rng.integers(2, 5))
-            signal = list(rng.integers(block_lo, block_lo + signal_tokens_per_class, n_signal))
-            noise = list(rng.integers(reserved, vocab_size, noise_len))
+            signal = rng.integers(block_lo, block_lo + signal_tokens_per_class, n_signal).tolist()
+            noise = rng.integers(reserved, vocab_size, noise_len).tolist()
             if label_noise > 0.0 and rng.random() < label_noise:
                 pos = int(rng.integers(0, n_signal))
                 other = int((label + 1 + rng.integers(0, num_classes - 1)) % num_classes)
                 lo = other * signal_tokens_per_class
                 signal[pos] = int(rng.integers(lo, lo + signal_tokens_per_class))
             combined = signal + noise
-            order = rng.permutation(len(combined))
-            text = " ".join(token(combined[i]) for i in order)
+            order = rng.permutation(len(combined)).tolist()
+            text = " ".join([names[combined[i]] for i in order])
             examples.append((text, label))
     label_names = {str(c): c for c in range(num_classes)}
     return Dataset(examples, num_classes, "synthetic", label_names)

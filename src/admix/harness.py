@@ -358,11 +358,15 @@ def _slice_batch(enc: md.Batch, idx: np.ndarray) -> md.Batch:
     )
 
 
-def _error_rate(model: md.Model, enc: md.Batch, chunk: int = 1024) -> float:
+# rows per forward pass when evaluating or sweeping; bounds their memory
+ROW_CHUNK = 512
+
+
+def _error_rate(model: md.Model, enc: md.Batch) -> float:
     wrong = 0
     n = len(enc)
-    for start in range(0, n, chunk):
-        piece = _slice_batch(enc, np.arange(start, min(start + chunk, n)))
+    for start in range(0, n, ROW_CHUNK):
+        piece = _slice_batch(enc, np.arange(start, min(start + ROW_CHUNK, n)))
         logits = md.forward(model, piece)
         pred = np.argmax(logits.data, axis=1)  # ties take the lowest class id
         wrong += int((pred != piece.label_ids).sum())
@@ -535,6 +539,22 @@ def ablate(config: ExperimentConfig):
 # loss-landscape sweep
 
 
+def _mirrored_chunks(order: np.ndarray):
+    """Split a shuffle into index chunks closed under position k <-> n-1-k.
+
+    Each chunk takes positions ``[a, b)`` from the front and their
+    mirrors from the back, at most ``ROW_CHUNK`` rows in all, so reversing
+    a chunk pairs every row with its partner; an odd shuffle's middle
+    position is its own mirror and appears once.
+    """
+    n = len(order)
+    half = (n + 1) // 2
+    step = ROW_CHUNK // 2
+    for a in range(0, half, step):
+        b = min(a + step, half)
+        yield np.concatenate([order[a:b], order[max(n - b, b) : n - a]])
+
+
 def lambda_sweep(
     model_a: md.Model,
     model_b: md.Model,
@@ -549,12 +569,17 @@ def lambda_sweep(
     """Mean interpolation loss of two models over a lambda grid.
 
     Pairing reverses a frozen shuffle of the dataset, an involution, so
-    the mean row at lambda mirrors the row at 1 - lambda. Single-pair
-    mode sweeps one ordered example pair instead. Returns rows of
+    the mean row at lambda mirrors the row at 1 - lambda. The shuffle is
+    scored in chunks of mirrored positions (``_mirrored_chunks``), each
+    holding every row's partner, so memory is bounded by ``ROW_CHUNK``,
+    not by the dataset size. Single-pair mode sweeps one ordered example
+    pair instead and encodes only those two examples. Returns rows of
     (lambda, mean_loss_a, mean_loss_b).
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    if len(dataset) == 0:
+        raise ValueError("cannot sweep over an empty dataset")
     for tag, model in (("a", model_a), ("b", model_b)):
         if model.params["embed"].shape[0] != len(vocab):
             raise ValueError(
@@ -563,49 +588,60 @@ def lambda_sweep(
             )
     if model_a.num_classes != model_b.num_classes:
         raise ValueError("models disagree on the number of classes")
-    enc = dt.encode_batch(dataset.examples, vocab, max_len, model_a.num_classes)
-    n = len(enc)
+    num_classes = model_a.num_classes
+    n = len(dataset)
     if pair is not None:
         i, j = int(pair[0]), int(pair[1])
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"pair indices {pair} out of range for {n} examples")
+        dt.check_labels(dataset.examples, num_classes)
         # a two-row prefix gives the full prefix's rows bitwise; one row need not
-        enc = _slice_batch(enc, np.array([i, j]))
+        examples = [dataset.examples[i], dataset.examples[j]]
+        enc = dt.encode_batch(examples, vocab, max_len, num_classes)
+        chunks = [np.array([0, 1])]
     else:
-        order = np.random.default_rng(pairing_seed).permutation(n)
-        partner = np.empty(n, dtype=np.int64)
-        partner[order] = order[::-1]
+        enc = dt.encode_batch(dataset.examples, vocab, max_len, num_classes)
+        chunks = list(_mirrored_chunks(np.random.default_rng(pairing_seed).permutation(n)))
 
     grid = np.linspace(0.0, 1.0, grid_points)
     per_model = []
     for model in (model_a, model_b):
-        hidden = md.forward_to_layer(model, enc, layer)
-        if pair is None:
-            pairs = mx.pair_up(hidden, enc.label_rows, partner)
-        else:
-            # a one-row batch: the suffix over more rows can round differently
-            vls = hidden.valid_lens
-            pairs = mx.MixBatch(
-                layer,
-                ad.Tensor(hidden.tensor.data[:1]),
-                ad.Tensor(hidden.tensor.data[1:]),
-                None if vls is None else np.maximum(vls[:1], vls[1:]),
-                enc.label_rows[:1],
-                enc.label_rows[1:],
-                None,
-            )
-        means = []
-        for lam in grid:
-            lam_row = np.full(len(pairs.y_i), lam)
-            means.append(float(np.mean(mx.score(model, pairs, lam_row, lam_row).data)))
-        per_model.append(means)
+        losses = np.empty((grid_points, 1 if pair is not None else n))
+        for rows in chunks:
+            piece = _slice_batch(enc, rows)
+            hidden = md.forward_to_layer(model, piece, layer)
+            if pair is None:
+                pairs = mx.pair_up(hidden, piece.label_rows, np.arange(len(rows))[::-1])
+            else:
+                # a one-row batch: the suffix over more rows can round differently
+                vls = hidden.valid_lens
+                pairs = mx.MixBatch(
+                    layer,
+                    ad.Tensor(hidden.tensor.data[:1]),
+                    ad.Tensor(hidden.tensor.data[1:]),
+                    None if vls is None else np.maximum(vls[:1], vls[1:]),
+                    piece.label_rows[:1],
+                    piece.label_rows[1:],
+                    None,
+                )
+                rows = rows[:1]  # the pair's one loss column
+            for k, lam in enumerate(grid):
+                lam_row = np.full(len(rows), lam)
+                losses[k, rows] = mx.score(model, pairs, lam_row, lam_row).data
+        per_model.append([float(np.mean(row)) for row in losses])
     return [(float(grid[k]), per_model[0][k], per_model[1][k]) for k in range(grid_points)]
 
 
 def plain_mean_loss(model: md.Model, dataset: dt.Dataset, vocab: dt.Vocab, max_len: int) -> float:
     """Mean unmixed cross entropy over a dataset, eval mode."""
+    if len(dataset) == 0:
+        raise ValueError("cannot take the mean loss of an empty dataset")
     enc = dt.encode_batch(dataset.examples, vocab, max_len, model.num_classes)
-    logits = md.forward(model, enc)
-    losses = ad.softmax_cross_entropy(logits, enc.label_rows)
-    return float(np.mean(losses.data))
-
+    n = len(enc)
+    losses = np.empty(n)
+    for start in range(0, n, ROW_CHUNK):
+        rows = np.arange(start, min(start + ROW_CHUNK, n))
+        piece = _slice_batch(enc, rows)
+        logits = md.forward(model, piece)
+        losses[rows] = ad.softmax_cross_entropy(logits, piece.label_rows).data
+    return float(np.mean(losses))

@@ -1,11 +1,15 @@
 """Corpus loading, vocabulary, encoding, splitting, and the synthetic task."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from admix import data
+from admix import harness as hz
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_corpus(tmp_path, lines, name="corpus.tsv"):
@@ -268,6 +272,52 @@ class TestSyntheticCorpus:
         c = self.generate(rng_seed=8)
         assert a.examples == b.examples
         assert a.examples != c.examples
+
+    # the two acceptance.cfg corpora, content hash and generator state after
+    # each call; any change to the draws or their order moves these
+    ACCEPTANCE_PINS = {
+        0: (
+            "7dbd59b8f15b7772ea823697528de20b8daa93a31d1f9e738a60d2955f0ca494",
+            {
+                "bit_generator": "PCG64",
+                "state": {
+                    "state": 91657100165326723745071830117289121765,
+                    "inc": 107381791681050441119675421997145146149,
+                },
+                "has_uint32": 0,
+                "uinteger": 1036481276,
+            },
+        ),
+        1: (
+            "463634fb09148b4d7a390141fd35f9be1da1df2746f32c98de51f6628a33e3a9",
+            {
+                "bit_generator": "PCG64",
+                "state": {
+                    "state": 254457210706161695294130012854457354330,
+                    "inc": 96711883913559494403953442744134601843,
+                },
+                "has_uint32": 0,
+                "uinteger": 1471147159,
+            },
+        ),
+    }
+
+    def test_acceptance_corpora_and_generator_state_pinned(self):
+        cfg = hz.load_config(ROOT / "configs" / "acceptance.cfg")
+        for key, per_class in ((0, cfg.per_class), (1, cfg.test_per_class)):
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.data_seed, key]))
+            ds = data.generate_synthetic_corpus(
+                num_classes=cfg.num_classes,
+                per_class=per_class,
+                vocab_size=cfg.vocab_size,
+                signal_tokens_per_class=cfg.signal_tokens_per_class,
+                noise_len=cfg.noise_len,
+                rng=rng,
+                label_noise=cfg.label_noise,
+            )
+            digest, state = self.ACCEPTANCE_PINS[key]
+            assert data.dataset_hash(ds) == digest
+            assert rng.bit_generator.state == state
 
     def test_vocab_must_exceed_signal_blocks(self):
         with pytest.raises(ValueError, match="vocab_size"):

@@ -1,6 +1,8 @@
 """Training loop, config parsing, experiment runners, sweep, gradcheck."""
 
 import dataclasses
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ import admix.harness as hz
 import admix.mixup as mx
 import admix.models as md
 from admix.errors import DivergenceError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def tiny_config(**overrides):
@@ -556,6 +560,64 @@ class TestLambdaSweep:
                 model_a, model_b, test_ds, vocab, cfg.max_len, grid_points=3, pair=(0, 10**6)
             )
 
+    def test_single_pair_encodes_only_the_pair(self, sweep_setup, monkeypatch):
+        cfg, model_a, model_b, test_ds, vocab = sweep_setup
+        encoded = []
+        encode = dt.encode_batch
+
+        def counting(examples, *args):
+            encoded.append(len(examples))
+            return encode(examples, *args)
+
+        monkeypatch.setattr(dt, "encode_batch", counting)
+        hz.lambda_sweep(model_a, model_b, test_ds, vocab, cfg.max_len, grid_points=3, pair=(2, 5))
+        assert encoded == [2]
+
+    def test_single_pair_still_checks_every_label(self, sweep_setup):
+        cfg, model_a, model_b, test_ds, vocab = sweep_setup
+        examples = list(test_ds.examples)
+        examples[-1] = (examples[-1][0], cfg.num_classes)
+        with pytest.raises(ValueError, match=f"label {cfg.num_classes} out of range"):
+            hz.lambda_sweep(
+                model_a, model_b, test_ds.replaced(examples), vocab, cfg.max_len,
+                grid_points=3, pair=(2, 5),
+            )
+
+    @pytest.mark.parametrize("pair", [None, (0, 0)])
+    def test_empty_dataset_rejected(self, sweep_setup, pair):
+        cfg, model_a, model_b, test_ds, vocab = sweep_setup
+        with pytest.raises(ValueError, match="empty dataset"):
+            hz.lambda_sweep(model_a, model_b, test_ds.replaced([]), vocab, cfg.max_len, pair=pair)
+
+    def test_plain_mean_loss_empty_dataset_rejected(self, sweep_setup):
+        cfg, model_a, _, test_ds, vocab = sweep_setup
+        with pytest.raises(ValueError, match="empty dataset"):
+            hz.plain_mean_loss(model_a, test_ds.replaced([]), vocab, cfg.max_len)
+
+    @pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
+    def test_row_chunk_does_not_change_results(self, backbone, monkeypatch):
+        # an odd dataset: the middle shuffle position is its own partner, and
+        # at ROW_CHUNK 2 it is scored alone in the last, short chunk
+        cfg = tiny_config(backbone=backbone)
+        _, _, test_ds, vocab = hz.prepare_task(cfg, seed=0)
+        odd = test_ds.replaced(test_ds.examples[: len(test_ds) - 1 + len(test_ds) % 2])
+        assert len(odd) % 2 == 1
+        model_a = hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(0))
+        model_b = hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(1))
+        enc = dt.encode_batch(odd.examples, vocab, cfg.max_len, cfg.num_classes)
+        results = []
+        for chunk in (2, 7, len(odd) + 1):
+            monkeypatch.setattr(hz, "ROW_CHUNK", chunk)
+            sweeps = [
+                hz.lambda_sweep(
+                    model_a, model_b, odd, vocab, cfg.max_len, grid_points=5, layer=layer
+                )
+                for layer in ("sent", "word")
+            ]
+            plain = hz.plain_mean_loss(model_a, odd, vocab, cfg.max_len)
+            results.append((sweeps, plain, hz._error_rate(model_a, enc)))
+        assert results[0] == results[1] == results[2]
+
     def test_vocab_mismatch_rejected(self, sweep_setup):
         cfg, model_a, model_b, test_ds, vocab = sweep_setup
         small = dt.Vocab({"<pad>": 0, "<unk>": 1}, ["<pad>", "<unk>"])
@@ -566,6 +628,30 @@ class TestLambdaSweep:
         cfg, model_a, model_b, test_ds, vocab = sweep_setup
         with pytest.raises(ValueError, match="grid_points"):
             hz.lambda_sweep(model_a, model_b, test_ds, vocab, cfg.max_len, grid_points=1)
+
+
+@pytest.fixture(scope="module")
+def acceptance_task():
+    cfg = hz.load_config(ROOT / "configs" / "acceptance.cfg")
+    _, _, test_ds, vocab = hz.prepare_task(cfg, seed=0)
+    return cfg, test_ds, vocab
+
+
+@pytest.mark.parametrize("layer", ["sent", "word"])
+@pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
+def test_full_sweep_memory_is_bounded_by_the_row_chunk(acceptance_task, backbone, layer):
+    # 3000 test rows; scored all at once, the peak was 13-52 MiB
+    cfg, test_ds, vocab = acceptance_task
+    cfg = dataclasses.replace(cfg, backbone=backbone)
+    model = hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(0))
+    assert len(test_ds) == 3000
+    tracemalloc.start()
+    try:
+        hz.lambda_sweep(model, model, test_ds, vocab, cfg.max_len, grid_points=3, layer=layer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 class TestGradcheck:
