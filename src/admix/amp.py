@@ -114,11 +114,11 @@ def compute_mask(loss: np.ndarray, loss_prime: np.ndarray) -> np.ndarray:
 
 
 def final_loss(loss: ad.Tensor, loss_prime: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
-    """Per-sample loss * (1 - mask) + loss' * mask; equals max(loss, loss')."""
-    mask = np.asarray(mask, dtype=np.float64)
-    keep = ad.mul(loss, ad.Tensor(1.0 - mask))
-    take = ad.mul(loss_prime, ad.Tensor(mask))
-    return ad.add(keep, take)
+    """Per-sample mask * loss' + (1 - mask) * loss, one ``ad.lerp`` node.
+
+    Under ``compute_mask`` this equals max(loss, loss').
+    """
+    return ad.lerp(loss_prime, loss, mask)
 
 
 def amp_step(
@@ -141,6 +141,8 @@ def amp_step(
     n = len(batch)
 
     g_lam = clip_grad(grad_lambda(tape, ad.reduce_sum(loss), lam_leaf))
+    # no later walk reads dL/dlambda, so the final backward skips it
+    lam_leaf.requires_grad = False
     lam_prime = perturb_lambda(lam_leaf.data, g_lam, config.epsilon)
     loss_prime = recompute_loss(model, pairs, lam_leaf, lam_prime)
 

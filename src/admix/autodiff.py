@@ -11,7 +11,7 @@ linear in the number of recorded ops and no node that cannot reach a
 requested leaf runs its backward. It returns the gradients of those
 leaves; no gradient is stored on a tensor.
 
-This module is only the tape, ``backward`` and the 13 ops named in
+This module is only the tape, ``backward`` and the 15 ops named in
 ``OPS``, and it depends on numpy alone. The finite-difference audit of
 those ops is ``admix.gradcheck``.
 
@@ -41,6 +41,8 @@ OPS = (
     "concat",
     "reduce_sum",
     "softmax_cross_entropy",
+    "lerp",
+    "pair_cross_entropy",
 )
 
 __all__ = ["Tensor", "Tape", "active_tape", "backward", *OPS]
@@ -405,13 +407,8 @@ def reduce_sum(x: Tensor) -> Tensor:
     return out
 
 
-def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Per-sample cross entropy against rows of target probabilities.
-
-    ``logits`` is [n, C]; ``targets`` is a plain [n, C] array of
-    nonnegative weights (one-hot or soft rows) and is never
-    differentiated. Uses max subtraction, so huge logits stay finite.
-    """
+def _target_rows(logits: Tensor, targets) -> np.ndarray:
+    """``targets`` as a checked float64 [n, C] array matching ``logits``."""
     if isinstance(targets, Tensor):
         targets = targets.data
     t = np.asarray(targets, dtype=np.float64)
@@ -423,17 +420,110 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
         raise ValueError(f"targets shape {t.shape} does not match logits {logits.shape}")
     if t.size and t.min() < 0.0:
         raise ValueError("target weights must be nonnegative")
-    z = logits.data
+    return t
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _cross_entropy_adjoint(softmax: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return (softmax * t.sum(axis=1, keepdims=True) - t) * g[:, None]
+
+
+def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Per-sample cross entropy against rows of target probabilities.
+
+    ``logits`` is [n, C]; ``targets`` is a plain [n, C] array of
+    nonnegative weights (one-hot or soft rows) and is never
+    differentiated. Uses max subtraction, so huge logits stay finite.
+    """
+    t = _target_rows(logits, targets)
+    log_probs = _log_softmax(logits.data)
     out = Tensor(-(t * log_probs).sum(axis=1), requires_grad=logits.requires_grad)
 
     def backward_fn(g):
-        softmax = np.exp(log_probs)
-        dz = (softmax * t.sum(axis=1, keepdims=True) - t) * g[:, None]
-        return (dz,)
+        return (_cross_entropy_adjoint(np.exp(log_probs), t, g),)
 
     _record("softmax_cross_entropy", (logits,), out, backward_fn)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fused mixing ops
+#
+# Each evaluates the float64 expressions of the composite of ``mul``,
+# ``add``, ``scale`` and ``reshape`` (or ``softmax_cross_entropy``) it
+# replaces, with 1 - w written as w * -1.0 + 1.0, and returns each
+# input's adjoint as the same sum that composite's walk builds, so the
+# two agree bitwise. A weight leaf's adjoint is computed only while it
+# requires grad when the walk reaches the node.
+
+
+def _weights(w, n: int) -> Tensor:
+    w = _as_constant(w)
+    if w.shape != (n,):
+        raise ValueError(f"weights must have shape ({n},), got {w.shape}")
+    return w
+
+
+def lerp(a: Tensor, b: Tensor, w) -> Tensor:
+    """w * a + (1 - w) * b, the [n] weights broadcast over the trailing axes.
+
+    ``w`` may be a tensor (a leaf gets dL/dw) or a plain [n] array.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"lerp shapes differ: {a.shape} vs {b.shape}")
+    if a.ndim == 0:
+        raise ValueError("lerp needs a leading sample axis, got a scalar")
+    n = a.shape[0]
+    w = _weights(w, n)
+    col = w.data.reshape((n,) + (1,) * (a.ndim - 1))
+    one_minus = col * -1.0 + 1.0
+    out = Tensor(a.data * col + b.data * one_minus, requires_grad=_needs_grad(a, b, w))
+
+    def backward_fn(g):
+        ga = g * col if a.requires_grad else None
+        gb = g * one_minus if b.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            gw = _unbroadcast(g * a.data, col.shape) + _unbroadcast(g * b.data, col.shape) * -1.0
+            gw = gw.reshape(n)
+        return ga, gb, gw
+
+    _record("lerp", (a, b, w), out, backward_fn)
+    return out
+
+
+def pair_cross_entropy(logits: Tensor, y_i, y_j, w) -> Tensor:
+    """Per-sample w * ce(logits, y_i) + (1 - w) * ce(logits, y_j), from one log-softmax.
+
+    ``y_i`` and ``y_j`` are target rows as in ``softmax_cross_entropy``;
+    ``w`` may be a tensor (a leaf gets dL/dw) or a plain [n] array. By
+    linearity of cross entropy in the target row this equals the cross
+    entropy against the interpolated rows.
+    """
+    t_i = _target_rows(logits, y_i)
+    t_j = _target_rows(logits, y_j)
+    w = _weights(w, logits.shape[0])
+    log_probs = _log_softmax(logits.data)
+    ce_i = -(t_i * log_probs).sum(axis=1)
+    ce_j = -(t_j * log_probs).sum(axis=1)
+    one_minus = w.data * -1.0 + 1.0
+    out = Tensor(w.data * ce_i + one_minus * ce_j, requires_grad=_needs_grad(logits, w))
+
+    def backward_fn(g):
+        gz = gw = None
+        if logits.requires_grad:
+            softmax = np.exp(log_probs)
+            dz_j = _cross_entropy_adjoint(softmax, t_j, g * one_minus)
+            gz = dz_j + _cross_entropy_adjoint(softmax, t_i, g * w.data)
+        if w.requires_grad:
+            gw = g * ce_i + (g * ce_j) * -1.0
+        return gz, gw
+
+    _record("pair_cross_entropy", (logits, w), out, backward_fn)
     return out
 
 

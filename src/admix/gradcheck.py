@@ -1,7 +1,7 @@
-"""Gradient audit: every tape op, the mixing primitives, both backbones and
-the coefficient gradient dL/dlam that ``amp`` ascends, checked against
-central differences (dL/dlam also against a closed form). ``gradcheck``
-runs each row of ``_CHECKS`` on its own seeded stream.
+"""Gradient audit: every tape op, both backbones and the coefficient
+gradient dL/dlam that ``amp`` ascends, checked against central
+differences (dL/dlam also against a closed form). ``gradcheck`` runs each
+row of ``_CHECKS`` on its own seeded stream.
 """
 
 from __future__ import annotations
@@ -206,15 +206,15 @@ def _gen_softmax_ce(rng):
     return lambda t: _scalarized(ad.softmax_cross_entropy(t, targets), w), x
 
 
-def _gen_mix_hidden(rng):
+def _gen_lerp(rng):
     g_i = ad.Tensor(rng.standard_normal((4, 5)))
     g_j = ad.Tensor(rng.standard_normal((4, 5)))
     w = rng.standard_normal((4, 5))
     lam = ad.Tensor(rng.uniform(0.05, 0.95, 4), requires_grad=True)
-    return lambda t: _scalarized(mx.mix_hidden(g_i, g_j, t), w), lam
+    return lambda t: _scalarized(ad.lerp(g_i, g_j, t), w), lam
 
 
-def _gen_mixup_loss(rng):
+def _gen_pair_cross_entropy(rng):
     # identical label pairs make the loss exactly coefficient-independent,
     # leaving the difference quotient nothing but rounding noise; distinct
     # pairs keep every partial visible
@@ -224,7 +224,7 @@ def _gen_mixup_loss(rng):
     y_i = np.eye(3)[i_cls]
     y_j = np.eye(3)[j_cls]
     lam = ad.Tensor(rng.uniform(0.05, 0.95, 4), requires_grad=True)
-    return lambda t: ad.reduce_sum(mx.mixup_loss(logits, y_i, y_j, t)), lam
+    return lambda t: ad.reduce_sum(ad.pair_cross_entropy(logits, y_i, y_j, t)), lam
 
 
 def _param_loss(model, batch, rng):
@@ -321,7 +321,7 @@ def analytic_grad_lambda(model: md.Model, pairs: mx.MixBatch, lam: np.ndarray) -
         logits = md.forward_from_layer(
             model, md.Hidden(pairs.layer, leaf, pairs.valid_lens), dropout_mask=pairs.dropout_mask
         )
-        total = ad.reduce_sum(mx.mixup_loss(logits, pairs.y_i, pairs.y_j, lam))
+        total = ad.reduce_sum(ad.pair_cross_entropy(logits, pairs.y_i, pairs.y_j, lam))
     (grad,) = ad.backward(tape, total, [leaf])
     ce_i = ad.softmax_cross_entropy(logits, pairs.y_i).data
     ce_j = ad.softmax_cross_entropy(logits, pairs.y_j).data
@@ -360,8 +360,8 @@ _CHECKS = (
     ("reshape", 9, _fd(_gen_reshape), FD_TOL),
     ("concat", 10, _fd(_gen_concat), FD_TOL),
     ("softmax_cross_entropy", 11, _fd(_gen_softmax_ce), FD_TOL),
-    ("mix_hidden", 12, _fd(_gen_mix_hidden), FD_TOL),
-    ("mixup_loss", 13, _fd(_gen_mixup_loss), FD_TOL),
+    ("lerp", 12, _fd(_gen_lerp), FD_TOL),
+    ("pair_cross_entropy", 13, _fd(_gen_pair_cross_entropy), FD_TOL),
     ("model_embed_mlp", 14, _fd(_gen_model_embed_mlp, "scale"), FD_TOL),
     ("model_text_cnn", 15, _fd(_gen_model_text_cnn, "scale"), FD_TOL),
     ("conv1d_maxpool_batch_input", 16, _fd(_gen_conv_batch_input), FD_TOL),

@@ -115,43 +115,12 @@ def pair_batch(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(perm)
 
 
-def mix_hidden(g_i: ad.Tensor, g_j: ad.Tensor, lam: ad.Tensor) -> ad.Tensor:
-    """lam * g_i + (1 - lam) * g_j with lam broadcast over feature axes.
-
-    Recorded on the active tape, so gradients flow to the hidden states
-    and to ``lam`` itself when it is a leaf.
-    """
-    if g_i.shape != g_j.shape:
-        raise ValueError(f"hidden shapes differ: {g_i.shape} vs {g_j.shape}")
-    n = g_i.shape[0]
-    if lam.shape != (n,):
-        raise ValueError(f"lam must have shape ({n},), got {lam.shape}")
-    lam_col = ad.reshape(lam, (n,) + (1,) * (g_i.ndim - 1))
-    one_minus = ad.add(ad.scale(lam_col, -1.0), 1.0)
-    return ad.add(ad.mul(g_i, lam_col), ad.mul(g_j, one_minus))
-
-
 def mix_labels(y_i: np.ndarray, y_j: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Interpolated label rows; plain arrays, never differentiated."""
     if y_i.shape != y_j.shape:
         raise ValueError(f"label shapes differ: {y_i.shape} vs {y_j.shape}")
     lam_col = np.asarray(lam)[:, None]
     return y_i * lam_col + y_j * (1.0 - lam_col)
-
-
-def mixup_loss(logits: ad.Tensor, y_i: np.ndarray, y_j: np.ndarray, lam) -> ad.Tensor:
-    """Per-sample loss lam * ce(logits, y_i) + (1 - lam) * ce(logits, y_j).
-
-    ``lam`` may be a leaf tensor, in which case the loss is
-    differentiable in the mixing coefficient through the label weights.
-    By linearity of cross entropy in the target row this equals the
-    cross entropy against the interpolated labels.
-    """
-    lam_t = lam if isinstance(lam, ad.Tensor) else ad.Tensor(np.asarray(lam, dtype=np.float64))
-    ce_i = ad.softmax_cross_entropy(logits, y_i)
-    ce_j = ad.softmax_cross_entropy(logits, y_j)
-    one_minus = ad.add(ad.scale(lam_t, -1.0), 1.0)
-    return ad.add(ad.mul(lam_t, ce_i), ad.mul(one_minus, ce_j))
 
 
 def pair_up(
@@ -187,12 +156,10 @@ def score(model: md.Model, pairs: MixBatch, lam_mix, lam_label) -> ad.Tensor:
     runs under the pairing's saved dropout mask, so two scores of one
     pairing differ only through the coefficients.
     """
-    if not isinstance(lam_mix, ad.Tensor):
-        lam_mix = ad.Tensor(lam_mix)
-    mixed = mix_hidden(pairs.hidden_i, pairs.hidden_j, lam_mix)
+    mixed = ad.lerp(pairs.hidden_i, pairs.hidden_j, lam_mix)
     hidden = md.Hidden(pairs.layer, mixed, pairs.valid_lens)
     logits = md.forward_from_layer(model, hidden, dropout_mask=pairs.dropout_mask)
-    return mixup_loss(logits, pairs.y_i, pairs.y_j, lam_label)
+    return ad.pair_cross_entropy(logits, pairs.y_i, pairs.y_j, lam_label)
 
 
 def rand_op(

@@ -664,6 +664,117 @@ class TestSoftmaxCrossEntropy:
             ad.softmax_cross_entropy(ad.Tensor(np.zeros((2, 3))), np.zeros((2, 4)))
 
 
+def composite_lerp(a, b, w):
+    """The ``mul``/``add``/``scale``/``reshape`` graph ``ad.lerp`` fuses."""
+    col = ad.reshape(w, (a.shape[0],) + (1,) * (a.ndim - 1))
+    one_minus = ad.add(ad.scale(col, -1.0), 1.0)
+    return ad.add(ad.mul(a, col), ad.mul(b, one_minus))
+
+
+def composite_pair_cross_entropy(logits, y_i, y_j, w):
+    """The two ``softmax_cross_entropy`` nodes and their weighting that
+    ``ad.pair_cross_entropy`` fuses."""
+    ce_i = ad.softmax_cross_entropy(logits, y_i)
+    ce_j = ad.softmax_cross_entropy(logits, y_j)
+    one_minus = ad.add(ad.scale(w, -1.0), 1.0)
+    return ad.add(ad.mul(w, ce_i), ad.mul(one_minus, ce_j))
+
+
+def value_and_grads(op, args, weights):
+    """Forward value of ``op(*args)`` and the adjoint of each leaf in ``args``."""
+    leaves = [t for t in args if isinstance(t, ad.Tensor) and t.requires_grad]
+    with ad.Tape() as tape:
+        out = op(*args)
+        y = weighted_sum(out, weights)
+    return out.data, ad.backward(tape, y, leaves)
+
+
+class TestFusedMixingOps:
+    """``lerp`` and ``pair_cross_entropy`` equal, bitwise, the composites they fuse."""
+
+    @pytest.mark.parametrize("shape", [(6, 24, 16), (6, 48), (1, 24, 16), (1, 48)])
+    @pytest.mark.parametrize("w_leaf", [True, False])
+    def test_lerp_matches_composite_bitwise(self, shape, w_leaf):
+        rng = np.random.default_rng(60)
+        a = ad.Tensor(rand(rng, *shape), requires_grad=True)
+        b = ad.Tensor(rand(rng, *shape), requires_grad=True)
+        w = ad.Tensor(rng.random(shape[0]), requires_grad=w_leaf)
+        weights = rand(rng, *shape)
+        # constant weights reach the fused op as a plain array
+        fused = value_and_grads(ad.lerp, (a, b, w if w_leaf else w.data), weights)
+        composite = value_and_grads(composite_lerp, (a, b, w), weights)
+        np.testing.assert_array_equal(fused[0], composite[0])
+        assert len(fused[1]) == (3 if w_leaf else 2)
+        for got, want in zip(fused[1], composite[1]):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [6, 1])
+    @pytest.mark.parametrize("w_leaf", [True, False])
+    def test_pair_cross_entropy_matches_composite_bitwise(self, n, w_leaf):
+        rng = np.random.default_rng(61)
+        logits = ad.Tensor(3.0 * rand(rng, n, 4), requires_grad=True)
+        y_i = np.eye(4)[rng.integers(0, 4, n)]
+        y_j = rng.random((n, 4))  # soft rows, off the simplex
+        w = ad.Tensor(rng.random(n), requires_grad=w_leaf)
+        weights = rand(rng, n)
+        fused = value_and_grads(
+            ad.pair_cross_entropy, (logits, y_i, y_j, w if w_leaf else w.data), weights
+        )
+        composite = value_and_grads(composite_pair_cross_entropy, (logits, y_i, y_j, w), weights)
+        np.testing.assert_array_equal(fused[0], composite[0])
+        assert len(fused[1]) == (2 if w_leaf else 1)
+        for got, want in zip(fused[1], composite[1]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_weight_adjoint_skipped_once_the_leaf_stops_requiring_grad(self):
+        rng = np.random.default_rng(63)
+        a = ad.Tensor(rand(rng, 4, 3), requires_grad=True)
+        b = ad.Tensor(rand(rng, 4, 3))
+        w = ad.Tensor(rng.random(4), requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.pair_cross_entropy(ad.lerp(a, b, w), np.eye(3)[[0, 1, 2, 0]],
+                                        np.eye(3)[[1, 2, 0, 0]], w)
+        # the closures read the flag when the walk runs them
+        w.requires_grad = False
+        for node in tape.nodes:
+            assert node.backward_fn(np.ones_like(node.output.data))[-1] is None
+        (grad_a,) = ad.backward(tape, ad.reduce_sum(out), [a])
+        w.requires_grad = True
+        np.testing.assert_array_equal(grad_a, ad.backward(tape, ad.reduce_sum(out), [a])[0])
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, w_shape, match",
+        [
+            ((4, 5), (4, 6), (4,), "lerp shapes differ"),
+            ((4, 5), (4, 5), (3,), r"weights must have shape \(4,\)"),
+            ((4, 5), (4, 5), (4, 1), r"weights must have shape \(4,\)"),
+            ((), (), (), "leading sample axis"),
+        ],
+        ids=["a-b-mismatch", "w-length", "w-column", "scalar"],
+    )
+    def test_lerp_input_errors(self, a_shape, b_shape, w_shape, match):
+        with pytest.raises(ValueError, match=match):
+            ad.lerp(ad.Tensor(np.zeros(a_shape)), ad.Tensor(np.zeros(b_shape)), np.ones(w_shape))
+
+    @pytest.mark.parametrize(
+        "logits_shape, y_i, y_j, w_shape, match",
+        [
+            ((3,), np.eye(3), np.eye(3), (3,), r"logits must be \[n, C\]"),
+            ((3, 1), np.ones((3, 1)), np.ones((3, 1)), (3,), "at least 2 classes"),
+            ((3, 3), np.eye(4)[:3], np.eye(3), (3,), "does not match logits"),
+            ((3, 3), np.eye(3), np.eye(4)[:3], (3,), "does not match logits"),
+            ((3, 3), -np.eye(3), np.eye(3), (3,), "nonnegative"),
+            ((3, 3), np.eye(3), -np.eye(3), (3,), "nonnegative"),
+            ((3, 3), np.eye(3), np.eye(3), (2,), r"weights must have shape \(3,\)"),
+        ],
+        ids=["1d-logits", "one-class", "y_i-shape", "y_j-shape", "y_i-negative",
+             "y_j-negative", "w-length"],
+    )
+    def test_pair_cross_entropy_input_errors(self, logits_shape, y_i, y_j, w_shape, match):
+        with pytest.raises(ValueError, match=match):
+            ad.pair_cross_entropy(ad.Tensor(np.zeros(logits_shape)), y_i, y_j, np.ones(w_shape))
+
+
 class TestBackward:
     def test_repeated_calls_return_equal_independent_arrays(self):
         a = ad.Tensor([1.0, 2.0], requires_grad=True)

@@ -654,6 +654,44 @@ def test_full_sweep_memory_is_bounded_by_the_row_chunk(acceptance_task, backbone
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("policy, nodes", [("none", 10), ("mixup", 12), ("amp", 22)])
+def test_step_graph_size_and_unread_lambda_adjoints(acceptance_task, monkeypatch, policy, nodes):
+    # mixup and amp stop differentiating lambda once nothing reads its
+    # gradient; the parameter gradients must not notice
+    cfg, test_ds, vocab = acceptance_task
+    cfg = dataclasses.replace(cfg, policy=policy)
+    model = hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(0))
+    batch = dt.encode_batch(test_ds.examples[: cfg.batch_size], vocab, cfg.max_len, cfg.num_classes)
+    leaves = []
+    rand_op = mx.rand_op
+
+    def capture(*args, **kwargs):
+        out = rand_op(*args, **kwargs)
+        leaves.append(out[1])
+        return out
+
+    monkeypatch.setattr(mx, "rand_op", capture)
+
+    def step(lambda_requires_grad):
+        leaves.clear()
+        params = model.trainable_params()
+        with ad.Tape() as tape:
+            total, _ = hz.policy_step(
+                model, batch, cfg, np.random.default_rng(1), np.random.default_rng(2)
+            )
+            assert [leaf.requires_grad for leaf in leaves] == ([] if policy == "none" else [False])
+            for leaf in leaves:
+                leaf.requires_grad = lambda_requires_grad
+            grads = ad.backward(tape, total, params.values())
+        return tape, grads
+
+    tape, skipped = step(False)
+    assert (len(tape), tape.last_visit_count) == (nodes, nodes)
+    _, kept = step(True)
+    for got, want in zip(skipped, kept):
+        np.testing.assert_array_equal(got, want)
+
+
 class TestGradcheck:
     ROW_NAMES = [
         "matmul",
@@ -668,8 +706,8 @@ class TestGradcheck:
         "reshape",
         "concat",
         "softmax_cross_entropy",
-        "mix_hidden",
-        "mixup_loss",
+        "lerp",
+        "pair_cross_entropy",
         "model_embed_mlp",
         "model_text_cnn",
         "conv1d_maxpool_batch_input",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from admix import amp
 from admix import autodiff as ad
 from admix import gradcheck as gk
 from admix import mixup as mx
@@ -107,19 +108,21 @@ class TestPairBatch:
 
 
 class TestMixHidden:
+    """``ad.lerp``, the op that mixes a pairing's hidden states."""
+
     def test_endpoints_reproduce_inputs_bitwise(self):
         rng = np.random.default_rng(10)
         g_i = ad.Tensor(rng.standard_normal((4, 5)))
         g_j = ad.Tensor(rng.standard_normal((4, 5)))
-        at_one = mx.mix_hidden(g_i, g_j, ad.Tensor(np.ones(4)))
+        at_one = ad.lerp(g_i, g_j, ad.Tensor(np.ones(4)))
         np.testing.assert_array_equal(at_one.data, g_i.data)
-        at_zero = mx.mix_hidden(g_i, g_j, ad.Tensor(np.zeros(4)))
+        at_zero = ad.lerp(g_i, g_j, ad.Tensor(np.zeros(4)))
         np.testing.assert_array_equal(at_zero.data, g_j.data)
 
     def test_midpoint_is_average(self):
         g_i = ad.Tensor([[2.0, 4.0]])
         g_j = ad.Tensor([[0.0, 0.0]])
-        out = mx.mix_hidden(g_i, g_j, ad.Tensor([0.5]))
+        out = ad.lerp(g_i, g_j, ad.Tensor([0.5]))
         np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
 
     def test_broadcasts_over_word_grid(self):
@@ -127,7 +130,7 @@ class TestMixHidden:
         g_i = ad.Tensor(rng.standard_normal((3, 6, 4)))
         g_j = ad.Tensor(rng.standard_normal((3, 6, 4)))
         lam = np.array([0.25, 0.5, 0.75])
-        out = mx.mix_hidden(g_i, g_j, ad.Tensor(lam))
+        out = ad.lerp(g_i, g_j, ad.Tensor(lam))
         expected = lam[:, None, None] * g_i.data + (1 - lam)[:, None, None] * g_j.data
         np.testing.assert_allclose(out.data, expected, rtol=1e-15)
 
@@ -138,11 +141,11 @@ class TestMixHidden:
         w = rng.standard_normal((4, 5))
         lam = ad.Tensor(rng.random(4), requires_grad=True)
         with ad.Tape() as tape:
-            y = ad.reduce_sum(ad.mul(mx.mix_hidden(g_i, g_j, lam), ad.Tensor(w)))
+            y = ad.reduce_sum(ad.mul(ad.lerp(g_i, g_j, lam), ad.Tensor(w)))
         (grad,) = ad.backward(tape, y, [lam])
         np.testing.assert_allclose(grad, (w * (g_i.data - g_j.data)).sum(axis=1), rtol=1e-12)
         err = gk.finite_diff_check(
-            lambda t: ad.reduce_sum(ad.mul(mx.mix_hidden(g_i, g_j, t), ad.Tensor(w))),
+            lambda t: ad.reduce_sum(ad.mul(ad.lerp(g_i, g_j, t), ad.Tensor(w))),
             ad.Tensor(rng.random(4), requires_grad=True),
             h=1e-6,
         )
@@ -151,9 +154,9 @@ class TestMixHidden:
     def test_shape_mismatches_rejected(self):
         g_i = ad.Tensor(np.zeros((4, 5)))
         with pytest.raises(ValueError, match="differ"):
-            mx.mix_hidden(g_i, ad.Tensor(np.zeros((4, 6))), ad.Tensor(np.ones(4)))
+            ad.lerp(g_i, ad.Tensor(np.zeros((4, 6))), ad.Tensor(np.ones(4)))
         with pytest.raises(ValueError, match="shape"):
-            mx.mix_hidden(g_i, ad.Tensor(np.zeros((4, 5))), ad.Tensor(np.ones(3)))
+            ad.lerp(g_i, ad.Tensor(np.zeros((4, 5))), ad.Tensor(np.ones(3)))
 
 
 class TestMixLabels:
@@ -185,13 +188,15 @@ class TestMixLabels:
 
 
 class TestMixupLoss:
+    """``ad.pair_cross_entropy``, the loss of a mixed pairing."""
+
     def test_equals_cross_entropy_against_mixed_rows(self):
         rng = np.random.default_rng(15)
         logits = ad.Tensor(rng.standard_normal((6, 4)))
         y_i = np.eye(4)[rng.integers(0, 4, 6)]
         y_j = np.eye(4)[rng.integers(0, 4, 6)]
         lam = rng.random(6)
-        weighted = mx.mixup_loss(logits, y_i, y_j, lam).data
+        weighted = ad.pair_cross_entropy(logits, y_i, y_j, lam).data
         direct = ad.softmax_cross_entropy(logits, mx.mix_labels(y_i, y_j, lam)).data
         np.testing.assert_allclose(weighted, direct, rtol=1e-12, atol=1e-12)
 
@@ -200,7 +205,7 @@ class TestMixupLoss:
         logits = ad.Tensor(rng.standard_normal((5, 3)))
         y_i = np.eye(3)[rng.integers(0, 3, 5)]
         y_j = np.eye(3)[rng.integers(0, 3, 5)]
-        loss = mx.mixup_loss(logits, y_i, y_j, np.ones(5)).data
+        loss = ad.pair_cross_entropy(logits, y_i, y_j, np.ones(5)).data
         plain = ad.softmax_cross_entropy(logits, y_i).data
         np.testing.assert_array_equal(loss, plain)
 
@@ -210,8 +215,8 @@ class TestMixupLoss:
         y_i = np.eye(3)[rng.integers(0, 3, 5)]
         y_j = np.eye(3)[rng.integers(0, 3, 5)]
         lam = rng.random(5)
-        a = mx.mixup_loss(logits, y_i, y_j, lam).data
-        b = mx.mixup_loss(logits, y_j, y_i, 1.0 - lam).data
+        a = ad.pair_cross_entropy(logits, y_i, y_j, lam).data
+        b = ad.pair_cross_entropy(logits, y_j, y_i, 1.0 - lam).data
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_lambda_gradient_through_label_weights(self):
@@ -222,7 +227,7 @@ class TestMixupLoss:
         y_j = np.eye(3)[rng.integers(0, 3, 5)]
         lam = ad.Tensor(rng.random(5), requires_grad=True)
         with ad.Tape() as tape:
-            y = ad.reduce_sum(mx.mixup_loss(logits, y_i, y_j, lam))
+            y = ad.reduce_sum(ad.pair_cross_entropy(logits, y_i, y_j, lam))
         (grad,) = ad.backward(tape, y, [lam])
         ce_i = ad.softmax_cross_entropy(logits, y_i).data
         ce_j = ad.softmax_cross_entropy(logits, y_j).data
@@ -273,14 +278,49 @@ class TestRandOp:
         def loss_at(lam_t):
             g_i = ad.Tensor(g_i_data)
             g_j = ad.Tensor(g_i_data[j])
-            mixed = mx.mix_hidden(g_i, g_j, lam_t)
+            mixed = ad.lerp(g_i, g_j, lam_t)
             logits = models.forward_from_layer(model, models.Hidden("sent", mixed))
-            loss = mx.mixup_loss(logits, batch.label_rows, batch.label_rows[j], lam_t)
+            loss = ad.pair_cross_entropy(logits, batch.label_rows, batch.label_rows[j], lam_t)
             return ad.reduce_sum(loss)
 
         lam = ad.Tensor(np.array([0.3, 0.5, 0.62, 0.81]), requires_grad=True)
         err = gk.finite_diff_check(loss_at, lam, h=1e-6)
         assert err <= 1e-4
+
+    @pytest.mark.parametrize("layer", ["sent", "word"])
+    @pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
+    def test_ascent_lambda_gradient_matches_composite_bitwise(self, backbone, layer):
+        # the unfused graph of one score, from mul/add/scale/reshape and
+        # softmax_cross_entropy, as amp's ascent walks it
+        def composite_score(model, pairs, lam):
+            n = lam.shape[0]
+            col = ad.reshape(lam, (n,) + (1,) * (pairs.hidden_i.ndim - 1))
+            mixed = ad.add(ad.mul(pairs.hidden_i, col),
+                           ad.mul(pairs.hidden_j, ad.add(ad.scale(col, -1.0), 1.0)))
+            hidden = models.Hidden(pairs.layer, mixed, pairs.valid_lens)
+            logits = models.forward_from_layer(model, hidden, dropout_mask=pairs.dropout_mask)
+            ce_i = ad.softmax_cross_entropy(logits, pairs.y_i)
+            ce_j = ad.softmax_cross_entropy(logits, pairs.y_j)
+            return ad.add(ad.mul(lam, ce_i), ad.mul(ad.add(ad.scale(lam, -1.0), 1.0), ce_j))
+
+        rng = np.random.default_rng(27)
+        if backbone == "embed-mlp":
+            model = make_model(rng, dropout=0.5)
+        else:
+            model = models.init_text_cnn(25, 5, (2, 3), 4, 3, rng, dropout=0.5)
+        batch = make_batch(np.random.default_rng(28), n=7)
+        j = mx.pair_batch(len(batch), np.random.default_rng(29))
+        mask = models.make_dropout_mask(model, len(batch), np.random.default_rng(30))
+        lam = np.random.default_rng(31).random(len(batch))
+        results = []
+        for score in (lambda m, p, lam: mx.score(m, p, lam, lam), composite_score):
+            lam_leaf = ad.Tensor(lam, requires_grad=True)
+            with ad.Tape() as tape:
+                hidden = models.forward_to_layer(model, batch, layer)
+                loss = score(model, mx.pair_up(hidden, batch.label_rows, j, mask), lam_leaf)
+                results.append((loss.data, amp.grad_lambda(tape, ad.reduce_sum(loss), lam_leaf)))
+        for fused, composite in zip(*results):
+            np.testing.assert_array_equal(fused, composite)
 
     def test_lambda_gradient_matches_analytic_decomposition(self):
         # dL_s/dlam_s = (ce_i - ce_j)_s + dL/dg_hat_s . (g_i - g_j)_s
