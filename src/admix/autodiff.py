@@ -243,71 +243,154 @@ def mean_pool_batch(x: Tensor, valid_lens) -> Tensor:
     return out
 
 
-def _conv_forward(x: np.ndarray, f: np.ndarray):
-    n, length, d = x.shape
-    w = f.shape[0]
-    t_out = length - w + 1
-    pre = np.zeros((n, t_out, f.shape[2]))
-    for u in range(w):
-        pre += x[:, u : u + t_out, :] @ f[u]
-    act = np.maximum(pre, 0.0)
-    argmax = np.argmax(act, axis=1)  # first max wins on ties
-    out = np.take_along_axis(act, argmax[:, None, :], axis=1)[:, 0, :]
-    return pre, argmax, out
+# Rows per im2col block. A block's columns are [rows, d * w_max, t], so the
+# conv's working memory does not grow with the batch.
+CONV_BLOCK_ROWS = 64
 
 
-def _conv_backward(g, x, f, pre, argmax, need_x, need_f):
+def _row_blocks(n: int):
+    for start in range(0, n, CONV_BLOCK_ROWS):
+        yield slice(start, min(start + CONV_BLOCK_ROWS, n))
+
+
+def _stack_filters(filters):
+    """The filter bank as one [d * w_max, sum(c)] matrix, plus each column's width.
+
+    Filter k fills its own column block, zero past its width, and row
+    ``i * w_max + u`` weighs input feature i at window offset u, the row
+    order of ``_columns``.
+    """
+    widths = [f.shape[0] for f in filters]
+    channels = [f.shape[2] for f in filters]
+    bank = np.zeros((filters[0].shape[1], max(widths), sum(channels)))
+    lo = 0
+    for f, c in zip(filters, channels):
+        bank[:, : f.shape[0], lo : lo + c] = f.transpose(1, 0, 2)
+        lo += c
+    return bank.reshape(-1, bank.shape[2]), np.repeat(widths, channels)
+
+
+def _columns(x: np.ndarray, width: int, t_out: int) -> np.ndarray:
+    """im2col, feature-major: [n, len, d] -> [n, d * width, t_out].
+
+    Row i * width + u holds feature i at positions u .. u + t_out - 1, zero
+    past the end of x, so column t is the window that starts at t.
+    """
     n, length, d = x.shape
-    w, _, channels = f.shape
-    t_out = length - w + 1
-    # route gradient to the argmax window, gated by the relu preactivation,
-    # as a dense [n, t_out, c] grid that is zero off each channel's argmax
-    where = argmax[:, None, :]
-    gate = np.take_along_axis(pre, where, axis=1) > 0.0
-    grid = np.zeros((n, t_out, channels))
-    np.put_along_axis(grid, where, g[:, None, :] * gate, axis=1)
-    flat = grid.reshape(-1, channels)
-    gx = np.zeros_like(x) if need_x else None
-    gf = np.empty_like(f) if need_f else None
-    for u in range(w):
-        if need_x:
-            gx[:, u : u + t_out, :] += (flat @ f[u].T).reshape(n, t_out, d)
+    padded = np.zeros((n, d, t_out + width - 1))
+    padded[:, :, :length] = x.transpose(0, 2, 1)
+    # entry (s, i, u, t) of the view is padded[s, i, u + t]
+    s_stride, i_stride, step = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (n, d, width, t_out), (s_stride, i_stride, step, step)
+    )
+    return windows.reshape(n, d * width, t_out)
+
+
+def _conv_pre(x: np.ndarray, bank: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Preactivations [n, t, sum(c)] of x under the stacked bank, t = len - min(widths) + 1.
+
+    One small matrix product per row, so no row sees another and BLAS
+    spawns no threads. A column is 0 at positions past its filter's last
+    full window.
+    """
+    length = x.shape[1]
+    t_out = length - int(widths.min()) + 1
+    pre = _columns(x, int(widths.max()), t_out).transpose(0, 2, 1) @ bank
+    pre[:, np.arange(t_out)[:, None] > length - widths] = 0.0
+    return pre
+
+
+def _conv_backward(g, x, bank, widths, argmax, out, need_x, need_f):
+    """Adjoints of x and of the stacked bank, one row block at a time.
+
+    The relu-gated gradient goes into a dense [rows, t, sum(c)] grid at
+    each column's argmax. The bank's adjoint is the block's rebuilt
+    columns times the grid, summed over rows. The input's is the grid
+    times the bank, each window's adjoint, folded back onto x by one
+    product with the 0/1 matrix that sends window t, offset u to t + u.
+    """
+    length, d = x.shape[1:]
+    width = int(widths.max())
+    t_out = length - int(widths.min()) + 1
+    routed = g * (out > 0.0)
+    gx = np.empty_like(x) if need_x else None
+    gbank = np.zeros_like(bank) if need_f else None
+    # the bank's rows offset-major, to match the fold's (t, u) pairs
+    bank_t = bank.reshape(d, width, -1).transpose(2, 1, 0).reshape(-1, width * d)
+    offsets = np.arange(t_out)[:, None] + np.arange(width)
+    fold = (np.arange(length)[:, None] == offsets.reshape(1, -1)).astype(np.float64)
+    for rows in _row_blocks(x.shape[0]):
+        grid = np.zeros((rows.stop - rows.start, t_out, bank.shape[1]))
+        np.put_along_axis(grid, argmax[rows, None, :], routed[rows, None, :], axis=1)
         if need_f:
-            gf[u] = x[:, u : u + t_out, :].reshape(-1, d).T @ flat
-    return gx, gf
+            gbank += (_columns(x[rows], width, t_out) @ grid).sum(axis=0)
+        if need_x:
+            gx[rows] = fold @ (grid @ bank_t).reshape(-1, t_out * width, d)
+    return gx, gbank
 
 
-def conv1d_maxpool_batch(x: Tensor, filters: Tensor) -> Tensor:
-    """Width-w convolution, relu, then global max over time: [n, len, d] -> [n, c].
+def conv1d_maxpool_batch(x: Tensor, *filters: Tensor) -> Tensor:
+    """Convolve with a filter bank, relu, then max over time: [n, len, d] -> [n, sum(c)].
 
-    ``filters`` has shape [w, d, c] and the op has no bias term. Ties in
-    the max take the earliest position.
+    Each filter has shape [w_k, d, c_k] with w_k <= len, and the op has no
+    bias term. The result concatenates the filters' pooled features in
+    argument order, as one tape node. Ties in the max take the earliest
+    position.
 
-    The backward pass mirrors ``_conv_forward``: it writes the relu-gated
-    gradient into a dense [n, t_out, c] grid at each channel's argmax,
-    then runs one matmul per filter offset for each of the input and
-    filter gradients. BLAS sums over channels in its own order, so the
-    result agrees with a per-window loop to rounding, not bitwise.
+    Rows run in blocks of ``CONV_BLOCK_ROWS``. The forward unfolds each
+    block's windows of the widest filter (im2col) and multiplies them by
+    the stacked bank, one small product per row; a narrower filter's
+    columns are zeroed past its last full window. The backward rebuilds
+    each block's columns rather than keeping them (``_conv_backward``).
+    BLAS sums each window in its own order, so the result agrees with a
+    per-window loop to rounding, not bitwise; but a row's result never
+    depends on the other rows.
     """
     if x.ndim != 3:
         raise ValueError(f"conv1d_maxpool_batch expects [n, len, d], got {x.shape}")
-    if filters.ndim != 3:
-        raise ValueError(f"filters must be [w, d, c], got {filters.shape}")
+    if not filters:
+        raise ValueError("conv1d_maxpool_batch needs at least one filter")
     n, length, d = x.shape
-    w, fd, _ = filters.shape
-    if fd != d:
-        raise ValueError(f"filter depth {fd} does not match input depth {d}")
-    if length < w:
-        raise ValueError(f"input length {length} is shorter than filter width {w}")
-    pre, argmax, out_data = _conv_forward(x.data, filters.data)
-    out = Tensor(out_data, requires_grad=_needs_grad(x, filters))
+    for k, f in enumerate(filters):
+        if f.ndim != 3 or f.shape[0] < 1:
+            raise ValueError(f"filter {k} must be [w, d, c] with w >= 1, got {f.shape}")
+        if f.shape[1] != d:
+            raise ValueError(f"filter {k} depth {f.shape[1]} does not match input depth {d}")
+        if f.shape[0] > length:
+            raise ValueError(f"input length {length} is shorter than filter {k} width {f.shape[0]}")
+    bank, widths = _stack_filters([f.data for f in filters])
+    requires_grad = _needs_grad(x, *filters)
+    # only a recorded node needs the argmax
+    argmax = None
+    if requires_grad and active_tape() is not None:
+        argmax = np.empty((n, bank.shape[1]), dtype=np.intp)
+    out_data = np.empty((n, bank.shape[1]))
+    for rows in _row_blocks(n):
+        pre = _conv_pre(x.data[rows], bank, widths)
+        top = pre.max(axis=1)
+        out_data[rows] = np.maximum(top, 0.0)
+        if argmax is not None:  # the earliest max; where it is <= 0 no gradient flows
+            argmax[rows] = np.argmax(pre == top[:, None, :], axis=1)
+    out = Tensor(out_data, requires_grad=requires_grad)
 
     def backward_fn(g):
-        return _conv_backward(
-            g, x.data, filters.data, pre, argmax, x.requires_grad, filters.requires_grad
+        gx, gbank = _conv_backward(
+            g, x.data, bank, widths, argmax, out_data, x.requires_grad, _needs_grad(*filters)
         )
+        grads = [gx]
+        lo = 0
+        for f in filters:
+            w, _, c = f.shape
+            if f.requires_grad:  # rows i * w_max + u of the bank, back to [w, d, c]
+                per_offset = gbank.reshape(d, -1, gbank.shape[1])
+                grads.append(per_offset[:, :w, lo : lo + c].swapaxes(0, 1))
+            else:
+                grads.append(None)
+            lo += c
+        return tuple(grads)
 
-    _record("conv1d_maxpool_batch", (x, filters), out, backward_fn)
+    _record("conv1d_maxpool_batch", (x, *filters), out, backward_fn)
     return out
 
 

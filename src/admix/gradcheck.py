@@ -75,13 +75,16 @@ class GradcheckReport:
         return "\n".join(lines)
 
 
-def _conv_margins_ok(x, f, margin) -> bool:
-    """True when every conv response of ``x`` under filters ``f`` sits at
-    least ``margin`` from the relu kink and every channel's max beats its
-    runner-up by more than ``margin``, so a small input shift cannot flip
-    a gate. An all-clipped channel pools to exactly 0, which is smooth."""
-    pre, _, _ = ad._conv_forward(x, f)
-    if np.abs(pre).min() < margin:
+def _conv_margins_ok(x, filters, margin) -> bool:
+    """True when every conv response of ``x`` under the filter bank sits
+    at least ``margin`` from the relu kink and every channel's max beats
+    its runner-up by more than ``margin``, so a small input shift cannot
+    flip a gate. An all-clipped channel pools to exactly 0, which is
+    smooth, and so are the zeros past a narrow filter's last window."""
+    bank, widths = ad._stack_filters(filters)
+    pre = ad._conv_pre(x, bank, widths)
+    valid = np.arange(pre.shape[1])[:, None] <= x.shape[1] - widths
+    if np.abs(pre[:, valid]).min() < margin:
         return False
     if pre.shape[1] == 1:  # one window: no runner-up to tie with
         return True
@@ -90,13 +93,22 @@ def _conv_margins_ok(x, f, margin) -> bool:
     return bool(np.all((gap > margin) | (top2[:, 1, :] == 0.0)))
 
 
-def _conv_safe_instance(rng, n, length, depth, width, channels, margin=1e-3):
-    """Inputs whose conv responses sit away from relu kinks and argmax ties."""
+def _filter_bank(model):
+    return [model.params[f"conv{w}"].data for w in model.filter_widths]
+
+
+def _conv_safe_instance(rng, n, length, depth, shapes, margin=1e-3):
+    """Inputs whose conv responses sit away from relu kinks and argmax ties.
+
+    ``shapes`` lists each filter's (width, channels); returns x and the
+    list of filters.
+    """
+    shapes = list(shapes)
     for _ in range(200):
         x = rng.standard_normal((n, length, depth))
-        f = rng.standard_normal((width, depth, channels))
-        if _conv_margins_ok(x, f, margin):
-            return x, f
+        filters = [rng.standard_normal((w, depth, c)) for w, c in shapes]
+        if _conv_margins_ok(x, filters, margin):
+            return x, filters
     raise AssertionError("no margin-safe conv instance found")
 
 
@@ -140,7 +152,7 @@ def _gen_mean_pool_batch(rng):
 
 
 def _gen_conv_batch_filters(rng):
-    x_data, f_data = _conv_safe_instance(rng, 2, 7, 2, 3, 3)
+    x_data, (f_data,) = _conv_safe_instance(rng, 2, 7, 2, [(3, 3)])
     w = rng.standard_normal((2, 3))
     x_const = ad.Tensor(x_data)
     f = ad.Tensor(f_data, requires_grad=True)
@@ -148,7 +160,7 @@ def _gen_conv_batch_filters(rng):
 
 
 def _gen_conv_batch_input(rng):
-    x_data, f_data = _conv_safe_instance(rng, 2, 7, 2, 3, 3)
+    x_data, (f_data,) = _conv_safe_instance(rng, 2, 7, 2, [(3, 3)])
     w = rng.standard_normal((2, 3))
     f_const = ad.Tensor(f_data)
     x = ad.Tensor(x_data, requires_grad=True)
@@ -257,8 +269,7 @@ def _gen_model_text_cnn(rng):
         model = md.init_text_cnn(12, 3, (2, 3), 3, 3, rng, dropout=0.0)
         batch = _random_batch(rng, 3, 6, 12, 3)
         grid = model.params["embed"].data[batch.token_ids]
-        if all(_conv_margins_ok(grid, model.params[f"conv{w}"].data, 1e-4)
-               for w in model.filter_widths):
+        if _conv_margins_ok(grid, _filter_bank(model), 1e-4):
             return _param_loss(model, batch, rng)
     raise AssertionError("no margin-safe conv instance found")
 
@@ -289,8 +300,7 @@ def _lambda_instance(rng):
         grid = model.params["embed"].data[batch.token_ids]
         col = lam.reshape(-1, 1, 1)
         mixed = grid * col + grid[j_index] * (1.0 - col)
-        if all(_conv_margins_ok(mixed, model.params[f"conv{w}"].data, 1e-4)
-               for w in model.filter_widths):
+        if _conv_margins_ok(mixed, _filter_bank(model), 1e-4):
             return model, batch, layer, j_index, lam
     raise AssertionError("no margin-safe conv instance found")
 

@@ -10,6 +10,7 @@ seeds; per-seed streams then control subsampling and the dev split.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 import warnings
@@ -250,12 +251,22 @@ def load_config(path) -> ExperimentConfig:
 # task assembly
 
 
+@functools.lru_cache(maxsize=4)
+def _synthetic_corpus(data_seed: int, part: int, **shape) -> dt.Dataset:
+    """Corpus ``part`` (0 train, 1 test) of ``data_seed``, generated once per
+    process: it is a pure function of the seed and the shape fields. The
+    cached ``Dataset`` is shared, so callers copy it before handing it on."""
+    rng = np.random.default_rng(np.random.SeedSequence([data_seed, part]))
+    return dt.generate_synthetic_corpus(rng=rng, **shape)
+
+
 def prepare_task(config: ExperimentConfig, seed: int):
     """Deterministically build (train, dev, test, vocab) for one run seed.
 
-    The corpus itself depends only on ``data_seed`` (or the input
-    files); the per-seed data stream drives subsampling and the dev
-    split, so different seeds see different subsets of a fixed task.
+    The corpus itself depends only on ``data_seed`` and the shape fields
+    (or the input files); the per-seed data stream drives subsampling and
+    the dev split, so different seeds see different subsets of a fixed
+    task. Every call returns datasets with their own example lists.
     """
     data_rng = _stream(seed, "data")
     if not config.train_path:
@@ -267,14 +278,11 @@ def prepare_task(config: ExperimentConfig, seed: int):
             noise_len=config.noise_len,
             label_noise=config.label_noise,
         )
-        train_full = dt.generate_synthetic_corpus(
-            rng=np.random.default_rng(np.random.SeedSequence([config.data_seed, 0])), **shape
-        )
+        train_full = _synthetic_corpus(config.data_seed, 0, **shape)
         if config.test_per_class > 0:
             shape["per_class"] = config.test_per_class
-        test_ds = dt.generate_synthetic_corpus(
-            rng=np.random.default_rng(np.random.SeedSequence([config.data_seed, 1])), **shape
-        )
+        test_ds = _synthetic_corpus(config.data_seed, 1, **shape)
+        train_full, test_ds = (ds.replaced(list(ds.examples)) for ds in (train_full, test_ds))
     else:
         train_full = dt.load_corpus(config.train_path)
         test_ds = dt.load_corpus(config.test_path, label_names=train_full.label_names)

@@ -114,11 +114,13 @@ def init_text_cnn(
     dropout: float = 0.5,
     max_len: int | None = None,
 ) -> Model:
-    """Parallel width-w convolutions with relu and global max pooling.
+    """A bank of width-w convolutions with relu and global max pooling.
 
-    The pooled feature vectors concatenate into the sent layer
-    (len(filter_widths) * feature_maps wide), which feeds a dropout
-    mask and a dense classifier. Filters have no bias.
+    Each width has its own ``conv{w}`` filters. The forward runs the whole
+    bank as one ``conv1d_maxpool_batch`` node, whose pooled features,
+    concatenated in ``filter_widths`` order, are the sent layer
+    (len(filter_widths) * feature_maps wide); it feeds a dropout mask and
+    a dense classifier. Filters have no bias.
     """
     widths = tuple(int(w) for w in filter_widths)
     if not widths or min(widths) < 1:
@@ -172,22 +174,15 @@ def forward_to_layer(model: Model, batch: Batch, layer: str) -> Hidden:
 
 
 def _word_to_sent(model: Model, hidden: Hidden) -> Hidden:
+    """The sent layer from the word grid: mean pool and a tanh layer
+    (embed-mlp), or the filter bank in one conv node (text-cnn)."""
     if model.kind == "embed-mlp":
         pooled = ad.mean_pool_batch(hidden.tensor, hidden.valid_lens)
         pre = ad.add(ad.matmul(pooled, model.params["w_hidden"]), model.params["b_hidden"])
         return Hidden("sent", ad.tanh(pre))
     if model.kind == "text-cnn":
-        length = hidden.tensor.shape[1]
-        if length < max(model.filter_widths):
-            raise ValueError(
-                f"sequence length {length} shorter than widest filter "
-                f"{max(model.filter_widths)}"
-            )
-        feats = [
-            ad.conv1d_maxpool_batch(hidden.tensor, model.params[f"conv{w}"])
-            for w in model.filter_widths
-        ]
-        return Hidden("sent", ad.concat(feats, axis=1))
+        bank = [model.params[f"conv{w}"] for w in model.filter_widths]
+        return Hidden("sent", ad.conv1d_maxpool_batch(hidden.tensor, *bank))
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 

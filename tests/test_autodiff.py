@@ -265,45 +265,77 @@ class TestConvMaxpool:
             ad.conv1d_maxpool_batch(ad.Tensor(np.zeros((1, 2, 3))), ad.Tensor(np.zeros((4, 3, 1))))
         with pytest.raises(ValueError, match="depth"):
             ad.conv1d_maxpool_batch(ad.Tensor(np.zeros((1, 5, 3))), ad.Tensor(np.zeros((2, 4, 1))))
+        x = ad.Tensor(np.zeros((1, 5, 3)))
+        good = ad.Tensor(np.zeros((2, 3, 1)))
+        with pytest.raises(ValueError, match="at least one filter"):
+            ad.conv1d_maxpool_batch(x)
+        with pytest.raises(ValueError, match="filter 1 depth 4 does not match input depth 3"):
+            ad.conv1d_maxpool_batch(x, good, ad.Tensor(np.zeros((3, 4, 2))))
+        with pytest.raises(ValueError, match="length 5 is shorter than filter 2 width 6"):
+            ad.conv1d_maxpool_batch(x, good, good, ad.Tensor(np.zeros((6, 3, 1))))
 
     def test_batch_matches_per_sample_loop(self):
         hypothesis = pytest.importorskip("hypothesis")
         from hypothesis import strategies as st
 
-        # (length, width) with width <= length, so t_out = 1 is drawn too
-        sizes = st.integers(1, 8).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k)))
+        # a bank of 1-3 distinct widths <= length, each with 1-4 channels;
+        # width == length, so t_out = 1, is drawn too
+        def bank_of(length):
+            widths = st.lists(st.integers(1, length), min_size=1, max_size=3, unique=True)
+            return widths.flatmap(
+                lambda ws: st.tuples(
+                    st.just(length),
+                    st.just(ws),
+                    st.lists(st.integers(1, 4), min_size=len(ws), max_size=len(ws)),
+                )
+            )
 
         @hypothesis.settings(max_examples=80, deadline=None)
         @hypothesis.given(
             n=st.integers(1, 3),
-            sizes=sizes,
+            sizes=st.integers(1, 8).flatmap(bank_of),
             d=st.integers(1, 3),
-            c=st.integers(1, 4),
             integer=st.booleans(),
-            leaves=st.sampled_from(["x", "filters", "both"]),
+            leaves=st.sampled_from(["x", "filters", "both", "last"]),
             seed=st.integers(0, 2**32 - 1),
         )
         @hypothesis.example(
-            n=2, sizes=(7, 3), d=3, c=4, integer=False, leaves="both", seed=31
+            n=2, sizes=(7, [3], [4]), d=3, integer=False, leaves="both", seed=31
         )
-        def check(n, sizes, d, c, integer, leaves, seed):
-            length, width = sizes
+        @hypothesis.example(
+            n=3, sizes=(7, [3, 5, 2], [4, 2, 3]), d=2, integer=True, leaves="both", seed=7
+        )
+        def check(n, sizes, d, integer, leaves, seed):
+            length, widths, channels = sizes
             rng = np.random.default_rng(seed)
             if integer:
                 # small integers force argmax ties and all-nonpositive channels
                 x_data = rng.integers(-2, 3, (n, length, d)).astype(np.float64)
-                f_data = rng.integers(-1, 2, (width, d, c)).astype(np.float64)
+                f_data = [
+                    rng.integers(-1, 2, (w, d, c)).astype(np.float64)
+                    for w, c in zip(widths, channels)
+                ]
             else:
-                x_data, f_data = gk._conv_safe_instance(rng, n, length, d, width, c)
-            w = rand(rng, n, c)
-            ref_out, ref_gx, ref_gf = conv_maxpool_reference(x_data, f_data, w)
-            xb = ad.Tensor(x_data, requires_grad=leaves != "filters")
-            fb = ad.Tensor(f_data, requires_grad=leaves != "x")
-            pairs = [(t, ref) for t, ref in ((xb, ref_gx), (fb, ref_gf)) if t.requires_grad]
+                x_data, f_data = gk._conv_safe_instance(rng, n, length, d, zip(widths, channels))
+            w = rand(rng, n, sum(channels))
+            # the bank's features are each filter's, concatenated
+            bounds = np.cumsum([0, *channels])
+            refs = [
+                conv_maxpool_reference(x_data, f, w[:, lo:hi])
+                for f, lo, hi in zip(f_data, bounds[:-1], bounds[1:])
+            ]
+            xb = ad.Tensor(x_data, requires_grad=leaves in ("x", "both"))
+            fbs = [ad.Tensor(f, requires_grad=leaves in ("filters", "both")) for f in f_data]
+            if leaves == "last":
+                fbs[-1].requires_grad = True
+            pairs = [(xb, sum(gx for _, gx, _ in refs))]
+            pairs += [(fb, gf) for fb, (_, _, gf) in zip(fbs, refs)]
+            pairs = [(t, ref) for t, ref in pairs if t.requires_grad]
             with ad.Tape() as tape:
-                out = ad.conv1d_maxpool_batch(xb, fb)
+                out = ad.conv1d_maxpool_batch(xb, *fbs)
                 y = weighted_sum(out, w)
             grads = ad.backward(tape, y, [t for t, _ in pairs])
+            ref_out = np.concatenate([out for out, _, _ in refs], axis=1)
             np.testing.assert_allclose(out.data, ref_out, rtol=1e-12)
             for grad, (_, ref) in zip(grads, pairs):
                 np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=1e-12)
@@ -312,7 +344,7 @@ class TestConvMaxpool:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(32)
-        x_data, f_data = gk._conv_safe_instance(rng, 2, 7, 3, 3, 4)
+        x_data, (f_data,) = gk._conv_safe_instance(rng, 2, 7, 3, [(3, 4)])
         w = rand(rng, 2, 4)
         x = ad.Tensor(x_data, requires_grad=True)
         err_x = gk.finite_diff_check(

@@ -273,6 +273,30 @@ class TestPrepareTask:
         assert train_split.label_names == test_ds.label_names
         assert test_ds.examples[0][1] == train_split.label_names["neg"]
 
+    def test_synthetic_corpora_are_generated_once_and_handed_out_as_copies(self, monkeypatch):
+        generated = []
+        generate = dt.generate_synthetic_corpus
+
+        def counting(**kwargs):
+            generated.append(kwargs["per_class"])
+            return generate(**kwargs)
+
+        monkeypatch.setattr(dt, "generate_synthetic_corpus", counting)
+        hz._synthetic_corpus.cache_clear()
+        cfg = tiny_config(test_per_class=7)
+        first = hz.prepare_task(cfg, seed=0)
+        hashes = [dt.dataset_hash(ds) for ds in first[:3]]
+        for ds in first[:3]:
+            ds.examples[0] = ("mutated", 0)
+            ds.examples.append(("appended", 0))
+        again = hz.prepare_task(cfg, seed=0)
+        hz.prepare_task(dataclasses.replace(cfg, subsample_ratio=0.5), seed=1)
+        # one train and one test corpus, however many tasks are dealt from them
+        assert generated == [cfg.per_class, 7]
+        assert [dt.dataset_hash(ds) for ds in again[:3]] == hashes
+        hz.prepare_task(dataclasses.replace(cfg, data_seed=cfg.data_seed + 1), seed=0)
+        assert generated == [cfg.per_class, 7, cfg.per_class, 7]
+
 
 class TestTrain:
     def test_deterministic_given_seed(self):
@@ -652,6 +676,51 @@ def test_full_sweep_memory_is_bounded_by_the_row_chunk(acceptance_task, backbone
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_text_cnn_sent_rows_do_not_depend_on_the_batch(acceptance_task):
+    # each row's conv features must be bitwise the same however the rows are
+    # batched: the sweep's lambda = 1 endpoint is compared with plain_mean_loss
+    # exactly, and the two batch the test set differently
+    cfg, test_ds, vocab = acceptance_task
+    cfg = dataclasses.replace(cfg, backbone="text-cnn")
+    model_a = hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(0))
+    model_b = hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(1))
+    enc = dt.encode_batch(test_ds.examples[:700], vocab, cfg.max_len, cfg.num_classes)
+
+    def sent(rows):
+        return md.forward_to_layer(model_a, hz._slice_batch(enc, rows), "sent").tensor.data
+
+    whole = sent(np.arange(700)).tobytes()
+    block = ad.CONV_BLOCK_ROWS
+    for size in (1, 2, block - 1, block, block + 1, 512):
+        pieces = [sent(np.arange(a, min(a + size, 700))) for a in range(0, 700, size)]
+        assert np.concatenate(pieces).tobytes() == whole, size
+    order = np.random.default_rng(2).permutation(700)
+    shuffled = np.empty((700, model_a.sent_dim))
+    shuffled[order] = sent(order)
+    assert shuffled.tobytes() == whole
+
+    assert len(test_ds) == 3000
+    rows = hz.lambda_sweep(model_a, model_b, test_ds, vocab, cfg.max_len, grid_points=2)
+    assert rows[-1][1] == hz.plain_mean_loss(model_a, test_ds, vocab, cfg.max_len)
+    assert rows[-1][2] == hz.plain_mean_loss(model_b, test_ds, vocab, cfg.max_len)
+
+
+def test_text_cnn_sent_forward_memory_is_bounded_by_the_conv_block(acceptance_task):
+    # a 512-row forward unfolds its windows CONV_BLOCK_ROWS rows at a time;
+    # the per-width convs it replaced peaked at 5.69 MiB here
+    cfg, test_ds, vocab = acceptance_task
+    cfg = dataclasses.replace(cfg, backbone="text-cnn")
+    model = hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(0))
+    enc = dt.encode_batch(test_ds.examples[:512], vocab, cfg.max_len, cfg.num_classes)
+    tracemalloc.start()
+    try:
+        md.forward_to_layer(model, enc, "sent")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.69 * 2**20
 
 
 @pytest.mark.parametrize("policy, nodes", [("none", 10), ("mixup", 12), ("amp", 22)])
