@@ -12,7 +12,8 @@ One training step runs three stages on a single tape:
    the suffix under the same dropout mask, giving L';
 3. selection stage: per sample, the step keeps whichever loss is
    larger, via mask = 1 when L' - L > 0, so the optimized objective is
-   mean(max(L, L')).
+   mean(max(L, L')). The ``maxop`` policy skips the selection and keeps
+   L' for every sample (mask = 1), the ablation's +MaxOp variant.
 
 With epsilon = 0 the perturbed pass recomputes the same values and the
 step reduces to the plain interpolation policy, reproducing it bitwise.
@@ -146,7 +147,7 @@ def amp_step(
     lam_prime = perturb_lambda(lam_leaf.data, g_lam, config.epsilon)
     loss_prime = recompute_loss(model, pairs, lam_leaf, lam_prime)
 
-    if config.force_mask_ones:
+    if config.policy == mx.MAXOP:
         mask = np.ones(n)
     else:
         mask = compute_mask(loss.data, loss_prime.data)

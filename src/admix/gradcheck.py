@@ -93,10 +93,6 @@ def _conv_margins_ok(x, filters, margin) -> bool:
     return bool(np.all((gap > margin) | (top2[:, 1, :] == 0.0)))
 
 
-def _filter_bank(model):
-    return [model.params[f"conv{w}"].data for w in model.filter_widths]
-
-
 def _conv_safe_instance(rng, n, length, depth, shapes, margin=1e-3):
     """Inputs whose conv responses sit away from relu kinks and argmax ties.
 
@@ -269,7 +265,7 @@ def _gen_model_text_cnn(rng):
         model = md.init_text_cnn(12, 3, (2, 3), 3, 3, rng, dropout=0.0)
         batch = _random_batch(rng, 3, 6, 12, 3)
         grid = model.params["embed"].data[batch.token_ids]
-        if _conv_margins_ok(grid, _filter_bank(model), 1e-4):
+        if _conv_margins_ok(grid, [f.data for f in md.filter_bank(model)], 1e-4):
             return _param_loss(model, batch, rng)
     raise AssertionError("no margin-safe conv instance found")
 
@@ -300,7 +296,7 @@ def _lambda_instance(rng):
         grid = model.params["embed"].data[batch.token_ids]
         col = lam.reshape(-1, 1, 1)
         mixed = grid * col + grid[j_index] * (1.0 - col)
-        if _conv_margins_ok(mixed, _filter_bank(model), 1e-4):
+        if _conv_margins_ok(mixed, [f.data for f in md.filter_bank(model)], 1e-4):
             return model, batch, layer, j_index, lam
     raise AssertionError("no margin-safe conv instance found")
 

@@ -345,7 +345,7 @@ def policy_step(model, batch, config, mix_rng, dropout_rng):
     Returns ``(total, bundle)``. ``none`` and ``mixup`` minimize the mean
     per-sample loss and leave lambda unperturbed (``none`` reports it as 1).
     """
-    if config.policy == "amp":
+    if config.policy in ("amp", mx.MAXOP):
         return am.amp_step(model, batch, config, mix_rng, dropout_rng)
     n = len(batch)
     if config.policy == "none":
@@ -526,22 +526,14 @@ def summarize(results: dict):
     return rows
 
 
-ABLATION_VARIANTS = (
-    ("baseline", "none", False),
-    ("+randop", "mixup", False),
-    ("+maxop", "amp", True),
-    ("amp", "amp", False),
-)
+ABLATION_VARIANTS = {"baseline": "none", "+randop": "mixup", "+maxop": mx.MAXOP, "amp": "amp"}
 
 
 def ablate(config: ExperimentConfig):
     """Four-variant comparison: no mixing, random mixing, always-perturbed,
     and the full selective step. Returns (summary_rows, results)."""
-    results: dict = {}
-    for variant, policy, force_ones in ABLATION_VARIANTS:
-        run_cfg = dataclasses.replace(config, policy=policy, force_mask_ones=force_ones)
-        per_seed = run_seeds(run_cfg, policies=(policy,))[policy]
-        results[variant] = per_seed
+    by_policy = run_seeds(config, policies=ABLATION_VARIANTS.values())
+    results = {variant: by_policy[policy] for variant, policy in ABLATION_VARIANTS.items()}
     return summarize(results), results
 
 
@@ -582,9 +574,9 @@ def lambda_sweep(
     the mean row at lambda mirrors the row at 1 - lambda. The shuffle is
     scored in chunks of mirrored positions (``_mirrored_chunks``), each
     holding every row's partner, so memory is bounded by ``ROW_CHUNK``,
-    not by the dataset size. Single-pair mode sweeps one ordered example
-    pair instead and encodes only those two examples. Returns rows of
-    (lambda, mean_loss_a, mean_loss_b).
+    not by the dataset size. Single-pair mode encodes only the ordered
+    pair (i, j), scores it as one mirrored chunk of two rows and keeps
+    row i's loss. Returns rows of (lambda, mean_loss_a, mean_loss_b).
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -605,7 +597,6 @@ def lambda_sweep(
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"pair indices {pair} out of range for {n} examples")
         dt.check_labels(dataset.examples, num_classes)
-        # a two-row prefix gives the full prefix's rows bitwise; one row need not
         examples = [dataset.examples[i], dataset.examples[j]]
         enc = dt.encode_batch(examples, vocab, max_len, num_classes)
         chunks = [np.array([0, 1])]
@@ -616,28 +607,16 @@ def lambda_sweep(
     grid = np.linspace(0.0, 1.0, grid_points)
     per_model = []
     for model in (model_a, model_b):
-        losses = np.empty((grid_points, 1 if pair is not None else n))
+        losses = np.empty((grid_points, len(enc)))
         for rows in chunks:
             piece = _slice_batch(enc, rows)
             hidden = md.forward_to_layer(model, piece, layer)
-            if pair is None:
-                pairs = mx.pair_up(hidden, piece.label_rows, np.arange(len(rows))[::-1])
-            else:
-                # a one-row batch: the suffix over more rows can round differently
-                vls = hidden.valid_lens
-                pairs = mx.MixBatch(
-                    layer,
-                    ad.Tensor(hidden.tensor.data[:1]),
-                    ad.Tensor(hidden.tensor.data[1:]),
-                    None if vls is None else np.maximum(vls[:1], vls[1:]),
-                    piece.label_rows[:1],
-                    piece.label_rows[1:],
-                    None,
-                )
-                rows = rows[:1]  # the pair's one loss column
+            pairs = mx.pair_up(hidden, piece.label_rows, np.arange(len(rows))[::-1])
             for k, lam in enumerate(grid):
                 lam_row = np.full(len(rows), lam)
                 losses[k, rows] = mx.score(model, pairs, lam_row, lam_row).data
+        if pair is not None:
+            losses = losses[:, :1]
         per_model.append([float(np.mean(row)) for row in losses])
     return [(float(grid[k]), per_model[0][k], per_model[1][k]) for k in range(grid_points)]
 

@@ -18,6 +18,9 @@ from . import autodiff as ad
 from . import models as md
 
 POLICIES = ("none", "mixup", "amp")
+# amp's step that always keeps the perturbed branch: the ablation's +MaxOp
+# variant, which runs alongside POLICIES but is not one of the compared ones
+MAXOP = "maxop"
 
 
 @dataclass
@@ -28,12 +31,10 @@ class MixConfig:
     alpha: float = 1.0
     epsilon: float = 0.002
     layer: str = "sent"
-    # ablation switch: always adopt the perturbed branch of the step
-    force_mask_ones: bool = False
 
     def validate(self) -> None:
-        if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+        if self.policy not in (*POLICIES, MAXOP):
+            raise ValueError(f"policy must be one of {(*POLICIES, MAXOP)}, got {self.policy!r}")
         # chained comparisons are False for NaN, so NaN fails these too
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")

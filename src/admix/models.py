@@ -181,9 +181,14 @@ def _word_to_sent(model: Model, hidden: Hidden) -> Hidden:
         pre = ad.add(ad.matmul(pooled, model.params["w_hidden"]), model.params["b_hidden"])
         return Hidden("sent", ad.tanh(pre))
     if model.kind == "text-cnn":
-        bank = [model.params[f"conv{w}"] for w in model.filter_widths]
-        return Hidden("sent", ad.conv1d_maxpool_batch(hidden.tensor, *bank))
+        return Hidden("sent", ad.conv1d_maxpool_batch(hidden.tensor, *filter_bank(model)))
     raise ValueError(f"unknown model kind {model.kind!r}")
+
+
+def filter_bank(model: Model) -> list[ad.Tensor]:
+    """The ``conv{w}`` filters in ``filter_widths`` order, the order of the
+    sent layer's feature blocks."""
+    return [model.params[f"conv{w}"] for w in model.filter_widths]
 
 
 def forward_from_layer(

@@ -239,10 +239,10 @@ class TestRecomputeLoss:
 
 
 class TestAmpStep:
-    def run_step(self, seed=20, epsilon=0.002, dropout=0.0, **cfg_kwargs):
+    def run_step(self, seed=20, epsilon=0.002, dropout=0.0, policy="amp", **cfg_kwargs):
         model = make_model(np.random.default_rng(seed), dropout=dropout)
         batch = make_batch(np.random.default_rng(seed + 1))
-        cfg = mx.MixConfig(policy="amp", epsilon=epsilon, **cfg_kwargs)
+        cfg = mx.MixConfig(policy=policy, epsilon=epsilon, **cfg_kwargs)
         with ad.Tape() as tape:
             total, bundle = amp.amp_step(
                 model, batch, cfg, np.random.default_rng(seed + 2),
@@ -272,7 +272,7 @@ class TestAmpStep:
         assert float(total.data) == bundle.loss.sum() * (1.0 / bundle.loss.size)
 
     def test_force_mask_ones_keeps_perturbed_branch(self):
-        _, _, _, bundle = self.run_step(force_mask_ones=True)
+        _, _, _, bundle = self.run_step(policy="maxop")
         np.testing.assert_array_equal(bundle.mask, np.ones_like(bundle.mask))
         np.testing.assert_array_equal(bundle.loss_final, bundle.loss_prime)
 

@@ -46,10 +46,12 @@ class TestExitCodes:
         assert main(["train", "--config", "/nonexistent/path.cfg"]) == 1
 
     def test_bad_config_key_is_config_error(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text("not_a_key = 1\n")
-        assert main(["train", "--config", str(path)]) == 1
-        assert "not_a_key" in capsys.readouterr().err
+        # the retired ablation switch must fail, not be silently ignored
+        for key in ("not_a_key", "force_mask_ones"):
+            path = tmp_path / "bad.cfg"
+            path.write_text(f"{key} = 1\n")
+            assert main(["train", "--config", str(path)]) == 1
+            assert key in capsys.readouterr().err
 
     def test_min_freq_below_one_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -11,7 +11,9 @@ perfbench uses, so that another machine's BLAS summation order does not
 fail it. ``test_error`` is compared exactly.
 
 Rewrite the file with ``PYTHONPATH=src python tests/test_golden.py``,
-only for a change that is meant to move the traces, and state the drift.
+only for a change that is meant to move the traces, and state the drift:
+the script prints, for every trace whose sha256 changes, its max abs and
+max rel drift against the file it overwrites.
 """
 
 import dataclasses
@@ -118,8 +120,32 @@ def test_sweep_matches_golden(combo, golden):
         )
 
 
+def drift_lines(old: dict, new: dict) -> list:
+    """One line per trace of ``new`` whose sha256 differs from ``old``'s,
+    with the max abs and max rel drift between the two value lists."""
+    lines = []
+    for combo, entry in new.items():
+        for key, digest in entry.items():
+            name = key.removesuffix("_sha256")
+            if name == key or old.get(combo, {}).get(key) == digest:
+                continue
+            before = np.asarray(old.get(combo, {}).get(name, []), dtype=np.float64)
+            after = np.asarray(entry[name], dtype=np.float64)
+            if before.shape != after.shape:
+                lines.append(f"{combo} {name}: no old values of shape {after.shape}")
+                continue
+            diff = np.abs(after - before)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = np.where(diff == 0.0, 0.0, diff / np.abs(before))
+            lines.append(f"{combo} {name}: max abs {diff.max():.3g}, max rel {rel.max():.3g}")
+    return lines
+
+
 if __name__ == "__main__":
     traces = {combo: record(combo) for combo in COMBOS}
     traces.update({combo: record_sweep(combo) for combo in SWEEP_COMBOS})
+    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for line in drift_lines(previous, traces):
+        print(line)
     GOLDEN.write_text(json.dumps(traces, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")

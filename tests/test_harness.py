@@ -134,25 +134,25 @@ class TestConfig:
     def test_round_trip_through_text(self):
         text = """
         # experiment shape
-        policy = amp
+        policy = maxop
         alpha = 0.5
         epsilon = 0.004
         seeds = 0, 1, 2
         filter_widths = 3,4
-        force_mask_ones = true
         max_steps = 10
         """
         cfg = hz.config_from_items(hz.parse_config_text(text))
-        assert cfg.policy == "amp"
+        assert cfg.policy == "maxop"
         assert cfg.alpha == 0.5
         assert cfg.epsilon == 0.004
         assert cfg.seeds == (0, 1, 2)
         assert cfg.filter_widths == (3, 4)
-        assert cfg.force_mask_ones is True
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown config key 'leraning_rate'"):
-            hz.config_from_items({"leraning_rate": "0.1"})
+        # the retired ablation switch must fail, not be silently ignored
+        for key in ("leraning_rate", "force_mask_ones"):
+            with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+                hz.config_from_items({key: "true"})
 
     def test_bad_value_names_the_key(self):
         with pytest.raises(ValueError, match="max_steps"):
@@ -525,12 +525,14 @@ class TestAblate:
         assert rows[0][3] is None
         for name in ("baseline", "+randop", "+maxop", "amp"):
             assert len(results[name]) == 2
+        assert [results[name][0].policy for name in results] == ["none", "mixup", "maxop", "amp"]
 
     def test_maxop_variant_always_takes_perturbed_branch(self):
-        cfg = tiny_config(policy="amp", force_mask_ones=True, max_steps=6)
+        cfg = tiny_config(policy="maxop", max_steps=6)
         seen = []
-        hz.train(cfg, seed=0, step_hook=lambda s, b: seen.append(b.mask.copy()))
+        _, report = hz.train(cfg, seed=0, step_hook=lambda s, b: seen.append(b.mask.copy()))
         assert all(np.all(m == 1.0) for m in seen)
+        assert report.policy == "maxop"
 
     def test_maxop_and_amp_see_identical_randomness(self):
         # forcing the mask changes only branch selection, never the
@@ -538,7 +540,7 @@ class TestAblate:
         cfg = tiny_config(policy="amp", max_steps=5)
         lam_a, lam_b = [], []
         hz.train(
-            dataclasses.replace(cfg, force_mask_ones=True),
+            dataclasses.replace(cfg, policy="maxop"),
             seed=1,
             step_hook=lambda s, b: lam_a.append(b.lam.copy()),
         )
@@ -583,6 +585,26 @@ class TestLambdaSweep:
             hz.lambda_sweep(
                 model_a, model_b, test_ds, vocab, cfg.max_len, grid_points=3, pair=(0, 10**6)
             )
+
+    @pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
+    def test_single_pair_endpoints_are_the_pair_losses(self, acceptance_task, backbone):
+        # at lambda = 1 the pair's row is example i's own loss in the same
+        # two-row encoding; at lambda = 0 the rows swap places in the batch
+        cfg, test_ds, vocab = acceptance_task
+        cfg = dataclasses.replace(cfg, backbone=backbone)
+        models = [
+            hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(s)) for s in (0, 1)
+        ]
+        for i, j in [(2, 5), (7, 7), (100, 3)]:
+            rows = hz.lambda_sweep(
+                *models, test_ds, vocab, cfg.max_len, grid_points=3, layer="sent", pair=(i, j)
+            )
+            examples = [test_ds.examples[i], test_ds.examples[j]]
+            enc = dt.encode_batch(examples, vocab, cfg.max_len, cfg.num_classes)
+            for col, model in enumerate(models, start=1):
+                ce = ad.softmax_cross_entropy(md.forward(model, enc), enc.label_rows).data
+                assert rows[-1][col] == ce[0], (i, j, col)
+                assert rows[0][col] == pytest.approx(ce[1], rel=0, abs=1e-12), (i, j, col)
 
     def test_single_pair_encodes_only_the_pair(self, sweep_setup, monkeypatch):
         cfg, model_a, model_b, test_ds, vocab = sweep_setup

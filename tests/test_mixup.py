@@ -107,7 +107,7 @@ class TestPairBatch:
         np.testing.assert_array_equal(a, b)
 
 
-class TestMixHidden:
+class TestLerp:
     """``ad.lerp``, the op that mixes a pairing's hidden states."""
 
     def test_endpoints_reproduce_inputs_bitwise(self):
@@ -187,7 +187,7 @@ class TestMixLabels:
         np.testing.assert_allclose(a, b, atol=1e-15)
 
 
-class TestMixupLoss:
+class TestPairCrossEntropy:
     """``ad.pair_cross_entropy``, the loss of a mixed pairing."""
 
     def test_equals_cross_entropy_against_mixed_rows(self):
@@ -367,6 +367,8 @@ class TestScore:
 class TestMixConfig:
     def test_validation(self):
         mx.MixConfig().validate()
+        mx.MixConfig(policy="maxop").validate()
+        assert "maxop" not in mx.POLICIES
         with pytest.raises(ValueError, match="policy"):
             mx.MixConfig(policy="cutout").validate()
         with pytest.raises(ValueError, match="alpha"):
