@@ -48,7 +48,8 @@ def main() -> None:
     print("partner permutation:", partners)
 
     # The same pairing, swept from the identity toward an even blend.
-    pairs = mx.pair_up(md.forward_to_layer(model, batch, "sent"), batch.label_rows, partners)
+    hidden = md.forward_to_layer(model, batch, "sent")
+    pairs = mx.pair_up(model, hidden, batch.label_rows, partners)
     for lam_value in (1.0, 0.95, 0.75, 0.5):
         lam = np.full(len(batch), lam_value)
         loss = mx.score(model, pairs, lam, lam)

@@ -156,18 +156,23 @@ def encode_batch(examples, vocab: Vocab, max_len: int, num_classes: int) -> Batc
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     check_labels(examples, num_classes)
     n = len(examples)
+    lookup = vocab.token_to_id.get
+    lens = []
+
+    def token_ids():
+        # one row's list at a time, so the batch's rows are never all held
+        for text, _ in examples:
+            row = [lookup(t, UNK_ID) for t in tokenize(text)[:max_len]] or [UNK_ID]
+            lens.append(len(row))
+            yield from row
+
+    flat = np.fromiter(token_ids(), dtype=np.int64)
+    valid = np.array(lens, dtype=np.int64)
     ids = np.full((n, max_len), PAD_ID, dtype=np.int64)
-    valid = np.empty(n, dtype=np.int64)
-    label_ids = np.empty(n, dtype=np.int64)
-    for row, (text, label) in enumerate(examples):
-        token_ids = [vocab.encode_token(t) for t in tokenize(text)][:max_len]
-        if not token_ids:
-            token_ids = [UNK_ID]
-        ids[row, : len(token_ids)] = token_ids
-        valid[row] = len(token_ids)
-        label_ids[row] = label
-    rows = np.eye(num_classes)[label_ids]
-    return Batch(ids, valid, rows, label_ids)
+    # a boolean mask fills in row-major order, so the rows go in one write
+    ids[np.arange(max_len) < valid[:, None]] = flat
+    label_ids = np.fromiter((label for _, label in examples), dtype=np.int64, count=n)
+    return Batch(ids, valid, np.eye(num_classes)[label_ids], label_ids)
 
 
 def _indices_by_class(dataset: Dataset) -> list:

@@ -611,7 +611,8 @@ def lambda_sweep(
         for rows in chunks:
             piece = _slice_batch(enc, rows)
             hidden = md.forward_to_layer(model, piece, layer)
-            pairs = mx.pair_up(hidden, piece.label_rows, np.arange(len(rows))[::-1])
+            pairs = mx.pair_up(model, hidden, piece.label_rows, np.arange(len(rows))[::-1])
+            del hidden  # frees the grid: an embed-mlp pairing keeps only pooled rows
             for k, lam in enumerate(grid):
                 lam_row = np.full(len(rows), lam)
                 losses[k, rows] = mx.score(model, pairs, lam_row, lam_row).data

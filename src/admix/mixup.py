@@ -5,6 +5,14 @@ from the same minibatch, draws a mixing coefficient lambda from
 Beta(alpha, alpha), interpolates hidden states at one of the named
 backbone cut points, and scores the result against both endpoint labels
 weighted by lambda and (1 - lambda).
+
+At ``word``, embed-mlp's suffix opens with a mean pool, which is linear
+in each row: pooling both endpoints over the pair's longer valid length
+and mixing the pooled rows is the wordMixup of Guo et al. (2019), the
+grid blend followed by the pool, up to rounding. ``pair_up`` pools
+once, so every score of a pairing mixes [n, embed_dim] rows instead of
+the [n, max_len, embed_dim] grid. text-cnn's conv is not linear, so its
+word grids are mixed as they are.
 """
 
 from __future__ import annotations
@@ -48,10 +56,9 @@ class MixConfig:
 class MixBatch:
     """One pairing of hidden states, ready to be scored at any coefficient."""
 
-    layer: str
+    layer: str  # the cut point the rows are mixed at, md.POOLED for an embed-mlp word grid
     hidden_i: ad.Tensor
     hidden_j: ad.Tensor  # row s: the partner of hidden_i row s
-    valid_lens: np.ndarray | None  # longer of each pair's lengths, at "word"
     y_i: np.ndarray
     y_j: np.ndarray
     dropout_mask: np.ndarray | None
@@ -125,6 +132,7 @@ def mix_labels(y_i: np.ndarray, y_j: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def pair_up(
+    model: md.Model,
     hidden: md.Hidden,
     label_rows: np.ndarray,
     j_index: np.ndarray,
@@ -133,17 +141,22 @@ def pair_up(
     """Pair row s of ``hidden`` with row ``j_index[s]``.
 
     The partner rows are gathered on the active tape, so gradients reach
-    both endpoints. A mixed word grid pools over the longer of the two
-    valid lengths.
+    both endpoints. An embed-mlp word grid is mean-pooled here, both
+    endpoints over the longer of the pair's two valid lengths, and the
+    pairing holds only the pooled rows, at ``md.POOLED``, so every score
+    of it mixes [n, embed_dim] rows and none keeps the grid alive.
     """
-    valid_lens = None
-    if hidden.valid_lens is not None:
-        valid_lens = np.maximum(hidden.valid_lens, hidden.valid_lens[j_index])
+    layer, hidden_i = hidden.layer, hidden.tensor
+    hidden_j = ad.gather_rows(hidden_i, j_index)
+    if layer == "word" and model.kind == "embed-mlp":
+        lens = np.maximum(hidden.valid_lens, hidden.valid_lens[j_index])
+        layer = md.POOLED
+        hidden_i = ad.mean_pool_batch(hidden_i, lens)
+        hidden_j = ad.mean_pool_batch(hidden_j, lens)
     return MixBatch(
-        layer=hidden.layer,
-        hidden_i=hidden.tensor,
-        hidden_j=ad.gather_rows(hidden.tensor, j_index),
-        valid_lens=valid_lens,
+        layer=layer,
+        hidden_i=hidden_i,
+        hidden_j=hidden_j,
         y_i=label_rows,
         y_j=label_rows[j_index],
         dropout_mask=dropout_mask,
@@ -157,9 +170,8 @@ def score(model: md.Model, pairs: MixBatch, lam_mix, lam_label) -> ad.Tensor:
     runs under the pairing's saved dropout mask, so two scores of one
     pairing differ only through the coefficients.
     """
-    mixed = ad.lerp(pairs.hidden_i, pairs.hidden_j, lam_mix)
-    hidden = md.Hidden(pairs.layer, mixed, pairs.valid_lens)
-    logits = md.forward_from_layer(model, hidden, dropout_mask=pairs.dropout_mask)
+    mixed = md.Hidden(pairs.layer, ad.lerp(pairs.hidden_i, pairs.hidden_j, lam_mix))
+    logits = md.forward_from_layer(model, mixed, dropout_mask=pairs.dropout_mask)
     return ad.pair_cross_entropy(logits, pairs.y_i, pairs.y_j, lam_label)
 
 
@@ -184,5 +196,5 @@ def rand_op(
     lam_leaf = ad.Tensor(sample_lambda(config.alpha, n, rng), requires_grad=True)
     hidden = md.forward_to_layer(model, batch, config.layer)
     dropout_mask = md.make_dropout_mask(model, n, dropout_rng)
-    pairs = pair_up(hidden, batch.label_rows, j_index, dropout_mask)
+    pairs = pair_up(model, hidden, batch.label_rows, j_index, dropout_mask)
     return pairs, lam_leaf, score(model, pairs, lam_leaf, lam_leaf)

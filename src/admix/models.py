@@ -8,7 +8,9 @@ can be interpolated mid-network:
 
 ``forward_to_layer`` runs the prefix up to a cut point and
 ``forward_from_layer`` runs the suffix; composing them reproduces the
-plain forward pass bitwise.
+plain forward pass bitwise. embed-mlp's suffix also resumes from
+``POOLED``, the [n, embed_dim] mean of the word grid, an internal cut
+point that ``mixup.pair_up`` mixes word grids at (no config names it).
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import numpy as np
 from . import autodiff as ad
 
 LAYER_NAMES = ("word", "sent")
+# embed-mlp's cut point right after the mean pool; not a configurable layer
+POOLED = "pooled"
 
 
 @dataclass
@@ -177,12 +181,15 @@ def _word_to_sent(model: Model, hidden: Hidden) -> Hidden:
     """The sent layer from the word grid: mean pool and a tanh layer
     (embed-mlp), or the filter bank in one conv node (text-cnn)."""
     if model.kind == "embed-mlp":
-        pooled = ad.mean_pool_batch(hidden.tensor, hidden.valid_lens)
-        pre = ad.add(ad.matmul(pooled, model.params["w_hidden"]), model.params["b_hidden"])
-        return Hidden("sent", ad.tanh(pre))
+        return _pooled_to_sent(model, ad.mean_pool_batch(hidden.tensor, hidden.valid_lens))
     if model.kind == "text-cnn":
         return Hidden("sent", ad.conv1d_maxpool_batch(hidden.tensor, *filter_bank(model)))
     raise ValueError(f"unknown model kind {model.kind!r}")
+
+
+def _pooled_to_sent(model: Model, pooled: ad.Tensor) -> Hidden:
+    pre = ad.add(ad.matmul(pooled, model.params["w_hidden"]), model.params["b_hidden"])
+    return Hidden("sent", ad.tanh(pre))
 
 
 def filter_bank(model: Model) -> list[ad.Tensor]:
@@ -194,15 +201,18 @@ def filter_bank(model: Model) -> list[ad.Tensor]:
 def forward_from_layer(
     model: Model, hidden: Hidden, dropout_mask: np.ndarray | None = None
 ) -> ad.Tensor:
-    """Run the network suffix from a cut point down to logits.
+    """Run the network suffix from a cut point (``word``, ``sent``, or
+    ``POOLED`` for embed-mlp) down to logits.
 
     ``dropout_mask`` is a precomputed inverted-dropout mask for the sent
     layer (entries 0 or 1/keep). Passing the same mask to two calls
     makes them share the dropped units; None means evaluation mode.
     """
-    _check_layer(hidden.layer)
-    if hidden.layer == "word":
+    if hidden.layer == POOLED and model.kind == "embed-mlp":
+        hidden = _pooled_to_sent(model, hidden.tensor)
+    elif hidden.layer == "word":
         hidden = _word_to_sent(model, hidden)
+    _check_layer(hidden.layer)
     sent = hidden.tensor
     if dropout_mask is not None:
         if dropout_mask.shape != sent.shape:

@@ -88,6 +88,9 @@ class TestTrain:
             ("lr", "inf", "lr must be positive and finite"),
             ("seeds", "0, 0", "seeds must be distinct"),
             ("noise_len", "-3", "noise_len must be >= 0"),
+            # embed-mlp's internal pooled cut point is not a layer to mix at
+            ("layer", "pool", "layer must be one of"),
+            ("layer", "pooled", "layer must be one of"),
         ],
     )
     def test_bad_value_is_config_error_before_training(

@@ -1,5 +1,6 @@
 """Corpus loading, vocabulary, encoding, splitting, and the synthetic task."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from admix import data
 from admix import harness as hz
+from admix import models
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -138,6 +140,40 @@ class TestEncodeBatch:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label"):
             data.encode_batch([("the cat", 5)], self.vocab, max_len=4, num_classes=2)
+
+    @staticmethod
+    def per_row_reference(examples, vocab, max_len, num_classes):
+        """Look up every token, then truncate, one row write at a time."""
+        n = len(examples)
+        ids = np.full((n, max_len), data.PAD_ID, dtype=np.int64)
+        valid = np.empty(n, dtype=np.int64)
+        label_ids = np.empty(n, dtype=np.int64)
+        for row, (text, label) in enumerate(examples):
+            token_ids = [vocab.encode_token(t) for t in data.tokenize(text)][:max_len]
+            if not token_ids:
+                token_ids = [data.UNK_ID]
+            ids[row, : len(token_ids)] = token_ids
+            valid[row] = len(token_ids)
+            label_ids[row] = label
+        return models.Batch(ids, valid, np.eye(num_classes)[label_ids], label_ids)
+
+    @pytest.mark.parametrize("max_len", [1, 3, 6])
+    def test_matches_per_row_reference(self, max_len):
+        examples = [
+            ("", 1),
+            ("the cat sat on the mat and the dogs run far", 0),
+            ("zebra THE   okapi cat", 1),
+            ("   ", 0),
+            ("dogs", 1),
+            ("mat mat mat mat mat mat mat", 0),
+        ]
+        for subset in (examples, examples[:1], []):
+            got = data.encode_batch(subset, self.vocab, max_len, num_classes=2)
+            want = self.per_row_reference(subset, self.vocab, max_len, 2)
+            for field in dataclasses.fields(models.Batch):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert a.dtype == b.dtype and a.shape == b.shape, field.name
+                np.testing.assert_array_equal(a, b, err_msg=field.name)
 
 
 def balanced_dataset(per_class=10, num_classes=3):

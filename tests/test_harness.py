@@ -745,7 +745,7 @@ def test_text_cnn_sent_forward_memory_is_bounded_by_the_conv_block(acceptance_ta
     assert peak <= 5.69 * 2**20
 
 
-@pytest.mark.parametrize("policy, nodes", [("none", 10), ("mixup", 12), ("amp", 22)])
+@pytest.mark.parametrize("policy, nodes", [("none", 10), ("mixup", 13), ("amp", 22)])
 def test_step_graph_size_and_unread_lambda_adjoints(acceptance_task, monkeypatch, policy, nodes):
     # mixup and amp stop differentiating lambda once nothing reads its
     # gradient; the parameter gradients must not notice

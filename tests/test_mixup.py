@@ -239,7 +239,8 @@ class TestRandOp:
         model = make_model(np.random.default_rng(20))
         batch = make_batch(np.random.default_rng(21))
         j = mx.pair_batch(len(batch), np.random.default_rng(22))
-        pairs = mx.pair_up(models.forward_to_layer(model, batch, "sent"), batch.label_rows, j)
+        hidden = models.forward_to_layer(model, batch, "sent")
+        pairs = mx.pair_up(model, hidden, batch.label_rows, j)
         ones = np.ones(len(batch))
         loss = mx.score(model, pairs, ones, ones)
         plain_loss = ad.softmax_cross_entropy(models.forward(model, batch), batch.label_rows)
@@ -257,15 +258,28 @@ class TestRandOp:
         np.testing.assert_array_equal(l1.data, l2.data)
 
     def test_word_layer_takes_longer_valid_length(self):
+        # embed-mlp pools both endpoints over the longer of the pair's lengths
         model = make_model(np.random.default_rng(20))
         batch = make_batch(np.random.default_rng(21))
         j = mx.pair_batch(len(batch), np.random.default_rng(6))
         hidden = models.forward_to_layer(model, batch, "word")
-        pairs = mx.pair_up(hidden, batch.label_rows, j)
-        expected = np.maximum(batch.valid_lens, batch.valid_lens[j])
-        np.testing.assert_array_equal(pairs.valid_lens, expected)
-        np.testing.assert_array_equal(pairs.hidden_j.data, hidden.tensor.data[j])
+        pairs = mx.pair_up(model, hidden, batch.label_rows, j)
+        lens = np.maximum(batch.valid_lens, batch.valid_lens[j])
+        assert np.any(lens != batch.valid_lens) and np.any(lens != batch.valid_lens[j])
+        grid = hidden.tensor.data
+        for s, (i_row, j_row) in enumerate(zip(pairs.hidden_i.data, pairs.hidden_j.data)):
+            np.testing.assert_allclose(i_row, grid[s, : lens[s]].mean(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(j_row, grid[j[s], : lens[s]].mean(axis=0), rtol=1e-12)
         np.testing.assert_array_equal(pairs.y_j, batch.label_rows[j])
+        assert pairs.layer == models.POOLED and pairs.hidden_i.shape == (len(batch), 5)
+
+    def test_text_cnn_word_grid_is_paired_as_is(self):
+        model = models.init_text_cnn(25, 5, (2, 3), 4, 3, np.random.default_rng(20))
+        batch = make_batch(np.random.default_rng(21))
+        j = mx.pair_batch(len(batch), np.random.default_rng(6))
+        hidden = models.forward_to_layer(model, batch, "word")
+        pairs = mx.pair_up(model, hidden, batch.label_rows, j)
+        np.testing.assert_array_equal(pairs.hidden_j.data, hidden.tensor.data[j])
         assert pairs.layer == "word" and pairs.hidden_i is hidden.tensor
 
     def test_lambda_gradient_matches_finite_differences(self):
@@ -291,13 +305,14 @@ class TestRandOp:
     @pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
     def test_ascent_lambda_gradient_matches_composite_bitwise(self, backbone, layer):
         # the unfused graph of one score, from mul/add/scale/reshape and
-        # softmax_cross_entropy, as amp's ascent walks it
+        # softmax_cross_entropy, as amp's ascent walks it; an embed-mlp
+        # word pairing holds pooled rows, so the composite mixes those
         def composite_score(model, pairs, lam):
             n = lam.shape[0]
             col = ad.reshape(lam, (n,) + (1,) * (pairs.hidden_i.ndim - 1))
             mixed = ad.add(ad.mul(pairs.hidden_i, col),
                            ad.mul(pairs.hidden_j, ad.add(ad.scale(col, -1.0), 1.0)))
-            hidden = models.Hidden(pairs.layer, mixed, pairs.valid_lens)
+            hidden = models.Hidden(pairs.layer, mixed)
             logits = models.forward_from_layer(model, hidden, dropout_mask=pairs.dropout_mask)
             ce_i = ad.softmax_cross_entropy(logits, pairs.y_i)
             ce_j = ad.softmax_cross_entropy(logits, pairs.y_j)
@@ -317,7 +332,8 @@ class TestRandOp:
             lam_leaf = ad.Tensor(lam, requires_grad=True)
             with ad.Tape() as tape:
                 hidden = models.forward_to_layer(model, batch, layer)
-                loss = score(model, mx.pair_up(hidden, batch.label_rows, j, mask), lam_leaf)
+                pairs = mx.pair_up(model, hidden, batch.label_rows, j, mask)
+                loss = score(model, pairs, lam_leaf)
                 results.append((loss.data, amp.grad_lambda(tape, ad.reduce_sum(loss), lam_leaf)))
         for fused, composite in zip(*results):
             np.testing.assert_array_equal(fused, composite)
@@ -338,13 +354,60 @@ class TestRandOp:
             np.testing.assert_allclose(tape_grad, analytic, rtol=1e-9, atol=1e-12)
 
 
+class TestPooledWordMixing:
+    """embed-mlp at ``word`` mixes pooled rows; the grid blend it replaces
+    (lerp on the [n, len, d] grid, then a pool over the pair's longer
+    length) is the same function up to rounding."""
+
+    @staticmethod
+    def grid_score(model, batch, j, lam, mask):
+        hidden = models.forward_to_layer(model, batch, "word")
+        mixed = ad.lerp(hidden.tensor, ad.gather_rows(hidden.tensor, j), lam)
+        lens = np.maximum(batch.valid_lens, batch.valid_lens[j])
+        pooled = models.Hidden(models.POOLED, ad.mean_pool_batch(mixed, lens))
+        logits = models.forward_from_layer(model, pooled, dropout_mask=mask)
+        return ad.pair_cross_entropy(logits, batch.label_rows, batch.label_rows[j], lam)
+
+    @staticmethod
+    def pooled_score(model, batch, j, lam, mask):
+        hidden = models.forward_to_layer(model, batch, "word")
+        return mx.score(model, mx.pair_up(model, hidden, batch.label_rows, j, mask), lam, lam)
+
+    @pytest.mark.parametrize("lam_kind", ["zero", "one", "beta"])
+    def test_loss_and_every_gradient_match_the_grid_blend(self, lam_kind):
+        model = make_model(np.random.default_rng(40), dropout=0.3)
+        batch = make_batch(np.random.default_rng(41), n=7, max_len=9)
+        batch.valid_lens = np.array([1, 9, 4, 4, 2, 7, 3])
+        # row 0 pairs with itself; every other pair has two lengths
+        j = np.array([0, 2, 1, 5, 6, 3, 4])
+        assert np.all(batch.valid_lens[1:] != batch.valid_lens[j][1:])
+        mask = models.make_dropout_mask(model, len(batch), np.random.default_rng(42))
+        lam = {
+            "zero": np.zeros(len(batch)),
+            "one": np.ones(len(batch)),
+            "beta": mx.sample_lambda(0.4, len(batch), np.random.default_rng(43)),
+        }[lam_kind]
+        params = list(model.trainable_params().values())
+        results = []
+        for score in (self.grid_score, self.pooled_score):
+            lam_leaf = ad.Tensor(lam, requires_grad=True)
+            with ad.Tape() as tape:
+                loss = score(model, batch, j, lam_leaf, mask)
+                grads = ad.backward(tape, ad.reduce_sum(loss), [lam_leaf, *params])
+            results.append([loss.data, *grads])
+        # relative to each array's largest entry: the embedding gradient
+        # has exact zeros and tiny sums that rounding moves by more
+        for grid, pooled in zip(*results):
+            assert np.abs(pooled - grid).max() <= 1e-13 * np.abs(grid).max()
+
+
 class TestScore:
     @pytest.mark.parametrize("layer", ["sent", "word"])
     @pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
     def test_rescoring_the_pairing_repeats_rand_op(self, backbone, layer):
         # the random pass is pair_up + score; scoring its pairing again at
-        # the same leaf records the same ops after the gather and the
-        # same loss, bit for bit
+        # the same leaf records the same ops from the mix on and the same
+        # loss, bit for bit
         rng = np.random.default_rng(30)
         if backbone == "text-cnn":
             model = models.init_text_cnn(25, 5, (2, 3), 4, 3, rng, dropout=0.3)
@@ -360,7 +423,7 @@ class TestScore:
             again = mx.score(model, pairs, lam_leaf, lam_leaf)
         assert pairs.dropout_mask is not None
         assert ops.count("gather_rows") == 1
-        assert [node.op for node in tape.nodes][len(ops):] == ops[ops.index("gather_rows") + 1:]
+        assert [node.op for node in tape.nodes][len(ops):] == ops[ops.index("lerp"):]
         np.testing.assert_array_equal(again.data, loss.data)
 
 
