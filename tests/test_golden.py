@@ -5,21 +5,28 @@ Each of the 12 runs trains on ``configs/acceptance.cfg`` with seed 0
 ``golden_traces.json``. For each (backbone, layer), the amp- and
 mixup-trained models of those runs are also swept over an 11-point lambda
 grid on the test set, once over the full pairing and once over a single
-pair. A refactor that leaves the arithmetic alone reproduces the stored
-sha256 digests bitwise; the test itself allows the float64 tolerance
-perfbench uses, so that another machine's BLAS summation order does not
-fail it. ``test_error`` is compared exactly.
+pair. Each training run also stores ``params``, a few entries sampled
+from its trained parameters flattened in ``model.params`` order, and
+``params_sha256``, the digest of all of them, so a last-bit change to the
+weights shows even where every loss rounds to the same value. A refactor
+that leaves the arithmetic alone reproduces the stored sha256 digests
+bitwise; the test itself allows the float64 tolerance perfbench uses, so
+that another machine's BLAS summation order does not fail it.
+``test_error`` is compared exactly.
 
-Rewrite the file with ``PYTHONPATH=src python tests/test_golden.py``,
-only for a change that is meant to move the traces, and state the drift:
-the script prints, for every trace whose sha256 changes, its max abs and
-max rel drift against the file it overwrites.
+``PYTHONPATH=src python tests/test_golden.py --check`` prints, for every
+trace or parameter digest whose sha256 would change, its max abs and max
+rel drift against the file, writes nothing, and exits 1 when anything
+drifted. Without ``--check`` the script prints the same report and
+rewrites the file: do that only for a change that is meant to move the
+traces, and state the drift.
 """
 
 import dataclasses
 import functools
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +40,7 @@ STEPS = 40
 RTOL = 1e-9
 ATOL = 1e-12
 TRACES = ("step_objective", "step_grad_lambda")
+PARAM_SAMPLES = 8
 COMBOS = [
     f"{backbone}/{layer}/{policy}"
     for backbone in ("embed-mlp", "text-cnn")
@@ -68,12 +76,16 @@ def _digest(values) -> str:
 
 
 def record(combo: str) -> dict:
-    _, report = _train(combo)
+    model, report = _train(combo)
     entry = {"test_error": report.test_error}
     for name in TRACES:
         values = getattr(report, name)
         entry[name] = np.asarray(values, dtype=np.float64).tolist()
         entry[f"{name}_sha256"] = _digest(values)
+    flat = np.concatenate([p.data.ravel() for p in model.params.values()])
+    picks = np.linspace(0, flat.size - 1, PARAM_SAMPLES).round().astype(np.intp)
+    entry["params"] = flat[picks].tolist()
+    entry["params_sha256"] = _digest(flat)
     return entry
 
 
@@ -104,7 +116,7 @@ def test_trace_matches_golden(combo, golden):
     expected = golden[combo]
     got = record(combo)
     assert got["test_error"] == expected["test_error"]
-    for name in TRACES:
+    for name in (*TRACES, "params"):
         np.testing.assert_allclose(
             got[name], expected[name], rtol=RTOL, atol=ATOL, err_msg=f"{combo} {name}"
         )
@@ -142,10 +154,17 @@ def drift_lines(old: dict, new: dict) -> list:
 
 
 if __name__ == "__main__":
+    check = sys.argv[1:] == ["--check"]
+    if sys.argv[1:] and not check:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
     traces = {combo: record(combo) for combo in COMBOS}
     traces.update({combo: record_sweep(combo) for combo in SWEEP_COMBOS})
     previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    for line in drift_lines(previous, traces):
+    drift = drift_lines(previous, traces)
+    for line in drift:
         print(line)
+    if check:
+        print(f"{len(drift)} digests differ from {GOLDEN}" if drift else "no change")
+        sys.exit(1 if drift else 0)
     GOLDEN.write_text(json.dumps(traces, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")
