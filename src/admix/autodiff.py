@@ -22,6 +22,7 @@ to single-precision rounding noise to train reliably in float32.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -287,28 +288,46 @@ def _columns(x: np.ndarray, width: int, t_out: int) -> np.ndarray:
     return windows.reshape(n, d * width, t_out)
 
 
-def _conv_pre(x: np.ndarray, bank: np.ndarray, widths: np.ndarray) -> np.ndarray:
+def _conv_pre(x: np.ndarray, bank: np.ndarray, widths: np.ndarray, kept=None) -> np.ndarray:
     """Preactivations [n, t, sum(c)] of x under the stacked bank, t = len - min(widths) + 1.
 
     One small matrix product per row, so no row sees another and BLAS
     spawns no threads. A column is 0 at positions past its filter's last
-    full window.
+    full window. When ``kept`` is a list, the im2col columns are appended
+    to it for the backward; otherwise they are freed once the product is
+    taken.
     """
     length = x.shape[1]
     t_out = length - int(widths.min()) + 1
-    pre = _columns(x, int(widths.max()), t_out).transpose(0, 2, 1) @ bank
+    cols = _columns(x, int(widths.max()), t_out)
+    if kept is not None:
+        kept.append(cols)
+    pre = cols.transpose(0, 2, 1) @ bank
+    del cols
     pre[:, np.arange(t_out)[:, None] > length - widths] = 0.0
     return pre
 
 
-def _conv_backward(g, x, bank, widths, argmax, out, need_x, need_f):
+@functools.lru_cache(maxsize=32)
+def _fold(length: int, width: int, t_out: int) -> np.ndarray:
+    """The read-only 0/1 [length, t_out * width] matrix that sends window t,
+    offset u to position t + u, built once per shape."""
+    offsets = np.arange(t_out)[:, None] + np.arange(width)
+    fold = (np.arange(length)[:, None] == offsets.reshape(1, -1)).astype(np.float64)
+    fold.flags.writeable = False
+    return fold
+
+
+def _conv_backward(g, x, bank, widths, argmax, out, cols, need_x, need_f):
     """Adjoints of x and of the stacked bank, one row block at a time.
 
-    The relu-gated gradient goes into a dense [rows, t, sum(c)] grid at
-    each column's argmax. The bank's adjoint is the block's rebuilt
-    columns times the grid, summed over rows. The input's is the grid
-    times the bank, each window's adjoint, folded back onto x by one
-    product with the 0/1 matrix that sends window t, offset u to t + u.
+    ``cols`` holds each block's im2col columns from the forward, which
+    this only reads. The relu-gated gradient goes into a dense
+    [rows, t, sum(c)] grid at each column's argmax. The bank's adjoint is
+    the block's columns times the grid, summed over rows. The input's is
+    the grid times the bank, each window's adjoint, folded back onto x by
+    one product with the cached 0/1 matrix that sends window t, offset u
+    to t + u (``_fold``).
     """
     length, d = x.shape[1:]
     width = int(widths.max())
@@ -318,13 +337,12 @@ def _conv_backward(g, x, bank, widths, argmax, out, need_x, need_f):
     gbank = np.zeros_like(bank) if need_f else None
     # the bank's rows offset-major, to match the fold's (t, u) pairs
     bank_t = bank.reshape(d, width, -1).transpose(2, 1, 0).reshape(-1, width * d)
-    offsets = np.arange(t_out)[:, None] + np.arange(width)
-    fold = (np.arange(length)[:, None] == offsets.reshape(1, -1)).astype(np.float64)
-    for rows in _row_blocks(x.shape[0]):
+    fold = _fold(length, width, t_out)
+    for rows, block_cols in zip(_row_blocks(x.shape[0]), cols):
         grid = np.zeros((rows.stop - rows.start, t_out, bank.shape[1]))
         np.put_along_axis(grid, argmax[rows, None, :], routed[rows, None, :], axis=1)
         if need_f:
-            gbank += (_columns(x[rows], width, t_out) @ grid).sum(axis=0)
+            gbank += (block_cols @ grid).sum(axis=0)
         if need_x:
             gx[rows] = fold @ (grid @ bank_t).reshape(-1, t_out * width, d)
     return gx, gbank
@@ -341,11 +359,14 @@ def conv1d_maxpool_batch(x: Tensor, *filters: Tensor) -> Tensor:
     Rows run in blocks of ``CONV_BLOCK_ROWS``. The forward unfolds each
     block's windows of the widest filter (im2col) and multiplies them by
     the stacked bank, one small product per row; a narrower filter's
-    columns are zeroed past its last full window. The backward rebuilds
-    each block's columns rather than keeping them (``_conv_backward``).
-    BLAS sums each window in its own order, so the result agrees with a
-    per-window loop to rounding, not bitwise; but a row's result never
-    depends on the other rows.
+    columns are zeroed past its last full window. A recorded node keeps
+    every block's columns for its backward (``_conv_backward``), which
+    then unfolds nothing: rows x d * w_max x t floats, about 450 KB for a
+    32-row batch of the acceptance text-cnn. A tape-free forward frees
+    each block's columns as soon as its product is taken. BLAS sums each
+    window in its own order, so the result agrees with a per-window loop
+    to rounding, not bitwise; but a row's result never depends on the
+    other rows.
     """
     if x.ndim != 3:
         raise ValueError(f"conv1d_maxpool_batch expects [n, len, d], got {x.shape}")
@@ -361,13 +382,14 @@ def conv1d_maxpool_batch(x: Tensor, *filters: Tensor) -> Tensor:
             raise ValueError(f"input length {length} is shorter than filter {k} width {f.shape[0]}")
     bank, widths = _stack_filters([f.data for f in filters])
     requires_grad = _needs_grad(x, *filters)
-    # only a recorded node needs the argmax
-    argmax = None
+    # only a recorded node needs the argmax and each block's columns
+    argmax = cols = None
     if requires_grad and active_tape() is not None:
         argmax = np.empty((n, bank.shape[1]), dtype=np.intp)
+        cols = []
     out_data = np.empty((n, bank.shape[1]))
     for rows in _row_blocks(n):
-        pre = _conv_pre(x.data[rows], bank, widths)
+        pre = _conv_pre(x.data[rows], bank, widths, cols)
         top = pre.max(axis=1)
         out_data[rows] = np.maximum(top, 0.0)
         if argmax is not None:  # the earliest max; where it is <= 0 no gradient flows
@@ -376,7 +398,8 @@ def conv1d_maxpool_batch(x: Tensor, *filters: Tensor) -> Tensor:
 
     def backward_fn(g):
         gx, gbank = _conv_backward(
-            g, x.data, bank, widths, argmax, out_data, x.requires_grad, _needs_grad(*filters)
+            g, x.data, bank, widths, argmax, out_data, cols, x.requires_grad,
+            _needs_grad(*filters),
         )
         grads = [gx]
         lo = 0

@@ -49,17 +49,22 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimState:
-    """Adam step count and moments.
+    """Adam step count, moments and scratch.
 
     ``m`` and ``v`` are each one flat vector over every parameter, laid
-    out in the iteration order of the ``params`` dict, and are allocated
-    by the first ``adam_update``.
+    out in the iteration order of the ``params`` dict. The first
+    ``adam_update`` allocates them together with ``work_a`` and
+    ``work_b``, two scratch vectors of the same size that every step
+    overwrites, so a step allocates no full-length temporaries beyond
+    the concatenated gradient.
     """
 
     lr: float = 2e-4
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    work_a: np.ndarray | None = field(default=None, repr=False, compare=False)
+    work_b: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def adam_update(params: dict, grads: dict, state: OptimState) -> None:
@@ -68,7 +73,8 @@ def adam_update(params: dict, grads: dict, state: OptimState) -> None:
     A missing gradient counts as zero. The update runs once over the
     concatenated gradients, with the same elementwise expressions in the
     same order as a per-parameter loop, so the result is bitwise equal to
-    it. Every check runs before any parameter or moment changes.
+    it; each intermediate goes into the state's scratch vectors. Every
+    check runs before any parameter, moment or scratch changes.
     """
     flat = []
     for name, param in params.items():
@@ -87,17 +93,21 @@ def adam_update(params: dict, grads: dict, state: OptimState) -> None:
         bad = next(name for name, g in zip(params, flat) if not np.all(np.isfinite(g)))
         raise DivergenceError(f"non-finite gradient for {bad!r} at step {state.t + 1}")
     if state.m is None:
-        state.m = np.zeros_like(grad)
-        state.v = np.zeros_like(grad)
+        state.m, state.v = np.zeros_like(grad), np.zeros_like(grad)
+        state.work_a, state.work_b = np.empty_like(grad), np.empty_like(grad)
     state.t += 1
-    m, v = state.m, state.v
+    m, v, a, b = state.m, state.v, state.work_a, state.work_b
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    m += np.multiply(1.0 - ADAM_BETA1, grad, out=a)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**state.t)
-    v_hat = v / (1.0 - ADAM_BETA2**state.t)
-    step = state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    np.multiply(1.0 - ADAM_BETA2, grad, out=a)
+    v += np.multiply(a, grad, out=a)
+    np.divide(m, 1.0 - ADAM_BETA1**state.t, out=a)  # m_hat
+    np.divide(v, 1.0 - ADAM_BETA2**state.t, out=b)  # v_hat
+    np.multiply(state.lr, a, out=a)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    step = np.divide(a, b, out=a)  # lr * m_hat / (sqrt(v_hat) + eps)
     offset = 0
     for param in params.values():
         size = param.data.size
@@ -362,7 +372,8 @@ def policy_step(model, batch, config, mix_rng, dropout_rng):
     return total, am.LossBundle.unperturbed(loss.data, lam)
 
 
-def _slice_batch(enc: md.Batch, idx: np.ndarray) -> md.Batch:
+def _slice_batch(enc: md.Batch, idx) -> md.Batch:
+    """Rows ``idx`` of every field: a gather for an index array, views for a slice."""
     return md.Batch(
         enc.token_ids[idx], enc.valid_lens[idx], enc.label_rows[idx], enc.label_ids[idx]
     )
@@ -437,12 +448,13 @@ def train(config: ExperimentConfig, seed: int, step_hook=None):
             best_state = model.state()
 
     n = len(enc_train)
-    order = shuffle_rng.permutation(n)
+    # the training set gathered once per epoch in its shuffle order; a
+    # batch, order[pos : pos + batch_size], is then a slice of views
+    epoch = _slice_batch(enc_train, shuffle_rng.permutation(n))
     pos = 0
     for step in range(config.max_steps):
-        idx = order[pos : pos + config.batch_size]
+        batch = _slice_batch(epoch, slice(pos, pos + config.batch_size))
         pos += config.batch_size
-        batch = _slice_batch(enc_train, idx)
 
         params = model.trainable_params()
         with ad.Tape() as tape:
@@ -452,16 +464,16 @@ def train(config: ExperimentConfig, seed: int, step_hook=None):
             raise DivergenceError(f"non-finite loss at step {step}")
         adam_update(params, grads, optim)
 
-        report.step_loss.append(float(np.mean(bundle.loss)))
-        report.step_mask_rate.append(float(np.mean(bundle.mask)))
-        report.step_grad_lambda.append(float(np.mean(np.abs(bundle.grad_lambda))))
+        report.step_loss.append(float(bundle.loss.mean()))
+        report.step_mask_rate.append(float(bundle.mask.mean()))
+        report.step_grad_lambda.append(float(np.abs(bundle.grad_lambda).mean()))
         report.step_objective.append(float(total.data))
         if step_hook is not None:
             step_hook(step, bundle)
 
         if pos >= n:
             dev_checkpoint(step)
-            order = shuffle_rng.permutation(n)
+            epoch = _slice_batch(enc_train, shuffle_rng.permutation(n))
             pos = 0
     if pos != 0:
         dev_checkpoint(config.max_steps - 1)

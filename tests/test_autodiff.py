@@ -5,6 +5,8 @@ central finite differences for smooth paths, and hand-computed
 scatter/selector algebra where the answer is exact.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,73 @@ class TestConvMaxpool:
             ad.conv1d_maxpool_batch(x, good, ad.Tensor(np.zeros((3, 4, 2))))
         with pytest.raises(ValueError, match="length 5 is shorter than filter 2 width 6"):
             ad.conv1d_maxpool_batch(x, good, good, ad.Tensor(np.zeros((6, 3, 1))))
+
+    @staticmethod
+    def counted_columns(monkeypatch):
+        """Replace ``ad._columns`` by a wrapper; returns a weak reference to
+        every column array it hands out, in call order."""
+        made = []
+        columns = ad._columns
+
+        def tracking(*args):
+            cols = columns(*args)
+            made.append(weakref.ref(cols))
+            return cols
+
+        monkeypatch.setattr(ad, "_columns", tracking)
+        return made
+
+    def test_recorded_node_unfolds_each_block_once(self, monkeypatch):
+        monkeypatch.setattr(ad, "CONV_BLOCK_ROWS", 2)
+        made = self.counted_columns(monkeypatch)
+        rng = np.random.default_rng(40)
+        x = ad.Tensor(rand(rng, 5, 7, 3), requires_grad=True)
+        fs = [ad.Tensor(rand(rng, w, 3, 2), requires_grad=True) for w in (2, 4)]
+        with ad.Tape() as tape:
+            y = weighted_sum(ad.conv1d_maxpool_batch(x, *fs), rand(rng, 5, 4))
+        assert len(made) == 3  # one unfold per row block
+        first = ad.backward(tape, y, [x, *fs])
+        assert len(made) == 3  # the backward reads the kept columns
+        # a second walk of the same tape sees the columns unwritten
+        second = ad.backward(tape, y, [x, *fs])
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+
+    def test_tape_free_forward_frees_each_blocks_columns(self, monkeypatch):
+        monkeypatch.setattr(ad, "CONV_BLOCK_ROWS", 2)
+        made = self.counted_columns(monkeypatch)
+        alive = []
+        conv_pre = ad._conv_pre
+
+        def checking(*args):
+            pre = conv_pre(*args)
+            alive.append(made[-1]() is not None)
+            return pre
+
+        monkeypatch.setattr(ad, "_conv_pre", checking)
+        rng = np.random.default_rng(41)
+        x_data, f_data = rand(rng, 5, 7, 3), rand(rng, 3, 3, 2)
+        ad.conv1d_maxpool_batch(ad.Tensor(x_data), ad.Tensor(f_data, requires_grad=True))
+        assert alive == [False] * 3
+        with ad.Tape():  # a recorded node keeps them for its backward
+            ad.conv1d_maxpool_batch(ad.Tensor(x_data), ad.Tensor(f_data, requires_grad=True))
+        assert alive == [False] * 3 + [True] * 3
+
+    def test_backward_builds_the_fold_matrix_once_per_shape(self):
+        rng = np.random.default_rng(42)
+        ad._fold.cache_clear()
+        x = ad.Tensor(rand(rng, 2, 6, 3), requires_grad=True)
+        f = ad.Tensor(rand(rng, 3, 3, 2), requires_grad=True)
+        for _ in range(2):
+            with ad.Tape() as tape:
+                y = ad.reduce_sum(ad.conv1d_maxpool_batch(x, f))
+            ad.backward(tape, y, [x, f])
+        info = ad._fold.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        fold = ad._fold(6, 3, 4)
+        assert not fold.flags.writeable
+        # window t, offset u lands on position t + u
+        assert fold.sum() == 4 * 3 and fold[5, 3 * 3 + 2] == 1.0
 
     def test_batch_matches_per_sample_loop(self):
         hypothesis = pytest.importorskip("hypothesis")

@@ -83,6 +83,24 @@ class TestAdam:
             for k, p in params.items():
                 assert np.array_equal(p.data, before[k])
 
+    def test_state_reused_on_another_size_raises_before_any_write(self):
+        p = ad.Tensor(np.ones(3), requires_grad=True)
+        state = hz.OptimState(lr=0.1)
+        hz.adam_update({"p": p}, {"p": np.ones(3)}, state)
+        held = (state.m, state.v, state.work_a, state.work_b)
+        before = [a.copy() for a in held]
+        for size in (2, 4):
+            q = ad.Tensor(np.zeros(size), requires_grad=True)
+            with pytest.raises(ValueError, match="optimizer state holds 3 moments"):
+                hz.adam_update({"q": q}, {"q": np.ones(size)}, state)
+            assert state.t == 1 and np.array_equal(q.data, np.zeros(size))
+            for array, copy in zip(held, before):
+                assert array.tobytes() == copy.tobytes()
+        # the scratch is neither shown nor compared
+        assert "work_a" not in repr(state)
+        fresh = hz.OptimState(lr=0.1, t=1, m=state.m, v=state.v)
+        assert fresh == state
+
     @pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
     def test_flat_update_matches_per_parameter_loop_bitwise(self, backbone):
         def per_parameter(params, grads, st):
@@ -330,6 +348,34 @@ class TestTrain:
         cfg = tiny_config(backbone="embed-mlp", layer="word", policy="amp", max_steps=1)
         hz.train(cfg, seed=0)
         assert len(calls) == 1
+
+    def test_batches_are_gathers_of_the_shuffle_order(self, monkeypatch):
+        # 54 training rows in batches of 16: every epoch ends on a short batch
+        cfg = tiny_config(policy="none", max_steps=9)
+        seen = []
+        policy_step = hz.policy_step
+
+        def capture(model, batch, *args):
+            seen.append(batch)
+            return policy_step(model, batch, *args)
+
+        monkeypatch.setattr(hz, "policy_step", capture)
+        hz.train(cfg, seed=0)
+        train_split, _, _, vocab = hz.prepare_task(cfg, seed=0)
+        enc = dt.encode_batch(train_split.examples, vocab, cfg.max_len, cfg.num_classes)
+        shuffle = hz._stream(0, "shuffle")
+        expected = []
+        while len(expected) < cfg.max_steps:
+            order = shuffle.permutation(len(enc))
+            expected += [order[pos : pos + 16] for pos in range(0, len(enc), 16)]
+        expected = expected[: cfg.max_steps]
+        assert [len(idx) for idx in expected] == [16, 16, 16, 6] * 2 + [16]
+        assert len(seen) == cfg.max_steps
+        for batch, idx in zip(seen, expected):
+            want = hz._slice_batch(enc, idx)
+            for field in dataclasses.fields(md.Batch):
+                got_rows, want_rows = getattr(batch, field.name), getattr(want, field.name)
+                assert got_rows.tobytes() == want_rows.tobytes(), field.name
 
     def test_policies_share_data_and_init_randomness(self):
         # same seed, different policy: identical init and batch order, so
