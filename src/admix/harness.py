@@ -460,6 +460,9 @@ def train(config: ExperimentConfig, seed: int, step_hook=None):
         with ad.Tape() as tape:
             total, bundle = policy_step(model, batch, config, mix_rng, dropout_rng)
             grads = dict(zip(params, ad.backward(tape, total, params.values())))
+        # the tape holds every intermediate of the step, the conv's im2col
+        # columns among them; free it before the update and the dev check
+        del tape
         if not np.isfinite(total.data):
             raise DivergenceError(f"non-finite loss at step {step}")
         adam_update(params, grads, optim)

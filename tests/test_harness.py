@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -67,39 +68,28 @@ class TestAdam:
         params = {k: ad.Tensor(rng.standard_normal(3), requires_grad=True) for k in "abc"}
         state = hz.OptimState(lr=0.1)
         hz.adam_update(params, {k: np.ones(3) for k in params}, state)
-        before = {k: p.data.copy() for k, p in params.items()}
-        moments = (state.m.copy(), state.v.copy())
+        other = {**params, "d": ad.Tensor(np.zeros(3), requires_grad=True)}
+        before = {k: p.data.copy() for k, p in other.items()}
+        held = (state.m, state.v, state.work_a, state.work_b)
+        copies = [a.copy() for a in held]
         cases = [
             (DivergenceError, "'c'", params, {"a": np.ones(3), "c": np.array([1.0, np.inf, 0.0])}),
             (ValueError, "'b'", params, {"b": np.ones(4)}),
-            # a state built for three parameters never steps a set of two
-            (ValueError, "optimizer state", {k: params[k] for k in "ab"}, {}),
+            # a state built for three parameters never steps a set of two or four
+            (ValueError, "holds 9 moments", {k: params[k] for k in "ab"}, {}),
+            (ValueError, "holds 9 moments", other, {k: np.ones(3) for k in other}),
         ]
         for error, match, ps, grads in cases:
             with pytest.raises(error, match=match):
                 hz.adam_update(ps, grads, state)
             assert state.t == 1
-            assert np.array_equal(state.m, moments[0]) and np.array_equal(state.v, moments[1])
-            for k, p in params.items():
-                assert np.array_equal(p.data, before[k])
-
-    def test_state_reused_on_another_size_raises_before_any_write(self):
-        p = ad.Tensor(np.ones(3), requires_grad=True)
-        state = hz.OptimState(lr=0.1)
-        hz.adam_update({"p": p}, {"p": np.ones(3)}, state)
-        held = (state.m, state.v, state.work_a, state.work_b)
-        before = [a.copy() for a in held]
-        for size in (2, 4):
-            q = ad.Tensor(np.zeros(size), requires_grad=True)
-            with pytest.raises(ValueError, match="optimizer state holds 3 moments"):
-                hz.adam_update({"q": q}, {"q": np.ones(size)}, state)
-            assert state.t == 1 and np.array_equal(q.data, np.zeros(size))
-            for array, copy in zip(held, before):
+            for array, copy in zip(held, copies):  # moments and scratch alike
                 assert array.tobytes() == copy.tobytes()
+            for k, p in other.items():
+                assert np.array_equal(p.data, before[k])
         # the scratch is neither shown nor compared
         assert "work_a" not in repr(state)
-        fresh = hz.OptimState(lr=0.1, t=1, m=state.m, v=state.v)
-        assert fresh == state
+        assert state == hz.OptimState(lr=0.1, t=1, m=state.m, v=state.v)
 
     @pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
     def test_flat_update_matches_per_parameter_loop_bitwise(self, backbone):
@@ -376,6 +366,27 @@ class TestTrain:
             for field in dataclasses.fields(md.Batch):
                 got_rows, want_rows = getattr(batch, field.name), getattr(want, field.name)
                 assert got_rows.tobytes() == want_rows.tobytes(), field.name
+
+    def test_step_tape_is_freed_before_the_update(self, monkeypatch):
+        # a live tape holds the step's intermediates, the conv's columns
+        # among them, through the update and the dev evaluation
+        tapes = []
+
+        class TrackedTape(ad.Tape):
+            def __enter__(self):
+                tapes.append(weakref.ref(self))
+                return super().__enter__()
+
+        adam_update = hz.adam_update
+
+        def checking(*args):
+            assert tapes and all(ref() is None for ref in tapes)
+            return adam_update(*args)
+
+        monkeypatch.setattr(ad, "Tape", TrackedTape)
+        monkeypatch.setattr(hz, "adam_update", checking)
+        hz.train(tiny_config(backbone="text-cnn", policy="amp", max_steps=3), seed=0)
+        assert len(tapes) == 3
 
     def test_policies_share_data_and_init_randomness(self):
         # same seed, different policy: identical init and batch order, so
