@@ -32,12 +32,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.examples)
 
-    def class_counts(self) -> np.ndarray:
-        counts = np.zeros(self.num_classes, dtype=np.int64)
-        for _, label in self.examples:
-            counts[label] += 1
-        return counts
-
     def replaced(self, examples: list) -> "Dataset":
         return Dataset(examples, self.num_classes, self.name, dict(self.label_names))
 
@@ -49,12 +43,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self.id_to_token)
-
-    def encode_token(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
-    def decode(self, ids) -> list:
-        return [self.id_to_token[int(i)] for i in ids]
 
 
 def tokenize(text: str) -> list:

@@ -10,9 +10,10 @@ At ``word``, embed-mlp's suffix opens with a mean pool, which is linear
 in each row: pooling both endpoints over the pair's longer valid length
 and mixing the pooled rows is the wordMixup of Guo et al. (2019), the
 grid blend followed by the pool, up to rounding. ``pair_up`` pools
-once, so every score of a pairing mixes [n, embed_dim] rows instead of
-the [n, max_len, embed_dim] grid. text-cnn's conv is not linear, so its
-word grids are mixed as they are.
+before it gathers: the partner rows it takes are pooled [n, embed_dim]
+rows, never the [n, max_len, embed_dim] grid, and every score of the
+pairing mixes those rows. text-cnn's conv is not linear, so its word
+grids are gathered and mixed as they are.
 """
 
 from __future__ import annotations
@@ -123,14 +124,6 @@ def pair_batch(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(perm)
 
 
-def mix_labels(y_i: np.ndarray, y_j: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Interpolated label rows; plain arrays, never differentiated."""
-    if y_i.shape != y_j.shape:
-        raise ValueError(f"label shapes differ: {y_i.shape} vs {y_j.shape}")
-    lam_col = np.asarray(lam)[:, None]
-    return y_i * lam_col + y_j * (1.0 - lam_col)
-
-
 def pair_up(
     model: md.Model,
     hidden: md.Hidden,
@@ -140,19 +133,30 @@ def pair_up(
 ) -> MixBatch:
     """Pair row s of ``hidden`` with row ``j_index[s]``.
 
-    The partner rows are gathered on the active tape, so gradients reach
-    both endpoints. An embed-mlp word grid is mean-pooled here, both
-    endpoints over the longer of the pair's two valid lengths, and the
-    pairing holds only the pooled rows, at ``md.POOLED``, so every score
-    of it mixes [n, embed_dim] rows and none keeps the grid alive.
+    ``j_index`` must be a permutation of ``range(n)``, so each row is the
+    partner in exactly one pair. The partner rows are gathered on the
+    active tape, so gradients reach both endpoints. An embed-mlp word
+    grid is mean-pooled before the gather, both endpoints of a pair over
+    the longer of its two valid lengths: each row is pooled once as the
+    first endpoint of its own pair and once as the partner, over the
+    length of the pair that takes it. The gather then moves pooled
+    [n, embed_dim] rows, and the pairing holds only those, at
+    ``md.POOLED``, so no score of it touches the grid or keeps it alive.
     """
     layer, hidden_i = hidden.layer, hidden.tensor
-    hidden_j = ad.gather_rows(hidden_i, j_index)
+    n = hidden_i.shape[0]
+    j_index = np.asarray(j_index)
+    if j_index.dtype.kind not in "iu" or not np.array_equal(np.sort(j_index), np.arange(n)):
+        raise ValueError(f"j_index must be a permutation of range({n})")
     if layer == "word" and model.kind == "embed-mlp":
+        grid, layer = hidden_i, md.POOLED
         lens = np.maximum(hidden.valid_lens, hidden.valid_lens[j_index])
-        layer = md.POOLED
-        hidden_i = ad.mean_pool_batch(hidden_i, lens)
-        hidden_j = ad.mean_pool_batch(hidden_j, lens)
+        hidden_i = ad.mean_pool_batch(grid, lens)
+        # row r is the partner in pair inverse[r], so it pools over that pair's length
+        inverse = np.argsort(j_index)
+        hidden_j = ad.gather_rows(ad.mean_pool_batch(grid, lens[inverse]), j_index)
+    else:
+        hidden_j = ad.gather_rows(hidden_i, j_index)
     return MixBatch(
         layer=layer,
         hidden_i=hidden_i,

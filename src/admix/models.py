@@ -61,9 +61,6 @@ class Model:
     def trainable_params(self) -> dict[str, ad.Tensor]:
         return {k: p for k, p in self.params.items() if p.requires_grad}
 
-    def num_params(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
     def state(self) -> dict[str, np.ndarray]:
         return {k: p.data.copy() for k, p in self.params.items()}
 

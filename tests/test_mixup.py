@@ -6,6 +6,7 @@ import pytest
 from admix import amp
 from admix import autodiff as ad
 from admix import gradcheck as gk
+from admix import harness as hz
 from admix import mixup as mx
 from admix import models
 
@@ -159,34 +160,6 @@ class TestLerp:
             ad.lerp(g_i, ad.Tensor(np.zeros((4, 5))), ad.Tensor(np.ones(3)))
 
 
-class TestMixLabels:
-    def test_endpoints_and_midpoint(self):
-        y_i = np.eye(3)[[0, 1]]
-        y_j = np.eye(3)[[2, 2]]
-        np.testing.assert_array_equal(mx.mix_labels(y_i, y_j, np.ones(2)), y_i)
-        np.testing.assert_array_equal(mx.mix_labels(y_i, y_j, np.zeros(2)), y_j)
-        mid = mx.mix_labels(y_i, y_j, np.full(2, 0.5))
-        np.testing.assert_array_equal(mid, [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
-
-    def test_rows_stay_on_simplex(self):
-        rng = np.random.default_rng(13)
-        y_i = np.eye(4)[rng.integers(0, 4, 10)]
-        y_j = np.eye(4)[rng.integers(0, 4, 10)]
-        lam = rng.random(10)
-        mixed = mx.mix_labels(y_i, y_j, lam)
-        np.testing.assert_allclose(mixed.sum(axis=1), np.ones(10), rtol=1e-12)
-        assert mixed.min() >= 0.0
-
-    def test_swap_symmetry(self):
-        rng = np.random.default_rng(14)
-        y_i = np.eye(3)[rng.integers(0, 3, 8)]
-        y_j = np.eye(3)[rng.integers(0, 3, 8)]
-        lam = rng.random(8)
-        a = mx.mix_labels(y_i, y_j, lam)
-        b = mx.mix_labels(y_j, y_i, 1.0 - lam)
-        np.testing.assert_allclose(a, b, atol=1e-15)
-
-
 class TestPairCrossEntropy:
     """``ad.pair_cross_entropy``, the loss of a mixed pairing."""
 
@@ -197,7 +170,8 @@ class TestPairCrossEntropy:
         y_j = np.eye(4)[rng.integers(0, 4, 6)]
         lam = rng.random(6)
         weighted = ad.pair_cross_entropy(logits, y_i, y_j, lam).data
-        direct = ad.softmax_cross_entropy(logits, mx.mix_labels(y_i, y_j, lam)).data
+        mixed_rows = y_i * lam[:, None] + y_j * (1.0 - lam[:, None])
+        direct = ad.softmax_cross_entropy(logits, mixed_rows).data
         np.testing.assert_allclose(weighted, direct, rtol=1e-12, atol=1e-12)
 
     def test_lambda_one_recovers_plain_loss_bitwise(self):
@@ -270,8 +244,23 @@ class TestRandOp:
         for s, (i_row, j_row) in enumerate(zip(pairs.hidden_i.data, pairs.hidden_j.data)):
             np.testing.assert_allclose(i_row, grid[s, : lens[s]].mean(axis=0), rtol=1e-12)
             np.testing.assert_allclose(j_row, grid[j[s], : lens[s]].mean(axis=0), rtol=1e-12)
+        # pooling before the gather is bitwise the pool of the gathered grid
+        gathered = ad.mean_pool_batch(ad.gather_rows(hidden.tensor, j), lens)
+        np.testing.assert_array_equal(pairs.hidden_j.data, gathered.data)
         np.testing.assert_array_equal(pairs.y_j, batch.label_rows[j])
         assert pairs.layer == models.POOLED and pairs.hidden_i.shape == (len(batch), 5)
+
+    @pytest.mark.parametrize("layer", ["sent", "word"])
+    @pytest.mark.parametrize("j", [[0, 2, 2, 3, 4, 5], [0, 1, 2, 3, 4, 6]], ids=["repeat", "range"])
+    def test_rejects_a_pairing_that_is_not_a_permutation(self, j, layer):
+        model = make_model(np.random.default_rng(20))
+        batch = make_batch(np.random.default_rng(21))
+        with ad.Tape() as tape:
+            hidden = models.forward_to_layer(model, batch, layer)
+            recorded = len(tape.nodes)
+            with pytest.raises(ValueError, match="j_index must be a permutation"):
+                mx.pair_up(model, hidden, batch.label_rows, np.array(j))
+            assert len(tape.nodes) == recorded
 
     def test_text_cnn_word_grid_is_paired_as_is(self):
         model = models.init_text_cnn(25, 5, (2, 3), 4, 3, np.random.default_rng(20))
@@ -399,6 +388,51 @@ class TestPooledWordMixing:
         # has exact zeros and tiny sums that rounding moves by more
         for grid, pooled in zip(*results):
             assert np.abs(pooled - grid).max() <= 1e-13 * np.abs(grid).max()
+
+    @staticmethod
+    def gathered_grid_pair_up(model, hidden, label_rows, j_index, dropout_mask=None):
+        """The pairing as it was before pooling moved ahead of the gather:
+        gather the partner's whole grid, then pool both endpoints."""
+        lens = np.maximum(hidden.valid_lens, hidden.valid_lens[j_index])
+        return mx.MixBatch(
+            layer=models.POOLED,
+            hidden_i=ad.mean_pool_batch(hidden.tensor, lens),
+            hidden_j=ad.mean_pool_batch(ad.gather_rows(hidden.tensor, j_index), lens),
+            y_i=label_rows,
+            y_j=label_rows[j_index],
+            dropout_mask=dropout_mask,
+        )
+
+    @pytest.mark.parametrize("policy", ["mixup", "amp"])
+    def test_step_gradients_match_the_gathered_grid_pairing_bitwise(self, policy, monkeypatch):
+        model = make_model(np.random.default_rng(44), dropout=0.3)
+        batch = make_batch(np.random.default_rng(45), n=7, max_len=9)
+        batch.valid_lens = np.array([1, 9, 4, 4, 2, 7, 3])
+        config = mx.MixConfig(policy=policy, layer="word", epsilon=0.3)
+        params = list(model.trainable_params().values())
+
+        def step():
+            with ad.Tape() as tape:
+                total, bundle = hz.policy_step(
+                    model, batch, config, np.random.default_rng(46), np.random.default_rng(47)
+                )
+                return [total.data, bundle.loss, *ad.backward(tape, total, params)]
+
+        pooled = step()
+        monkeypatch.setattr(mx, "pair_up", self.gathered_grid_pair_up)
+        gathered = step()
+        for a, b in zip(pooled, gathered):
+            np.testing.assert_array_equal(a, b)
+
+    def test_partner_gather_moves_pooled_rows(self):
+        model = make_model(np.random.default_rng(40))
+        batch = make_batch(np.random.default_rng(41), n=7, max_len=9)
+        j = mx.pair_batch(len(batch), np.random.default_rng(6))
+        with ad.Tape() as tape:
+            hidden = models.forward_to_layer(model, batch, "word")
+            mx.pair_up(model, hidden, batch.label_rows, j)
+        (gather,) = [node for node in tape.nodes if node.op == "gather_rows"]
+        assert gather.inputs[0].shape == (len(batch), model.params["embed"].shape[1])
 
 
 class TestScore:

@@ -21,7 +21,7 @@ class TestInit:
         rng = np.random.default_rng(0)
         m = models.init_embed_mlp(10, 4, 8, 2, rng)
         # embedding 10*4, hidden dense 4*8+8, output dense 8*2+2
-        assert m.num_params() == 10 * 4 + (4 * 8 + 8) + (8 * 2 + 2) == 98
+        assert sum(p.data.size for p in m.params.values()) == 10 * 4 + (4 * 8 + 8) + (8 * 2 + 2) == 98
         assert m.sent_dim == 8
         assert set(m.params) == {"embed", "w_hidden", "b_hidden", "w_out", "b_out"}
         np.testing.assert_array_equal(m.params["b_hidden"].data, np.zeros(8))
@@ -32,7 +32,7 @@ class TestInit:
         m = models.init_text_cnn(30, 6, (3, 4, 5), 16, 4, rng)
         assert m.sent_dim == 3 * 16 == 48
         expected = 30 * 6 + sum(w * 6 * 16 for w in (3, 4, 5)) + 48 * 4 + 4
-        assert m.num_params() == expected
+        assert sum(p.data.size for p in m.params.values()) == expected
         assert m.dropout == 0.5
 
     def test_same_seed_same_params(self):
