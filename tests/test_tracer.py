@@ -5,10 +5,20 @@ attributes (``am.recompute_loss``, ``mx.rand_op``, ``hz.train``, ...) for
 timing wrappers. A refactor that renames or inlines one of them breaks
 ``Tracer.install``; this test catches that without running the benchmark.
 It reads ``perfbench/`` and changes nothing there.
+
+The tracer also wraps each recorded node's ``backward_fn``, and
+``sign_flip`` wraps it again to corrupt one op, both assuming the call
+``backward_fn(g)`` returns one adjoint per input. The step tests below
+run a real backward walk through those wrappers, so a change to that
+convention fails here rather than only in ``run.py --trace 1`` or
+``selfcheck.py``.
 """
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from admix import amp as am
 from admix import autodiff as ad
@@ -53,3 +63,59 @@ def test_install_wraps_and_uninstall_restores_every_attribute():
         after = vars(module)
         assert after.keys() == saved.keys()
         assert all(after[name] is value for name, value in saved.items()), module.__name__
+
+
+def recorded_step(policy: str):
+    """Loss and parameter gradients of one embed-mlp step at ``word``."""
+    rng = np.random.default_rng(3)
+    model = md.init_embed_mlp(25, 5, 6, 3, rng, dropout=0.3)
+    n, max_len = 6, 7
+    label_ids = rng.integers(0, 3, size=n)
+    batch = md.Batch(
+        rng.integers(0, 25, size=(n, max_len)),
+        rng.integers(1, max_len + 1, size=n),
+        np.eye(3)[label_ids],
+        label_ids,
+    )
+    config = mx.MixConfig(policy=policy, layer="word", epsilon=0.3)
+    params = list(model.trainable_params().values())
+    with ad.Tape() as tape:
+        total, _ = hz.policy_step(
+            model, batch, config, np.random.default_rng(4), np.random.default_rng(5)
+        )
+        return [total.data, *ad.backward(tape, total, params)], (n, max_len, 5)
+
+
+@pytest.mark.parametrize("policy", ["none", "mixup", "amp"])
+def test_traced_backward_runs_the_wrapped_adjoints_bitwise(policy):
+    untraced, _ = recorded_step(policy)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        traced, (n, max_len, dim) = recorded_step(policy)
+    finally:
+        tracer.uninstall()
+    for a, b in zip(untraced, traced):
+        np.testing.assert_array_equal(a, b)
+    # each scatter op's wrapped backward_fn saw its incoming gradient:
+    # the embedding lookup's [n, len, d] grid, plus the [n, d] pooled
+    # partner rows of a mixed pairing (amp's ascent stops at lambda, so
+    # only its final walk reaches them)
+    partner_rows = 0 if policy == "none" else n * dim
+    expected = 8 * (n * max_len * dim + partner_rows)
+    assert tracer.exact_counts()["autodiff.scatter_bytes"] == expected
+
+
+def test_sign_flip_negates_one_op_adjoint():
+    # every parameter gradient of a plain step flows through the loss op,
+    # so negating its adjoint negates them all, bit for bit
+    clean, _ = recorded_step("none")
+    restore = load_tracer().sign_flip("softmax_cross_entropy")
+    try:
+        flipped, _ = recorded_step("none")
+    finally:
+        restore()
+    np.testing.assert_array_equal(flipped[0], clean[0])
+    for a, b in zip(clean[1:], flipped[1:]):
+        assert np.any(a != 0)
+        np.testing.assert_array_equal(b, -a)
