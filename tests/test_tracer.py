@@ -65,15 +65,17 @@ def test_install_wraps_and_uninstall_restores_every_attribute():
         assert all(after[name] is value for name, value in saved.items()), module.__name__
 
 
+ROWS, MAX_LEN, EMBED_DIM = 6, 7, 5
+
+
 def recorded_step(policy: str):
     """Loss and parameter gradients of one embed-mlp step at ``word``."""
     rng = np.random.default_rng(3)
-    model = md.init_embed_mlp(25, 5, 6, 3, rng, dropout=0.3)
-    n, max_len = 6, 7
-    label_ids = rng.integers(0, 3, size=n)
+    model = md.init_embed_mlp(25, EMBED_DIM, 6, 3, rng, dropout=0.3)
+    label_ids = rng.integers(0, 3, size=ROWS)
     batch = md.Batch(
-        rng.integers(0, 25, size=(n, max_len)),
-        rng.integers(1, max_len + 1, size=n),
+        rng.integers(0, 25, size=(ROWS, MAX_LEN)),
+        rng.integers(1, MAX_LEN + 1, size=ROWS),
         np.eye(3)[label_ids],
         label_ids,
     )
@@ -83,16 +85,16 @@ def recorded_step(policy: str):
         total, _ = hz.policy_step(
             model, batch, config, np.random.default_rng(4), np.random.default_rng(5)
         )
-        return [total.data, *ad.backward(tape, total, params)], (n, max_len, 5)
+        return [total.data, *ad.backward(tape, total, params)]
 
 
 @pytest.mark.parametrize("policy", ["none", "mixup", "amp"])
 def test_traced_backward_runs_the_wrapped_adjoints_bitwise(policy):
-    untraced, _ = recorded_step(policy)
+    untraced = recorded_step(policy)
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        traced, (n, max_len, dim) = recorded_step(policy)
+        traced = recorded_step(policy)
     finally:
         tracer.uninstall()
     for a, b in zip(untraced, traced):
@@ -101,18 +103,18 @@ def test_traced_backward_runs_the_wrapped_adjoints_bitwise(policy):
     # the embedding lookup's [n, len, d] grid, plus the [n, d] pooled
     # partner rows of a mixed pairing (amp's ascent stops at lambda, so
     # only its final walk reaches them)
-    partner_rows = 0 if policy == "none" else n * dim
-    expected = 8 * (n * max_len * dim + partner_rows)
+    partner_rows = 0 if policy == "none" else ROWS * EMBED_DIM
+    expected = 8 * (ROWS * MAX_LEN * EMBED_DIM + partner_rows)
     assert tracer.exact_counts()["autodiff.scatter_bytes"] == expected
 
 
 def test_sign_flip_negates_one_op_adjoint():
     # every parameter gradient of a plain step flows through the loss op,
     # so negating its adjoint negates them all, bit for bit
-    clean, _ = recorded_step("none")
+    clean = recorded_step("none")
     restore = load_tracer().sign_flip("softmax_cross_entropy")
     try:
-        flipped, _ = recorded_step("none")
+        flipped = recorded_step("none")
     finally:
         restore()
     np.testing.assert_array_equal(flipped[0], clean[0])
