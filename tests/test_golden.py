@@ -8,7 +8,12 @@ grid on the test set, once over the full pairing and once over a single
 pair. Each training run also stores ``params``, a few entries sampled
 from its trained parameters flattened in ``model.params`` order, and
 ``params_sha256``, the digest of all of them, so a last-bit change to the
-weights shows even where every loss rounds to the same value. A refactor
+weights shows even where every loss rounds to the same value. ``train``
+returns the best-dev parameters, and every text-cnn run's best step is
+early, so each entry also stores ``final_params_sha256``, the digest of
+the trainable parameters after the last step, so a change to any step
+after the best one shows in a parameter digest too, not only in the
+losses. A refactor
 that leaves the arithmetic alone reproduces the stored sha256 digests
 bitwise; the test itself allows the float64 tolerance perfbench uses, so
 that another machine's BLAS summation order does not fail it.
@@ -16,7 +21,8 @@ that another machine's BLAS summation order does not fail it.
 
 ``PYTHONPATH=src python tests/test_golden.py --check`` prints, for every
 trace or parameter digest whose sha256 would change, its max abs and max
-rel drift against the file, writes nothing, and exits 1 when anything
+rel drift against the file (for ``final_params_sha256``, which stores no
+values, only that it changed), writes nothing, and exits 1 when anything
 drifted. Without ``--check`` the script prints the same report and
 rewrites the file: do that only for a change that is meant to move the
 traces, and state the drift.
@@ -28,6 +34,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -65,18 +72,29 @@ def _config(backbone: str, layer: str, policy: str):
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _train(combo: str):
-    """(model, report) of one golden run; the sweeps reuse its model."""
-    return hz.train(_config(*combo.split("/")), seed=0)
-
-
 def _digest(values) -> str:
     return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def _train(combo: str):
+    """(model, report, final_params_sha256) of one golden run; the sweeps
+    reuse its model. The digest is taken after every ``adam_update``, so
+    the one kept is that of the parameters after the last step."""
+    adam_update = hz.adam_update
+    final = {}
+
+    def update_and_digest(params, grads, state):
+        adam_update(params, grads, state)
+        final["sha256"] = _digest(np.concatenate([p.data.ravel() for p in params.values()]))
+
+    with mock.patch.object(hz, "adam_update", update_and_digest):
+        model, report = hz.train(_config(*combo.split("/")), seed=0)
+    return model, report, final["sha256"]
+
+
 def record(combo: str) -> dict:
-    model, report = _train(combo)
+    model, report, final_params_sha256 = _train(combo)
     entry = {"test_error": report.test_error}
     for name in TRACES:
         values = getattr(report, name)
@@ -86,13 +104,14 @@ def record(combo: str) -> dict:
     picks = np.linspace(0, flat.size - 1, PARAM_SAMPLES).round().astype(np.intp)
     entry["params"] = flat[picks].tolist()
     entry["params_sha256"] = _digest(flat)
+    entry["final_params_sha256"] = final_params_sha256
     return entry
 
 
 def record_sweep(combo: str) -> dict:
     backbone, layer, _ = combo.split("/")
-    model_amp, _ = _train(f"{backbone}/{layer}/amp")
-    model_mix, _ = _train(f"{backbone}/{layer}/mixup")
+    model_amp, _, _ = _train(f"{backbone}/{layer}/amp")
+    model_mix, _, _ = _train(f"{backbone}/{layer}/mixup")
     config = _config(backbone, layer, "amp")
     _, _, test_ds, vocab = hz.prepare_task(config, seed=0)
     entry = {}
@@ -134,12 +153,16 @@ def test_sweep_matches_golden(combo, golden):
 
 def drift_lines(old: dict, new: dict) -> list:
     """One line per trace of ``new`` whose sha256 differs from ``old``'s,
-    with the max abs and max rel drift between the two value lists."""
+    with the max abs and max rel drift between the two value lists, or
+    only the change for a digest stored without its values."""
     lines = []
     for combo, entry in new.items():
         for key, digest in entry.items():
             name = key.removesuffix("_sha256")
             if name == key or old.get(combo, {}).get(key) == digest:
+                continue
+            if name not in entry:
+                lines.append(f"{combo} {name}: sha256 differs (only the digest is stored)")
                 continue
             before = np.asarray(old.get(combo, {}).get(name, []), dtype=np.float64)
             after = np.asarray(entry[name], dtype=np.float64)
