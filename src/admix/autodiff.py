@@ -108,9 +108,6 @@ class Tape:
         if popped is not self:
             raise RuntimeError("tape stack corrupted: exited a tape that is not innermost")
 
-    def record(self, op, inputs, output, backward_fn) -> None:
-        self.nodes.append(_Node(op, inputs, output, backward_fn))
-
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -123,7 +120,7 @@ def active_tape() -> Tape | None:
 def _record(op, inputs, output, backward_fn) -> None:
     tape = active_tape()
     if tape is not None and output.requires_grad:
-        tape.record(op, inputs, output, backward_fn)
+        tape.nodes.append(_Node(op, inputs, output, backward_fn))
 
 
 def _needs_grad(*tensors: Tensor) -> bool:

@@ -204,16 +204,8 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; this tool reserves 2 for
-    # divergence and check failures, so usage problems remap to 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="admix", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="admix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run one seeded training run")
@@ -257,6 +249,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
+        # argparse exits with 2 on usage errors; this tool reserves 2 for
+        # divergence and check failures, so usage problems remap to 1
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)

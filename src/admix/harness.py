@@ -383,23 +383,19 @@ def _slice_batch(enc: md.Batch, idx) -> md.Batch:
 ROW_CHUNK = 512
 
 
+def _chunk_logits(model: md.Model, enc: md.Batch):
+    """Yield ``(rows, logits)`` per ``ROW_CHUNK``-row slice of ``enc``, dropout off."""
+    for start in range(0, len(enc), ROW_CHUNK):
+        rows = slice(start, start + ROW_CHUNK)
+        yield rows, md.forward(model, _slice_batch(enc, rows))
+
+
 def _error_rate(model: md.Model, enc: md.Batch) -> float:
+    """Fraction of argmax-logit mismatches; ties take the lowest class id."""
     wrong = 0
-    n = len(enc)
-    for start in range(0, n, ROW_CHUNK):
-        piece = _slice_batch(enc, np.arange(start, min(start + ROW_CHUNK, n)))
-        logits = md.forward(model, piece)
-        pred = np.argmax(logits.data, axis=1)  # ties take the lowest class id
-        wrong += int((pred != piece.label_ids).sum())
-    return wrong / n
-
-
-def evaluate(model: md.Model, dataset: dt.Dataset, vocab: dt.Vocab, max_len: int) -> float:
-    """Fraction of argmax-logit mismatches, dropout off."""
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    enc = dt.encode_batch(dataset.examples, vocab, max_len, model.num_classes)
-    return _error_rate(model, enc)
+    for rows, logits in _chunk_logits(model, enc):
+        wrong += int((np.argmax(logits.data, axis=1) != enc.label_ids[rows]).sum())
+    return wrong / len(enc)
 
 
 def train(config: ExperimentConfig, seed: int, step_hook=None):
@@ -642,11 +638,7 @@ def plain_mean_loss(model: md.Model, dataset: dt.Dataset, vocab: dt.Vocab, max_l
     if len(dataset) == 0:
         raise ValueError("cannot take the mean loss of an empty dataset")
     enc = dt.encode_batch(dataset.examples, vocab, max_len, model.num_classes)
-    n = len(enc)
-    losses = np.empty(n)
-    for start in range(0, n, ROW_CHUNK):
-        rows = np.arange(start, min(start + ROW_CHUNK, n))
-        piece = _slice_batch(enc, rows)
-        logits = md.forward(model, piece)
-        losses[rows] = ad.softmax_cross_entropy(logits, piece.label_rows).data
+    losses = np.empty(len(enc))
+    for rows, logits in _chunk_logits(model, enc):
+        losses[rows] = ad.softmax_cross_entropy(logits, enc.label_rows[rows]).data
     return float(np.mean(losses))
