@@ -35,12 +35,21 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def assert_usage_error(capsys, prog, message):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: {prog} ")
+    assert f"{prog}: error: {message}" in err
+
+
 class TestExitCodes:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
+        assert_usage_error(capsys, "admix", "the following arguments are required: command")
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["gradcheck", "--bogus"]) == 1
+        assert_usage_error(capsys, "admix", "unrecognized arguments: --bogus")
 
     def test_missing_config_file_is_config_error(self, capsys):
         assert main(["train", "--config", "/nonexistent/path.cfg"]) == 1
