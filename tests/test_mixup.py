@@ -366,10 +366,14 @@ class TestPooledWordMixing:
     def test_loss_and_every_gradient_match_the_grid_blend(self, lam_kind):
         model = make_model(np.random.default_rng(40), dropout=0.3)
         batch = make_batch(np.random.default_rng(41), n=7, max_len=9)
-        batch.valid_lens = np.array([1, 9, 4, 4, 2, 7, 3])
-        # row 0 pairs with itself; every other pair has two lengths
-        j = np.array([0, 2, 1, 5, 6, 3, 4])
+        batch.valid_lens = np.array([1, 9, 4, 6, 2, 7, 3])
+        # row 0 pairs with itself; every other pair has two lengths, and the
+        # two 3-cycles make a row's partner pair differ from the pair it
+        # takes, so pooling the partner over the wrong pair's length shows
+        j = np.array([0, 2, 3, 1, 5, 6, 4])
         assert np.all(batch.valid_lens[1:] != batch.valid_lens[j][1:])
+        lens = np.maximum(batch.valid_lens, batch.valid_lens[j])
+        assert not np.array_equal(lens[np.argsort(j)], lens[j])
         mask = models.make_dropout_mask(model, len(batch), np.random.default_rng(42))
         lam = {
             "zero": np.zeros(len(batch)),
