@@ -12,9 +12,17 @@ The tracer also wraps each recorded node's ``backward_fn``, and
 run a real backward walk through those wrappers, so a change to that
 convention fails here rather than only in ``run.py --trace 1`` or
 ``selfcheck.py``.
+
+The benchmark scripts also call the package directly (``hz.plain_mean_loss``,
+``hz.prepare_task``, ``dt.encode_batch``, ...). The last test reads every
+``perfbench/*.py`` with ``ast`` and checks that each package attribute it
+reads exists and takes every keyword passed to it there.
 """
 
+import ast
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -121,3 +129,44 @@ def test_sign_flip_negates_one_op_adjoint():
     for a, b in zip(clean[1:], flipped[1:]):
         assert np.any(a != 0)
         np.testing.assert_array_equal(b, -a)
+
+
+def package_uses():
+    """``(script, module, attribute, keywords)`` for every ``alias.attribute``
+    a perfbench script reads, where ``from admix import module as alias``
+    binds the alias; ``keywords`` are those of a call made through it."""
+    for path in sorted(TRACER.parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {
+            alias.asname or alias.name: importlib.import_module(f"admix.{alias.name}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "admix"
+            for alias in node.names
+        }
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+                call = calls.get(id(node))
+                keywords = [k.arg for k in call.keywords if k.arg] if call else []
+                yield path.name, aliases[node.value.id], node.attr, keywords
+
+
+def test_perfbench_reads_only_what_the_package_has():
+    uses = list(package_uses())
+    seen = {(script, module.__name__, attr) for script, module, attr, _ in uses}
+    assert {
+        ("run.py", "admix.harness", "plain_mean_loss"),
+        ("run.py", "admix.harness", "lambda_sweep"),
+        ("probe.py", "admix.harness", "prepare_task"),
+        ("probe.py", "admix.harness", "build_model"),
+        ("probe.py", "admix.data", "encode_batch"),
+    } <= seen
+    passed = {k for *_, keywords in uses for k in keywords}
+    assert {"step_hook", "grid_points", "pairing_seed"} <= passed
+    for script, module, attr, keywords in uses:
+        where = f"perfbench/{script}: {module.__name__}.{attr}"
+        assert hasattr(module, attr), f"{where} does not exist"
+        if keywords:
+            params = inspect.signature(getattr(module, attr)).parameters
+            missing = [k for k in keywords if k not in params]
+            assert not missing, f"{where} takes no keyword {missing}"
