@@ -11,12 +11,11 @@ from its trained parameters flattened in ``model.params`` order, and
 weights shows even where every loss rounds to the same value. ``train``
 returns the best-dev parameters, and every text-cnn run's best step is
 early, so each entry also stores ``final_params_sha256``, the digest of
-the trainable parameters after the last step, so a change to any step
-after the best one shows in a parameter digest too, not only in the
-losses. A refactor
-that leaves the arithmetic alone reproduces the stored sha256 digests
-bitwise; the test itself allows the float64 tolerance perfbench uses, so
-that another machine's BLAS summation order does not fail it.
+the trainable parameters after the last step: a change to a step after
+the best one shows in a parameter digest too, not only in the losses.
+A refactor that leaves the arithmetic alone reproduces the stored sha256
+digests bitwise; the test itself allows the float64 tolerance perfbench
+uses, so that another machine's BLAS summation order does not fail it.
 ``test_error`` is compared exactly.
 
 ``PYTHONPATH=src python tests/test_golden.py --check`` prints, for every
@@ -72,10 +71,6 @@ def _config(backbone: str, layer: str, policy: str):
     )
 
 
-def _digest(values) -> str:
-    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
-
-
 @functools.lru_cache(maxsize=None)
 def _train(combo: str):
     """(model, report, final_params_sha256) of one golden run; the sweeps
@@ -91,6 +86,10 @@ def _train(combo: str):
     with mock.patch.object(hz, "adam_update", update_and_digest):
         model, report = hz.train(_config(*combo.split("/")), seed=0)
     return model, report, final["sha256"]
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
 
 
 def record(combo: str) -> dict:
