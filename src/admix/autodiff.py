@@ -47,6 +47,7 @@ OPS = (
 )
 
 __all__ = ["Tensor", "Tape", "active_tape", "backward", *OPS]
+_FLOAT64 = np.dtype(np.float64)
 
 
 class Tensor:
@@ -55,7 +56,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        # np.asarray would return a base float64 array as is, so skip the call
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.requires_grad = requires_grad
 
     @property
@@ -118,17 +122,21 @@ def active_tape() -> Tape | None:
 
 
 def _record(op, inputs, output, backward_fn) -> None:
-    tape = active_tape()
-    if tape is not None and output.requires_grad:
-        tape.nodes.append(_Node(op, inputs, output, backward_fn))
+    if _TAPE_STACK and output.requires_grad:
+        _TAPE_STACK[-1].nodes.append(_Node(op, inputs, output, backward_fn))
 
 
 def _needs_grad(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
+    for t in tensors:
+        if t.requires_grad:
+            return True
+    return False
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
+    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting (``grad`` itself if it fits)."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -190,7 +198,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         if lo < 0 or hi >= vocab:
             bad = lo if lo < 0 else hi
             raise IndexError(f"id {bad} out of range for vocabulary of size {vocab}")
-    out = Tensor(table.data[idx], requires_grad=table.requires_grad)
+    out = Tensor(table.data.take(idx, axis=0), requires_grad=table.requires_grad)
 
     def backward_fn(g):
         return (_scatter_rows(table.shape, idx, g),)
@@ -234,8 +242,9 @@ def mean_pool_batch(x: Tensor, valid_lens) -> Tensor:
     weights = (np.arange(length)[None, :] < vls[:, None]) / vls[:, None]
     out = Tensor(np.einsum("sl,sld->sd", weights, x.data), requires_grad=x.requires_grad)
 
+    # weights[:, :, None] * g[:, None, :]; einsum adds each product to zeros, so -0.0 is +0.0
     def backward_fn(g):
-        return (weights[:, :, None] * g[:, None, :],)
+        return (np.einsum("sl,sd->sld", weights, g),)
 
     _record("mean_pool_batch", (x,), out, backward_fn)
     return out
@@ -426,9 +435,7 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def _as_constant(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=np.float64))
+    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -512,9 +519,7 @@ def reduce_sum(x: Tensor) -> Tensor:
 
 def _target_rows(logits: Tensor, targets) -> np.ndarray:
     """``targets`` as a checked float64 [n, C] array matching ``logits``."""
-    if isinstance(targets, Tensor):
-        targets = targets.data
-    t = np.asarray(targets, dtype=np.float64)
+    t = _as_constant(targets).data
     if logits.ndim != 2:
         raise ValueError(f"logits must be [n, C], got shape {logits.shape}")
     if logits.shape[1] < 2:
@@ -643,9 +648,12 @@ def backward(tape: Tape, root: Tensor, leaves) -> list:
     no leaf reaches cannot add to a leaf's gradient, so pruning it leaves
     every result bitwise unchanged. Visited nodes whose output received
     no gradient are skipped.
-    Every result is a fresh array, or None for a leaf that ``root`` does
-    not reach. Nothing is stored on the tensors, so repeated calls return
-    equal, independent gradients.
+    Every result is an array nothing else holds, or None for a leaf that
+    ``root`` does not reach: a result is copied only when it is a view
+    (its ``base`` is set) or the same object as an earlier leaf's result,
+    since every ``backward_fn`` returns a new array, its incoming gradient
+    or a view of either. Nothing is stored on the tensors, so repeated calls
+    return equal, independent gradients.
     """
     if root.data.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.shape}")
@@ -655,10 +663,12 @@ def backward(tape: Tape, root: Tensor, leaves) -> list:
     reached = {id(leaf) for leaf in leaves}
     active = []
     for node in tape.nodes:
-        if not reached.isdisjoint(map(id, node.inputs)):
-            reached.add(id(node.output))
-            active.append(node)
-    pending: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
+        for tensor in node.inputs:
+            if id(tensor) in reached:
+                reached.add(id(node.output))
+                active.append(node)
+                break
+    pending: dict[int, np.ndarray] = {id(root): np.ones(root.shape)}
     for node in reversed(active):
         out_grad = pending.pop(id(node.output), None)
         if out_grad is None:
@@ -668,12 +678,15 @@ def backward(tape: Tape, root: Tensor, leaves) -> list:
             if grad is None or not tensor.requires_grad:
                 continue
             key = id(tensor)
-            if key in pending:
-                pending[key] = pending[key] + grad
-            else:
-                pending[key] = grad
+            earlier = pending.get(key)
+            pending[key] = grad if earlier is None else earlier + grad
     tape.last_visit_count = len(active)
-    # copies, because an op may hand one array to several of its inputs
-    grads = [pending.get(id(leaf)) for leaf in leaves]
-    return [None if grad is None else grad.copy() for grad in grads]
+    grads, handed_out = [], set()
+    for leaf in leaves:
+        grad = pending.get(id(leaf))
+        if grad is not None and (grad.base is not None or id(grad) in handed_out):
+            grad = grad.copy()
+        handed_out.add(id(grad))
+        grads.append(grad)
+    return grads
 

@@ -448,11 +448,11 @@ def train(config: ExperimentConfig, seed: int, step_hook=None):
     # batch, order[pos : pos + batch_size], is then a slice of views
     epoch = _slice_batch(enc_train, shuffle_rng.permutation(n))
     pos = 0
+    params = model.trainable_params()
     for step in range(config.max_steps):
         batch = _slice_batch(epoch, slice(pos, pos + config.batch_size))
         pos += config.batch_size
 
-        params = model.trainable_params()
         with ad.Tape() as tape:
             total, bundle = policy_step(model, batch, config, mix_rng, dropout_rng)
             grads = dict(zip(params, ad.backward(tape, total, params.values())))
@@ -463,9 +463,11 @@ def train(config: ExperimentConfig, seed: int, step_hook=None):
             raise DivergenceError(f"non-finite loss at step {step}")
         adam_update(params, grads, optim)
 
-        report.step_loss.append(float(bundle.loss.mean()))
-        report.step_mask_rate.append(float(bundle.mask.mean()))
-        report.step_grad_lambda.append(float(np.abs(bundle.grad_lambda).mean()))
+        # x.sum() / x.size is bitwise x.mean(), without its dispatch
+        rows = bundle.loss.size
+        report.step_loss.append(float(bundle.loss.sum() / rows))
+        report.step_mask_rate.append(float(bundle.mask.sum() / rows))
+        report.step_grad_lambda.append(float(np.abs(bundle.grad_lambda).sum() / rows))
         report.step_objective.append(float(total.data))
         if step_hook is not None:
             step_hook(step, bundle)

@@ -25,10 +25,30 @@ def weighted_sum(t: ad.Tensor, weights: np.ndarray) -> ad.Tensor:
 
 class TestTensorAndTape:
     def test_data_is_float64(self):
-        t = ad.Tensor([1, 2, 3])
-        assert t.data.dtype == np.float64
-        t32 = ad.Tensor(np.arange(4, dtype=np.float32))
-        assert t32.data.dtype == np.float64
+        """A base float64 ndarray is kept as is; anything else is converted."""
+        data = np.arange(6.0).reshape(2, 3)
+        assert ad.Tensor(data).data is data
+        column = data[:, 1]
+        assert ad.Tensor(column).data is column  # a view is kept as well
+
+        class Sub(np.ndarray):
+            pass
+
+        others = [
+            [1, 2, 3],
+            7,
+            2.5,
+            np.arange(4, dtype=np.float32),
+            np.arange(4, dtype=np.int64),
+            np.arange(4.0).astype(">f8"),
+            np.arange(4.0).view(Sub),
+            np.ma.masked_array(np.arange(4.0)),
+        ]
+        for value in others:
+            t = ad.Tensor(value)
+            assert type(t.data) is np.ndarray, type(value)
+            assert t.data.dtype == np.float64 and t.data.dtype.isnative
+            np.testing.assert_array_equal(t.data, np.asarray(value, dtype=np.float64))
 
     def test_no_tape_means_no_recording(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
@@ -208,6 +228,38 @@ class TestMeanPool:
             expected = np.zeros((6, 3))
             expected[:vl] = w[s] / vl
             np.testing.assert_allclose(grad[s], expected, rtol=1e-12)
+
+    def test_adjoint_equals_the_broadcast_products(self):
+        """The einsum adjoint holds the values of ``weights[:, :, None] *
+        g[:, None, :]``. It adds each product to zeros, so a -0.0 product
+        comes out +0.0; the scatter into the table adds into zeros too, so
+        the table's gradient matches the broadcast form's byte for byte."""
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def check(data):
+            n, length, d = data.draw(dims(min_dims=3, max_dims=3))
+            vls = np.array(data.draw(st.lists(st.integers(1, length), min_size=n, max_size=n)))
+            dtype = data.draw(st.sampled_from([np.int64, np.uint8, np.uint64]))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            ids = rng.integers(0, 3, (n, length)).astype(dtype)  # 3 ids: repeats
+            g = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, (n, d))
+            g[rng.random(g.shape) < 0.2] = 0.0
+            g[rng.random(g.shape) < 0.2] = -0.0
+            table = ad.Tensor(rng.standard_normal((3, d)), requires_grad=True)
+            with ad.Tape() as tape:
+                ad.mean_pool_batch(ad.embedding_lookup(table, ids), vls)
+            lookup, pool = tape.nodes
+            weights = (np.arange(length)[None, :] < vls[:, None]) / vls[:, None]
+            broadcast = weights[:, :, None] * g[:, None, :]
+            (adjoint,) = pool.backward_fn(g)
+            np.testing.assert_array_equal(adjoint, broadcast)
+            assert not adjoint[np.arange(length)[None, :] >= vls[:, None]].any()
+            expected = np.zeros(table.shape)
+            np.add.at(expected, ids, broadcast)
+            for grad in (lookup.backward_fn(adjoint)[0], lookup.backward_fn(broadcast)[0]):
+                assert grad.tobytes() == expected.tobytes()
+
+        shape_property(check)
 
     def test_batch_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(22)
@@ -655,6 +707,7 @@ class TestShapeRules:
             n = shape[0]
             idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=12)), dtype=np.int64)
             rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            idx = idx.astype(data.draw(st.sampled_from([np.int64, np.uint8, np.uint64])))
             g_shape = (idx.size, *shape[1:])
             # magnitudes 1e-8..1e8 make any other summation order show in the bits
             g = rng.standard_normal(g_shape) * 10.0 ** rng.integers(-8, 9, g_shape)
@@ -763,6 +816,24 @@ class TestSoftmaxCrossEntropy:
             ad.softmax_cross_entropy(ad.Tensor(np.zeros((1, 3))), np.array([[-0.1, 0.6, 0.5]]))
         with pytest.raises(ValueError, match="shape"):
             ad.softmax_cross_entropy(ad.Tensor(np.zeros((2, 3))), np.zeros((2, 4)))
+        # float64 targets, as arrays or tensors, skip the conversion but no check
+        logits = ad.Tensor(np.zeros((2, 3)))
+        good = np.eye(3)[:2]
+        negative = good.copy()
+        negative[1, 2] = -1e-300
+        for bad, match in [
+            (negative, "nonnegative"),
+            (np.eye(3), "does not match logits"),
+            (good.T, "does not match logits"),
+            (good.reshape(-1), "does not match logits"),
+        ]:
+            for target in (bad, ad.Tensor(bad)):
+                with pytest.raises(ValueError, match=match):
+                    ad.softmax_cross_entropy(logits, target)
+                with pytest.raises(ValueError, match=match):
+                    ad.pair_cross_entropy(logits, target, good, np.ones(2))
+                with pytest.raises(ValueError, match=match):
+                    ad.pair_cross_entropy(logits, good, target, np.ones(2))
 
 
 def composite_lerp(a, b, w):
@@ -876,7 +947,75 @@ class TestFusedMixingOps:
             ad.pair_cross_entropy(ad.Tensor(np.zeros(logits_shape)), y_i, y_j, np.ones(w_shape))
 
 
+def leaf(rng, *shape):
+    return ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+
+
+def graph_add_shared(rng):
+    """``add`` hands one array to both leaves."""
+    a, b = leaf(rng, 3, 2), leaf(rng, 3, 2)
+    with ad.Tape() as tape:
+        y = ad.reduce_sum(ad.add(a, b))
+    return tape, y, [a, b]
+
+
+def graph_unbroadcast_early_return(rng):
+    """``add`` hands its incoming gradient to ``x`` as is; ``x`` is listed twice."""
+    x, b = leaf(rng, 3, 2), leaf(rng, 2)
+    with ad.Tape() as tape:
+        y = weighted_sum(ad.add(x, b), rand(rng, 3, 2))
+    return tape, y, [x, b, x]
+
+
+def graph_reshape(rng):
+    """``c`` gets the gradient array, ``x`` a reshaped view of it."""
+    x, c = leaf(rng, 6), leaf(rng, 2, 3)
+    with ad.Tape() as tape:
+        y = weighted_sum(ad.add(ad.reshape(x, (2, 3)), c), rand(rng, 2, 3))
+    return tape, y, [c, x]
+
+
+def graph_concat(rng):
+    """Each leaf gets a slice of the one gradient array."""
+    a, b = leaf(rng, 2, 1), leaf(rng, 2, 3)
+    with ad.Tape() as tape:
+        y = weighted_sum(ad.concat([a, b], axis=1), rand(rng, 2, 4))
+    return tape, y, [a, b]
+
+
+def graph_scatters(rng):
+    """``bincount(...).reshape`` views from both scatter ops."""
+    table, x = leaf(rng, 5, 3), leaf(rng, 4, 3, 3)
+    with ad.Tape() as tape:
+        words = ad.embedding_lookup(table, np.array([[1, 1, 4], [0, 1, 2]], dtype=np.uint8))
+        rows = ad.gather_rows(x, np.array([3, 3]))
+        y = weighted_sum(ad.add(words, rows), rand(rng, 2, 3, 3))
+    return tape, y, [table, x]
+
+
 class TestBackward:
+    @pytest.mark.parametrize(
+        "graph",
+        [graph_add_shared, graph_unbroadcast_early_return, graph_reshape, graph_concat,
+         graph_scatters],
+        ids=["add-shared", "unbroadcast-early-return", "reshape", "concat", "scatters"],
+    )
+    def test_results_stay_independent_whether_or_not_copied(self, graph):
+        """Writing into one result changes no other result and no later walk."""
+        tape, y, leaves = graph(np.random.default_rng(62))
+        expected = [grad.copy() for grad in ad.backward(tape, y, leaves)]
+        for k in range(len(leaves)):
+            grads = ad.backward(tape, y, leaves)
+            grads[k][...] = np.nan
+            for j, grad in enumerate(grads):
+                if j != k:
+                    np.testing.assert_array_equal(grad, expected[j])
+            for grad, want in zip(ad.backward(tape, y, leaves), expected):
+                np.testing.assert_array_equal(grad, want)
+            # no result is a view or handed out twice
+            assert all(grad.base is None for grad in grads)
+            assert len({id(grad) for grad in grads}) == len(grads)
+
     def test_repeated_calls_return_equal_independent_arrays(self):
         a = ad.Tensor([1.0, 2.0], requires_grad=True)
         b = ad.Tensor([3.0, 4.0], requires_grad=True)

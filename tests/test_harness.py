@@ -415,6 +415,22 @@ class TestTrain:
         assert report.policy == "amp"
         assert 0.0 <= report.test_error <= 1.0
 
+    @pytest.mark.parametrize("policy", mx.POLICIES)
+    def test_report_step_means_are_bundle_means_bitwise(self, policy):
+        cfg = tiny_config(policy=policy, max_steps=12)
+        seen = []
+        _, report = hz.train(cfg, seed=0, step_hook=lambda step, b: seen.append(b))
+        assert len({b.loss.size for b in seen}) == 2  # a short batch ends each epoch
+
+        def bits(values):
+            return np.array(values, dtype=np.float64).tobytes()
+
+        assert bits(report.step_loss) == bits([float(b.loss.mean()) for b in seen])
+        assert bits(report.step_mask_rate) == bits([float(b.mask.mean()) for b in seen])
+        assert bits(report.step_grad_lambda) == bits(
+            [float(np.abs(b.grad_lambda).mean()) for b in seen]
+        )
+
     def test_plain_policy_bundle_is_inert(self):
         cfg = tiny_config(policy="none", max_steps=3)
         seen = []
