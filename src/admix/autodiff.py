@@ -242,7 +242,7 @@ def mean_pool_batch(x: Tensor, valid_lens) -> Tensor:
     weights = (np.arange(length)[None, :] < vls[:, None]) / vls[:, None]
     out = Tensor(np.einsum("sl,sld->sd", weights, x.data), requires_grad=x.requires_grad)
 
-    # weights[:, :, None] * g[:, None, :]; einsum adds each product to zeros, so -0.0 is +0.0
+    # weights[:, :, None] * g[:, None, :], but einsum adds into zeros: -0.0 comes out +0.0
     def backward_fn(g):
         return (np.einsum("sl,sd->sld", weights, g),)
 
