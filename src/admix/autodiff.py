@@ -11,7 +11,7 @@ linear in the number of recorded ops and no node that cannot reach a
 requested leaf runs its backward. It returns the gradients of those
 leaves; no gradient is stored on a tensor.
 
-This module is only the tape, ``backward`` and the 15 ops named in
+This module is only the tape, ``backward`` and the 16 ops named in
 ``OPS``, and it depends on numpy alone. The finite-difference audit of
 those ops is ``admix.gradcheck``.
 
@@ -33,6 +33,7 @@ OPS = (
     "embedding_lookup",
     "gather_rows",
     "mean_pool_batch",
+    "embedding_mean",
     "conv1d_maxpool_batch",
     "tanh",
     "add",
@@ -179,13 +180,8 @@ def _scatter_rows(shape: tuple[int, ...], idx: np.ndarray, g: np.ndarray) -> np.
     return summed.reshape(shape)
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table`` by integer id; ids may have any shape.
-
-    Output shape is ``ids.shape + (embed_dim,)``. The backward pass
-    scatter-adds into the table with ``_scatter_rows``, so repeated ids
-    accumulate in the order ``np.add.at`` would add them.
-    """
+def _checked_ids(table: Tensor, ids) -> np.ndarray:
+    """``ids`` as an integer array of rows of the 2-d ``table``."""
     if table.ndim != 2:
         raise ValueError(f"embedding table must be 2-d, got shape {table.shape}")
     idx = np.asarray(ids)
@@ -198,6 +194,17 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         if lo < 0 or hi >= vocab:
             bad = lo if lo < 0 else hi
             raise IndexError(f"id {bad} out of range for vocabulary of size {vocab}")
+    return idx
+
+
+def embedding_lookup(table: Tensor, ids) -> Tensor:
+    """Gather rows of ``table`` by integer id; ids may have any shape.
+
+    Output shape is ``ids.shape + (embed_dim,)``. The backward pass
+    scatter-adds into the table with ``_scatter_rows``, so repeated ids
+    accumulate in the order ``np.add.at`` would add them.
+    """
+    idx = _checked_ids(table, ids)
     out = Tensor(table.data.take(idx, axis=0), requires_grad=table.requires_grad)
 
     def backward_fn(g):
@@ -228,18 +235,25 @@ def gather_rows(x: Tensor, index) -> Tensor:
     return out
 
 
+def _pool_weights(valid_lens, n: int, length: int) -> np.ndarray:
+    """The [n, length] mean-pool weights, 1/vl_s for t < vl_s, else 0,
+    of ``valid_lens`` checked as [n] integers in [1, length]."""
+    vls = np.asarray(valid_lens)
+    if vls.dtype.kind not in "iu":
+        raise ValueError(f"valid_lens must be integers, got {vls.dtype}")
+    if vls.shape != (n,):
+        raise ValueError(f"valid_lens must have shape ({n},), got {vls.shape}")
+    if vls.size and (vls.min() < 1 or vls.max() > length):
+        raise ValueError(f"valid lengths must be in [1, {length}]")
+    return (np.arange(length)[None, :] < vls[:, None]) / vls[:, None]
+
+
 def mean_pool_batch(x: Tensor, valid_lens) -> Tensor:
     """Average the first ``valid_lens[s]`` rows of each sample: [n, len, d] -> [n, d]."""
     if x.ndim != 3:
         raise ValueError(f"mean_pool_batch expects [n, len, d], got shape {x.shape}")
     n, length, _ = x.shape
-    vls = np.asarray(valid_lens, dtype=np.int64)
-    if vls.shape != (n,):
-        raise ValueError(f"valid_lens must have shape ({n},), got {vls.shape}")
-    if vls.size and (vls.min() < 1 or vls.max() > length):
-        raise ValueError(f"valid lengths must be in [1, {length}]")
-    # weights[s, t] = 1/vl_s for t < vl_s, else 0
-    weights = (np.arange(length)[None, :] < vls[:, None]) / vls[:, None]
+    weights = _pool_weights(valid_lens, n, length)
     out = Tensor(np.einsum("sl,sld->sd", weights, x.data), requires_grad=x.requires_grad)
 
     # weights[:, :, None] * g[:, None, :], but einsum adds into zeros: -0.0 comes out +0.0
@@ -250,8 +264,62 @@ def mean_pool_batch(x: Tensor, valid_lens) -> Tensor:
     return out
 
 
-# Rows per im2col block. A block's columns are [rows, d * w_max, t], so the
-# conv's working memory does not grow with the batch.
+def embedding_mean(table: Tensor, ids, valid_lens) -> Tensor:
+    """Mean of the table rows named by the first ``valid_lens[s]`` ids of
+    each row: [n, len] ids -> [n, d], a bag of embeddings.
+
+    The value is ``mean_pool_batch(embedding_lookup(table, ids),
+    valid_lens)`` bitwise, from the same ``take`` and einsum, but taken
+    ``CONV_BLOCK_ROWS`` rows at a time, so no [n, len, d] grid is built.
+    The backward forms the table's adjoint from the batch's distinct ids
+    only: an O(tokens) compaction numbers them, one [distinct, n] @ [n, d]
+    product weighs each id's share of each row by the incoming gradient,
+    and the rows land in a zeroed [vocab, d] array; no [n, vocab] matrix
+    is built. Its sums run in another order than the lookup's scatter, so
+    the two agree to rounding (bitwise on dyadic data). On a 32-row
+    acceptance-task batch (740 valid tokens; uniform ids at the larger
+    sizes), 2-core machine, 2 OpenBLAS threads, it took a median
+    22 / 40 / 112 us at vocabulary 502 / 5 000 / 20 000, against
+    34 / 44 / 106 us for the lookup, pool and scatter walk; zeroing the
+    result is most of the cost at 20 000.
+    """
+    idx = _checked_ids(table, ids)
+    if idx.ndim != 2:
+        raise ValueError(f"embedding_mean expects [n, len] ids, got shape {idx.shape}")
+    n, length = idx.shape
+    weights = _pool_weights(valid_lens, n, length)
+    out_data = np.empty((n, table.shape[1]))
+    for rows in _row_blocks(n):  # each block's rows are freed before the next is taken
+        grid = table.data.take(idx[rows], axis=0)
+        np.einsum("sl,sld->sd", weights[rows], grid, out=out_data[rows])
+        del grid
+    out = Tensor(out_data, requires_grad=table.requires_grad)
+
+    def backward_fn(g):
+        # one position wins each distinct id's slot; the winners then
+        # number the distinct ids in the slots (padding ids too: they
+        # carry weight 0)
+        tokens = idx.ravel()
+        positions = np.arange(tokens.size)
+        slot = np.empty(table.shape[0], dtype=np.intp)
+        slot[tokens] = positions
+        distinct = tokens[slot[tokens] == positions]
+        size = distinct.size
+        slot[distinct] = np.arange(size)
+        # share[s, k]: the weight row s puts on distinct id k
+        cells = slot[idx] + np.arange(0, n * size, size)[:, None]
+        share = np.bincount(cells.ravel(), weights.ravel(), n * size).reshape(n, size)
+        grad = np.zeros(table.shape)
+        grad[distinct] = share.T @ g
+        return (grad,)
+
+    _record("embedding_mean", (table,), out, backward_fn)
+    return out
+
+
+# Rows per block of the conv's im2col and of embedding_mean's gather. A
+# block's columns are [rows, d * w_max, t] and its gathered rows
+# [rows, len, d], so neither op's working memory grows with the batch.
 CONV_BLOCK_ROWS = 64
 
 

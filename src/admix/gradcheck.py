@@ -147,6 +147,17 @@ def _gen_mean_pool_batch(rng):
     return lambda t: _scalarized(ad.mean_pool_batch(t, vls), w), x
 
 
+def _gen_embedding_mean(rng):
+    # 4-5 valid positions over 3 ids repeat an id in every row and share
+    # one across rows; every row has padding, and rows 3-4 of the table
+    # are never read
+    ids = rng.integers(0, 3, size=(3, 6))
+    vls = rng.integers(4, 6, size=3)
+    w = rng.standard_normal((3, 2))
+    x = ad.Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+    return lambda t: _scalarized(ad.embedding_mean(t, ids, vls), w), x
+
+
 def _gen_conv_batch_filters(rng):
     x_data, (f_data,) = _conv_safe_instance(rng, 2, 7, 2, [(3, 3)])
     w = rng.standard_normal((2, 3))
@@ -372,6 +383,7 @@ _CHECKS = (
     ("model_embed_mlp", 14, _fd(_gen_model_embed_mlp, "scale"), FD_TOL),
     ("model_text_cnn", 15, _fd(_gen_model_text_cnn, "scale"), FD_TOL),
     ("conv1d_maxpool_batch_input", 16, _fd(_gen_conv_batch_input), FD_TOL),
+    ("embedding_mean", 17, _fd(_gen_embedding_mean), FD_TOL),
     ("grad_lambda_fd", 991, _lambda_grad_fd_error, FD_TOL),
     ("grad_lambda_analytic", 992, _lambda_grad_analytic_error, 1e-6),
 )

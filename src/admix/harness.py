@@ -625,7 +625,6 @@ def lambda_sweep(
             piece = _slice_batch(enc, rows)
             hidden = md.forward_to_layer(model, piece, layer)
             pairs = mx.pair_up(model, hidden, piece.label_rows, np.arange(len(rows))[::-1])
-            del hidden  # frees the grid: an embed-mlp pairing pools it before gathering
             for k, lam in enumerate(grid):
                 lam_row = np.full(len(rows), lam)
                 losses[k, rows] = mx.score(model, pairs, lam_row, lam_row).data

@@ -9,11 +9,11 @@ weighted by lambda and (1 - lambda).
 At ``word``, embed-mlp's suffix opens with a mean pool, which is linear
 in each row: pooling both endpoints over the pair's longer valid length
 and mixing the pooled rows is the wordMixup of Guo et al. (2019), the
-grid blend followed by the pool, up to rounding. ``pair_up`` pools
-before it gathers: the partner rows it takes are pooled [n, embed_dim]
-rows, never the [n, max_len, embed_dim] grid, and every score of the
-pairing mixes those rows. text-cnn's conv is not linear, so its word
-grids are gathered and mixed as they are.
+grid blend followed by the pool, up to rounding. ``pair_up`` pools both
+endpoints straight from the embedding table (``ad.embedding_mean``), so
+no [n, max_len, embed_dim] grid is built, and every score of the
+pairing mixes the pooled [n, embed_dim] rows. text-cnn's conv is not
+linear, so its word grids are gathered and mixed as they are.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class MixConfig:
 class MixBatch:
     """One pairing of hidden states, ready to be scored at any coefficient."""
 
-    layer: str  # the cut point the rows are mixed at, md.POOLED for an embed-mlp word grid
+    layer: str  # the cut point the rows are mixed at, md.POOLED for embed-mlp's word cut
     hidden_i: ad.Tensor
     hidden_j: ad.Tensor  # row s: the partner of hidden_i row s
     y_i: np.ndarray
@@ -134,27 +134,24 @@ def pair_up(
     """Pair row s of ``hidden`` with row ``j_index[s]``.
 
     ``j_index`` must be a permutation of ``range(n)``, so each row is the
-    partner in exactly one pair. The partner rows are gathered on the
-    active tape, so gradients reach both endpoints. An embed-mlp word
-    grid is mean-pooled before the gather, both endpoints of a pair over
-    the longer of its two valid lengths: each row is pooled once as the
-    first endpoint of its own pair and once as the partner, over the
-    length of the pair that takes it. The gather then moves pooled
-    [n, embed_dim] rows, and the pairing holds only those, at
-    ``md.POOLED``, so no score of it touches the grid or keeps it alive.
+    partner in exactly one pair. Both endpoints are recorded on the
+    active tape, so gradients reach them. The partner rows are gathered,
+    except at embed-mlp's word cut: there both endpoints of a pair are
+    pooled straight from the embedding table, row s from
+    ``token_ids[s]`` and its partner from ``token_ids[j_index[s]]``, each
+    over the longer of the pair's two valid lengths, and the pairing
+    holds only those pooled [n, embed_dim] rows, at ``md.POOLED``.
     """
     layer, hidden_i = hidden.layer, hidden.tensor
-    n = hidden_i.shape[0]
+    n = len(label_rows)
     j_index = np.asarray(j_index)
     if j_index.dtype.kind not in "iu" or not np.array_equal(np.sort(j_index), np.arange(n)):
         raise ValueError(f"j_index must be a permutation of range({n})")
     if layer == "word" and model.kind == "embed-mlp":
-        grid, layer = hidden_i, md.POOLED
+        layer, table, ids = md.POOLED, model.params["embed"], hidden.token_ids
         lens = np.maximum(hidden.valid_lens, hidden.valid_lens[j_index])
-        hidden_i = ad.mean_pool_batch(grid, lens)
-        # row r is the partner in pair inverse[r], so it pools over that pair's length
-        inverse = np.argsort(j_index)
-        hidden_j = ad.gather_rows(ad.mean_pool_batch(grid, lens[inverse]), j_index)
+        hidden_i = ad.embedding_mean(table, ids, lens)
+        hidden_j = ad.embedding_mean(table, ids[j_index], lens)
     else:
         hidden_j = ad.gather_rows(hidden_i, j_index)
     return MixBatch(

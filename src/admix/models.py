@@ -3,14 +3,18 @@
 Both backbones expose the same two named cut points so hidden states
 can be interpolated mid-network:
 
-- ``word``: the embedded token grid, shape [n, max_len, embed_dim]
+- ``word``: the embedded tokens. text-cnn holds the grid, shape
+  [n, max_len, embed_dim]; embed-mlp holds only the token ids and
+  lengths, since its suffix pools straight from the embedding table
+  (``ad.embedding_mean``) and never builds the grid
 - ``sent``: the final hidden vector feeding the classifier
 
 ``forward_to_layer`` runs the prefix up to a cut point and
 ``forward_from_layer`` runs the suffix; composing them reproduces the
 plain forward pass bitwise. embed-mlp's suffix also resumes from
-``POOLED``, the [n, embed_dim] mean of the word grid, an internal cut
-point that ``mixup.pair_up`` mixes word grids at (no config names it).
+``POOLED``, the [n, embed_dim] mean of a row's word vectors, an internal
+cut point that ``mixup.pair_up`` mixes embed-mlp word pairs at (no
+config names it).
 """
 
 from __future__ import annotations
@@ -42,11 +46,16 @@ class Batch:
 
 @dataclass
 class Hidden:
-    """Activations at a named cut point, plus what the suffix still needs."""
+    """Activations at a named cut point, plus what the suffix still needs.
+
+    embed-mlp's ``word`` cut has no tensor: it keeps the token ids and
+    lengths, which its suffix pools from the embedding table.
+    """
 
     layer: str
-    tensor: ad.Tensor
+    tensor: ad.Tensor | None
     valid_lens: np.ndarray | None = None  # [n], only meaningful at "word"
+    token_ids: np.ndarray | None = None  # [n, max_len], only at embed-mlp's "word"
 
 
 @dataclass
@@ -168,17 +177,23 @@ def _check_layer(layer: str) -> None:
 def forward_to_layer(model: Model, batch: Batch, layer: str) -> Hidden:
     """Run the network prefix and stop at the named cut point."""
     _check_layer(layer)
-    grid = ad.embedding_lookup(model.params["embed"], batch.token_ids)
+    if model.kind == "embed-mlp":
+        word = Hidden("word", None, batch.valid_lens, batch.token_ids)
+    else:
+        grid = ad.embedding_lookup(model.params["embed"], batch.token_ids)
+        word = Hidden("word", grid, batch.valid_lens)
     if layer == "word":
-        return Hidden("word", grid, batch.valid_lens.copy())
-    return _word_to_sent(model, Hidden("word", grid, batch.valid_lens))
+        word.valid_lens = word.valid_lens.copy()
+        return word
+    return _word_to_sent(model, word)
 
 
 def _word_to_sent(model: Model, hidden: Hidden) -> Hidden:
-    """The sent layer from the word grid: mean pool and a tanh layer
-    (embed-mlp), or the filter bank in one conv node (text-cnn)."""
+    """The sent layer from the word cut: a mean pool from the table and a
+    tanh layer (embed-mlp), or the filter bank in one conv node (text-cnn)."""
     if model.kind == "embed-mlp":
-        return _pooled_to_sent(model, ad.mean_pool_batch(hidden.tensor, hidden.valid_lens))
+        table = model.params["embed"]
+        return _pooled_to_sent(model, ad.embedding_mean(table, hidden.token_ids, hidden.valid_lens))
     if model.kind == "text-cnn":
         return Hidden("sent", ad.conv1d_maxpool_batch(hidden.tensor, *filter_bank(model)))
     raise ValueError(f"unknown model kind {model.kind!r}")

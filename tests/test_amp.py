@@ -208,11 +208,12 @@ class TestPrunedAscent:
         assert len(calls) == 1
 
     def test_embed_mlp_word_ascent_runs_no_scatter(self, monkeypatch):
-        # the word grids are pooled before the mix, so the ascent starts
-        # at the pooled rows and never touches the grid
+        # both endpoints are pooled from the table before the mix, so the
+        # ascent starts at the pooled rows and never reaches the table
         _, _, _, ran = self.run_ascent(monkeypatch, "embed-mlp", "word")
         assert ran
-        assert not {"embedding_lookup", "gather_rows", "mean_pool_batch"} & set(ran)
+        scatters = {"embedding_lookup", "embedding_mean", "gather_rows", "mean_pool_batch"}
+        assert not scatters & set(ran)
 
 
 class TestRecomputeLoss:

@@ -5,6 +5,7 @@ central finite differences for smooth paths, and hand-computed
 scatter/selector algebra where the answer is exact.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -261,6 +262,18 @@ class TestMeanPool:
 
         shape_property(check)
 
+    @pytest.mark.parametrize("op", ["mean_pool_batch", "embedding_mean"])
+    @pytest.mark.parametrize("vls", [[2.7, 1], [True, True], [2.0, 1]], ids=["float", "bool", "whole"])
+    def test_non_integer_lengths_rejected(self, op, vls):
+        # they used to be truncated: [2.7] pooled 2 rows and [True] pooled 1
+        table = ad.Tensor(np.ones((4, 3)))
+        ids = np.array([[0, 1, 2], [3, 0, 1]])
+        with pytest.raises(ValueError, match="valid_lens must be integers"):
+            if op == "mean_pool_batch":
+                ad.mean_pool_batch(ad.embedding_lookup(table, ids), vls)
+            else:
+                ad.embedding_mean(table, ids, vls)
+
     def test_batch_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(22)
         vls = np.array([2, 4, 1])
@@ -268,6 +281,103 @@ class TestMeanPool:
         x = ad.Tensor(rand(rng, 3, 4, 2), requires_grad=True)
         err = gk.finite_diff_check(lambda t: weighted_sum(ad.mean_pool_batch(t, vls), w), x)
         assert err <= 1e-6
+
+
+class TestEmbeddingMean:
+    @staticmethod
+    def lookup_then_pool(table, ids, vls, g):
+        """The grid walk the op replaces: its output and table adjoint."""
+        with ad.Tape() as tape:
+            out = ad.mean_pool_batch(ad.embedding_lookup(table, ids), vls)
+        lookup, pool = tape.nodes
+        (grid_adjoint,) = pool.backward_fn(g)
+        return out.data, lookup.backward_fn(grid_adjoint)[0]
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 513])
+    def test_forward_equals_lookup_then_pool_bitwise(self, n):
+        # 64 = CONV_BLOCK_ROWS: one row short of, at and past a block
+        rng = np.random.default_rng(n)
+        table = ad.Tensor(rand(rng, 50, 6), requires_grad=True)
+        ids = rng.integers(0, 50, (n, 9))
+        vls = rng.integers(1, 10, n)
+        out = ad.embedding_mean(table, ids, vls)
+        expected, _ = self.lookup_then_pool(table, ids, vls, np.zeros((n, 6)))
+        assert out.shape == (n, 6)
+        assert out.data.tobytes() == expected.tobytes()
+
+    def test_dyadic_adjoint_equals_the_scatter_walk_bitwise(self):
+        # lengths 1, 2, 4, 8 and small integers make every product and sum
+        # exact, so the two summation orders must agree to the bit
+        rng = np.random.default_rng(31)
+        table = ad.Tensor(rng.integers(-4, 5, (9, 3)).astype(float), requires_grad=True)
+        ids = rng.integers(0, 5, (12, 8))  # 5 of 9 ids: repeats in and across rows
+        vls = np.tile([1, 2, 4, 8], 3)
+        g = rng.integers(-4, 5, (12, 3)).astype(float)
+        assert len(np.unique(ids[0, :8])) < 8 and len(np.unique(ids)) == 5
+        with ad.Tape() as tape:
+            out = ad.embedding_mean(table, ids, vls)
+            y = ad.reduce_sum(ad.mul(out, ad.Tensor(g)))
+        (adjoint,) = tape.nodes[0].backward_fn(g)
+        pooled, expected = self.lookup_then_pool(table, ids, vls, g)
+        assert out.data.tobytes() == pooled.tobytes()
+        assert adjoint.tobytes() == expected.tobytes()
+        assert adjoint.base is None and not adjoint[5:].any()
+        (grad,) = ad.backward(tape, y, [table])
+        assert grad.tobytes() == expected.tobytes() and grad.base is None
+
+    def test_adjoint_matches_the_scatter_walk_to_rounding(self):
+        rng = np.random.default_rng(32)
+        table = ad.Tensor(rand(rng, 30, 4), requires_grad=True)
+        ids = rng.integers(0, 30, (40, 11)).astype(np.uint16)
+        vls = rng.integers(1, 12, 40)
+        g = rand(rng, 40, 4)
+        with ad.Tape() as tape:
+            ad.embedding_mean(table, ids, vls)
+        (adjoint,) = tape.nodes[0].backward_fn(g)
+        _, expected = self.lookup_then_pool(table, ids, vls, g)
+        np.testing.assert_allclose(adjoint, expected, rtol=1e-13, atol=1e-15)
+
+    def test_backward_builds_no_rows_by_vocabulary_buffer(self):
+        # the adjoint is [vocab, d]; an [n, vocab] count matrix, even of
+        # bools, would be larger still
+        n, vocab = 64, 100_000
+        rng = np.random.default_rng(33)
+        table = ad.Tensor(np.zeros((vocab, 2)), requires_grad=True)
+        ids = rng.integers(0, vocab, (n, 10))
+        with ad.Tape() as tape:
+            ad.embedding_mean(table, ids, np.full(n, 10))
+        g = rand(rng, n, 2)
+        tracemalloc.start()
+        try:
+            tape.nodes[0].backward_fn(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * vocab
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(34)
+        ids = np.array([[3, 1, 3, 0], [1, 1, 4, 2]])
+        vls = np.array([3, 2])
+        w = rand(rng, 2, 3)
+        table = ad.Tensor(rand(rng, 5, 3), requires_grad=True)
+        err = gk.finite_diff_check(lambda t: weighted_sum(ad.embedding_mean(t, ids, vls), w), table)
+        assert err <= 1e-6
+
+    def test_contract_errors(self):
+        table = ad.Tensor(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match=r"expects \[n, len\] ids"):
+            ad.embedding_mean(table, np.array([0, 1]), [1])
+        with pytest.raises(ValueError, match="embedding table must be 2-d"):
+            ad.embedding_mean(ad.Tensor(np.zeros(4)), np.array([[0]]), [1])
+        with pytest.raises(IndexError, match="7"):
+            ad.embedding_mean(table, np.array([[1, 7]]), [1])
+        with pytest.raises(ValueError, match="ids must be integers"):
+            ad.embedding_mean(table, np.array([[1.0]]), [1])
+        with pytest.raises(ValueError, match=r"valid lengths must be in \[1, 2\]"):
+            ad.embedding_mean(table, np.array([[1, 2]]), [3])
+        with pytest.raises(ValueError, match="valid_lens must have shape"):
+            ad.embedding_mean(table, np.array([[1, 2]]), [1, 1])
 
 
 def conv_maxpool_reference(x, f, g):

@@ -819,7 +819,23 @@ def test_text_cnn_sent_forward_memory_is_bounded_by_the_conv_block(acceptance_ta
     assert peak <= 5.69 * 2**20
 
 
-@pytest.mark.parametrize("policy, nodes", [("none", 10), ("mixup", 13), ("amp", 22)])
+def test_embed_mlp_forward_memory_is_bounded_by_the_row_block(acceptance_task):
+    # a 512-row forward pools CONV_BLOCK_ROWS rows of the table at a time;
+    # gathering the whole word grid first peaked at 1.88 MiB here
+    cfg, test_ds, vocab = acceptance_task
+    assert cfg.backbone == "embed-mlp"
+    model = hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(0))
+    enc = dt.encode_batch(test_ds.examples[:512], vocab, cfg.max_len, cfg.num_classes)
+    tracemalloc.start()
+    try:
+        md.forward(model, enc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 2**20
+
+
+@pytest.mark.parametrize("policy, nodes", [("none", 9), ("mixup", 11), ("amp", 20)])
 def test_step_graph_size_and_unread_lambda_adjoints(acceptance_task, monkeypatch, policy, nodes):
     # mixup and amp stop differentiating lambda once nothing reads its
     # gradient; the parameter gradients must not notice
@@ -876,6 +892,7 @@ class TestGradcheck:
         "model_embed_mlp",
         "model_text_cnn",
         "conv1d_maxpool_batch_input",
+        "embedding_mean",
         "grad_lambda_fd",
         "grad_lambda_analytic",
     ]
@@ -885,7 +902,7 @@ class TestGradcheck:
         # the order catches a row that is dropped, added or reordered
         report = gk.gradcheck(instances=1)
         assert [name for name, _, _ in report.rows] == self.ROW_NAMES
-        assert [key for _, key, _, _ in gk._CHECKS] == [*range(17), 991, 992]
+        assert [key for _, key, _, _ in gk._CHECKS] == [*range(18), 991, 992]
 
     def test_nan_error_fails_its_row(self, monkeypatch):
         # a NaN relative error must fail, not vanish in a running max

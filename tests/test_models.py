@@ -83,11 +83,22 @@ class TestSplitForward:
         np.testing.assert_array_equal(full.data, split.data)
 
     def test_word_hidden_shape_and_lengths(self):
-        m = models.init_embed_mlp(20, 5, 7, 3, np.random.default_rng(3))
+        # embed-mlp's word cut keeps the ids and lengths its suffix pools
+        # from the table; text-cnn's holds the grid those ids name
+        rng = np.random.default_rng(3)
+        mlp = models.init_embed_mlp(20, 5, 7, 3, rng)
+        cnn = models.init_text_cnn(20, 5, (2, 3), 4, 3, rng)
         batch = make_batch(np.random.default_rng(4), n=3, max_len=6)
-        h = models.forward_to_layer(m, batch, "word")
-        assert h.layer == "word"
-        assert h.tensor.shape == (3, 6, 5)
+        h = models.forward_to_layer(mlp, batch, "word")
+        assert h.layer == "word" and h.tensor is None
+        np.testing.assert_array_equal(h.token_ids, batch.token_ids)
+        np.testing.assert_array_equal(h.valid_lens, batch.valid_lens)
+        grid = ad.embedding_lookup(mlp.params["embed"], h.token_ids)
+        assert grid.shape == (3, 6, 5)
+        h = models.forward_to_layer(cnn, batch, "word")
+        assert h.layer == "word" and h.token_ids is None
+        grid = ad.embedding_lookup(cnn.params["embed"], batch.token_ids)
+        np.testing.assert_array_equal(h.tensor.data, grid.data)
         np.testing.assert_array_equal(h.valid_lens, batch.valid_lens)
 
     def test_sent_hidden_has_no_lengths(self):

@@ -76,10 +76,13 @@ def test_install_wraps_and_uninstall_restores_every_attribute():
 ROWS, MAX_LEN, EMBED_DIM = 6, 7, 5
 
 
-def recorded_step(policy: str):
-    """Loss and parameter gradients of one embed-mlp step at ``word``."""
+def recorded_step(policy: str, backbone: str = "embed-mlp"):
+    """Loss and parameter gradients of one step at ``word``."""
     rng = np.random.default_rng(3)
-    model = md.init_embed_mlp(25, EMBED_DIM, 6, 3, rng, dropout=0.3)
+    if backbone == "embed-mlp":
+        model = md.init_embed_mlp(25, EMBED_DIM, 6, 3, rng, dropout=0.3)
+    else:
+        model = md.init_text_cnn(25, EMBED_DIM, (2, 3), 4, 3, rng, dropout=0.3)
     label_ids = rng.integers(0, 3, size=ROWS)
     batch = md.Batch(
         rng.integers(0, 25, size=(ROWS, MAX_LEN)),
@@ -96,24 +99,27 @@ def recorded_step(policy: str):
         return [total.data, *ad.backward(tape, total, params)]
 
 
-@pytest.mark.parametrize("policy", ["none", "mixup", "amp"])
-def test_traced_backward_runs_the_wrapped_adjoints_bitwise(policy):
-    untraced = recorded_step(policy)
+def traced_step(policy: str, backbone: str):
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        traced = recorded_step(policy)
+        return recorded_step(policy, backbone), tracer.exact_counts()
     finally:
         tracer.uninstall()
-    for a, b in zip(untraced, traced):
-        np.testing.assert_array_equal(a, b)
-    # each scatter op's wrapped backward_fn saw its incoming gradient:
-    # the embedding lookup's [n, len, d] grid, plus the [n, d] pooled
-    # partner rows of a mixed pairing (amp's ascent stops at lambda, so
-    # only its final walk reaches them)
-    partner_rows = 0 if policy == "none" else ROWS * EMBED_DIM
-    expected = 8 * (ROWS * MAX_LEN * EMBED_DIM + partner_rows)
-    assert tracer.exact_counts()["autodiff.scatter_bytes"] == expected
+
+
+@pytest.mark.parametrize("policy", ["none", "mixup", "amp"])
+def test_traced_backward_runs_the_wrapped_adjoints_bitwise(policy):
+    for backbone in ("embed-mlp", "text-cnn"):
+        traced, counts = traced_step(policy, backbone)
+        for a, b in zip(recorded_step(policy, backbone), traced):
+            np.testing.assert_array_equal(a, b)
+    # each scatter op's wrapped backward_fn saw its incoming gradient: the
+    # text-cnn lookup's [n, len, d] grid, plus the partner grid of a mixed
+    # pairing (amp's ascent stops at lambda, so only its final walk reaches
+    # the gather)
+    grids = 1 if policy == "none" else 2
+    assert counts["autodiff.scatter_bytes"] == 8 * grids * ROWS * MAX_LEN * EMBED_DIM
 
 
 def test_sign_flip_negates_one_op_adjoint():
