@@ -15,7 +15,6 @@ import numpy as np
 from admix import data as dt
 from admix import harness as hz
 from admix import mixup as mx
-from admix import models as md
 
 CONFIG_FILE = Path(__file__).resolve().parents[1] / "configs" / "acceptance.cfg"
 CONFIG = dataclasses.replace(hz.load_config(CONFIG_FILE), policy="none")
@@ -48,8 +47,7 @@ def main() -> None:
     print("partner permutation:", partners)
 
     # The same pairing, swept from the identity toward an even blend.
-    hidden = md.forward_to_layer(model, batch, "sent")
-    pairs = mx.pair_up(model, hidden, batch.label_rows, partners)
+    pairs = mx.pair_up(model, batch, "sent", partners)
     for lam_value in (1.0, 0.95, 0.75, 0.5):
         lam = np.full(len(batch), lam_value)
         loss = mx.score(model, pairs, lam, lam)

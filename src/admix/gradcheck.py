@@ -314,7 +314,7 @@ def _lambda_instance(rng):
 
 def _lambda_grad_fd_error(rng) -> float:
     model, batch, layer, j_index, lam = _lambda_instance(rng)
-    pairs = mx.pair_up(model, md.forward_to_layer(model, batch, layer), batch.label_rows, j_index)
+    pairs = mx.pair_up(model, batch, layer, j_index)
     return finite_diff_check(
         lambda t: ad.reduce_sum(mx.score(model, pairs, t, t)),
         ad.Tensor(lam, requires_grad=True),
@@ -335,9 +335,7 @@ def analytic_grad_lambda(model: md.Model, pairs: mx.MixBatch, lam: np.ndarray) -
     col = np.reshape(lam, (-1,) + (1,) * (g_i.ndim - 1))
     leaf = ad.Tensor(g_i * col + g_j * (1.0 - col), requires_grad=True)
     with ad.Tape() as tape:
-        logits = md.forward_from_layer(
-            model, md.Hidden(pairs.layer, leaf), dropout_mask=pairs.dropout_mask
-        )
+        logits = md.forward_from_layer(model, pairs.layer, leaf, dropout_mask=pairs.dropout_mask)
         total = ad.reduce_sum(ad.pair_cross_entropy(logits, pairs.y_i, pairs.y_j, lam))
     (grad,) = ad.backward(tape, total, [leaf])
     ce_i = ad.softmax_cross_entropy(logits, pairs.y_i).data
@@ -350,8 +348,7 @@ def _lambda_grad_analytic_error(rng) -> float:
     model, batch, layer, j_index, lam = _lambda_instance(rng)
     lam_leaf = ad.Tensor(lam, requires_grad=True)
     with ad.Tape() as tape:
-        hidden = md.forward_to_layer(model, batch, layer)
-        pairs = mx.pair_up(model, hidden, batch.label_rows, j_index)
+        pairs = mx.pair_up(model, batch, layer, j_index)
         loss = mx.score(model, pairs, lam_leaf, lam_leaf)
         tape_grad = am.grad_lambda(tape, ad.reduce_sum(loss), lam_leaf)
     reference = analytic_grad_lambda(model, pairs, lam)

@@ -623,8 +623,7 @@ def lambda_sweep(
         losses = np.empty((grid_points, len(enc)))
         for rows in chunks:
             piece = _slice_batch(enc, rows)
-            hidden = md.forward_to_layer(model, piece, layer)
-            pairs = mx.pair_up(model, hidden, piece.label_rows, np.arange(len(rows))[::-1])
+            pairs = mx.pair_up(model, piece, layer, np.arange(len(rows))[::-1])
             for k, lam in enumerate(grid):
                 lam_row = np.full(len(rows), lam)
                 losses[k, rows] = mx.score(model, pairs, lam_row, lam_row).data

@@ -6,8 +6,12 @@ Beta(alpha, alpha), interpolates hidden states at one of the named
 backbone cut points, and scores the result against both endpoint labels
 weighted by lambda and (1 - lambda).
 
-At ``word``, embed-mlp's suffix opens with a mean pool, which is linear
-in each row: pooling both endpoints over the pair's longer valid length
+``pair_up`` takes the batch and the layer and runs the prefix itself.
+A pairing holds both endpoints at a ``(cut, tensor)`` cut point of
+``models``, the cut that ``score`` resumes the suffix from.
+
+At ``word``, embed-mlp's next step is a mean pool, which is linear in
+each row: pooling both endpoints over the pair's longer valid length
 and mixing the pooled rows is the wordMixup of Guo et al. (2019), the
 grid blend followed by the pool, up to rounding. ``pair_up`` pools both
 endpoints straight from the embedding table (``ad.embedding_mean``), so
@@ -57,7 +61,7 @@ class MixConfig:
 class MixBatch:
     """One pairing of hidden states, ready to be scored at any coefficient."""
 
-    layer: str  # the cut point the rows are mixed at, md.POOLED for embed-mlp's word cut
+    layer: str  # the cut the mixed rows resume from: md.POOLED at embed-mlp's word layer
     hidden_i: ad.Tensor
     hidden_j: ad.Tensor  # row s: the partner of hidden_i row s
     y_i: np.ndarray
@@ -126,40 +130,40 @@ def pair_batch(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def pair_up(
     model: md.Model,
-    hidden: md.Hidden,
-    label_rows: np.ndarray,
+    batch: md.Batch,
+    layer: str,
     j_index: np.ndarray,
     dropout_mask: np.ndarray | None = None,
 ) -> MixBatch:
-    """Pair row s of ``hidden`` with row ``j_index[s]``.
+    """Pair row s of ``batch`` at ``layer`` with row ``j_index[s]``.
 
     ``j_index`` must be a permutation of ``range(n)``, so each row is the
     partner in exactly one pair. Both endpoints are recorded on the
-    active tape, so gradients reach them. The partner rows are gathered,
-    except at embed-mlp's word cut: there both endpoints of a pair are
-    pooled straight from the embedding table, row s from
-    ``token_ids[s]`` and its partner from ``token_ids[j_index[s]]``, each
-    over the longer of the pair's two valid lengths, and the pairing
-    holds only those pooled [n, embed_dim] rows, at ``md.POOLED``.
+    active tape, so gradients reach them. The partner rows of
+    ``forward_to_layer``'s tensor are gathered, except at embed-mlp's
+    word cut: there both endpoints of a pair are pooled straight from
+    the embedding table, row s from ``token_ids[s]`` and its partner from
+    ``token_ids[j_index[s]]``, each over the longer of the pair's two
+    valid lengths, into [n, embed_dim] rows at ``md.POOLED``.
     """
-    layer, hidden_i = hidden.layer, hidden.tensor
-    n = len(label_rows)
+    n = len(batch)
     j_index = np.asarray(j_index)
     if j_index.dtype.kind not in "iu" or not np.array_equal(np.sort(j_index), np.arange(n)):
         raise ValueError(f"j_index must be a permutation of range({n})")
     if layer == "word" and model.kind == "embed-mlp":
-        layer, table, ids = md.POOLED, model.params["embed"], hidden.token_ids
-        lens = np.maximum(hidden.valid_lens, hidden.valid_lens[j_index])
-        hidden_i = ad.embedding_mean(table, ids, lens)
+        table, ids = model.params["embed"], batch.token_ids
+        lens = np.maximum(batch.valid_lens, batch.valid_lens[j_index])
+        cut, hidden_i = md.POOLED, ad.embedding_mean(table, ids, lens)
         hidden_j = ad.embedding_mean(table, ids[j_index], lens)
     else:
+        cut, hidden_i = md.forward_to_layer(model, batch, layer)
         hidden_j = ad.gather_rows(hidden_i, j_index)
     return MixBatch(
-        layer=layer,
+        layer=cut,
         hidden_i=hidden_i,
         hidden_j=hidden_j,
-        y_i=label_rows,
-        y_j=label_rows[j_index],
+        y_i=batch.label_rows,
+        y_j=batch.label_rows[j_index],
         dropout_mask=dropout_mask,
     )
 
@@ -171,8 +175,8 @@ def score(model: md.Model, pairs: MixBatch, lam_mix, lam_label) -> ad.Tensor:
     runs under the pairing's saved dropout mask, so two scores of one
     pairing differ only through the coefficients.
     """
-    mixed = md.Hidden(pairs.layer, ad.lerp(pairs.hidden_i, pairs.hidden_j, lam_mix))
-    logits = md.forward_from_layer(model, mixed, dropout_mask=pairs.dropout_mask)
+    mixed = ad.lerp(pairs.hidden_i, pairs.hidden_j, lam_mix)
+    logits = md.forward_from_layer(model, pairs.layer, mixed, dropout_mask=pairs.dropout_mask)
     return ad.pair_cross_entropy(logits, pairs.y_i, pairs.y_j, lam_label)
 
 
@@ -189,13 +193,12 @@ def rand_op(
     the leaf through both the mixed hidden state and the label weights.
     Draw order is fixed (partner permutation, then lambda, then dropout
     mask) so policies sharing a seed see identical randomness. The caller
-    checks ``config`` once; ``sample_lambda`` and ``forward_to_layer``
-    still reject a bad alpha or layer.
+    checks ``config`` once; ``sample_lambda`` and ``pair_up`` still
+    reject a bad alpha or layer.
     """
     n = len(batch)
     j_index = pair_batch(n, rng)
     lam_leaf = ad.Tensor(sample_lambda(config.alpha, n, rng), requires_grad=True)
-    hidden = md.forward_to_layer(model, batch, config.layer)
     dropout_mask = md.make_dropout_mask(model, n, dropout_rng)
-    pairs = pair_up(model, hidden, batch.label_rows, j_index, dropout_mask)
+    pairs = pair_up(model, batch, config.layer, j_index, dropout_mask)
     return pairs, lam_leaf, score(model, pairs, lam_leaf, lam_leaf)

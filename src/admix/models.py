@@ -1,20 +1,19 @@
 """Small text-classification backbones with a split forward pass.
 
-Both backbones expose the same two named cut points so hidden states
-can be interpolated mid-network:
+A cut point is a ``(cut, tensor)`` pair. ``forward_to_layer`` runs the
+prefix up to one of the two configurable layers and returns the pair;
+``forward_from_layer`` runs the suffix from it, and composing them
+reproduces the plain forward pass bitwise. The layers:
 
-- ``word``: the embedded tokens. text-cnn holds the grid, shape
-  [n, max_len, embed_dim]; embed-mlp holds only the token ids and
-  lengths, since its suffix pools straight from the embedding table
-  (``ad.embedding_mean``) and never builds the grid
+- ``word``: the embedded tokens. text-cnn stops at the grid, shape
+  [n, max_len, embed_dim], cut ``word``. embed-mlp's suffix opens with
+  a mean pool, so it stops after it, at ``POOLED``: the [n, embed_dim]
+  mean of each row's word vectors, pooled straight from the embedding
+  table (``ad.embedding_mean``) without building the grid
 - ``sent``: the final hidden vector feeding the classifier
 
-``forward_to_layer`` runs the prefix up to a cut point and
-``forward_from_layer`` runs the suffix; composing them reproduces the
-plain forward pass bitwise. embed-mlp's suffix also resumes from
-``POOLED``, the [n, embed_dim] mean of a row's word vectors, an internal
-cut point that ``mixup.pair_up`` mixes embed-mlp word pairs at (no
-config names it).
+Each backbone resumes from exactly two cuts: embed-mlp from ``POOLED``
+and ``sent``, text-cnn from ``word`` and ``sent``.
 """
 
 from __future__ import annotations
@@ -42,20 +41,6 @@ class Batch:
 
     def __len__(self) -> int:
         return self.token_ids.shape[0]
-
-
-@dataclass
-class Hidden:
-    """Activations at a named cut point, plus what the suffix still needs.
-
-    embed-mlp's ``word`` cut has no tensor: it keeps the token ids and
-    lengths, which its suffix pools from the embedding table.
-    """
-
-    layer: str
-    tensor: ad.Tensor | None
-    valid_lens: np.ndarray | None = None  # [n], only meaningful at "word"
-    token_ids: np.ndarray | None = None  # [n, max_len], only at embed-mlp's "word"
 
 
 @dataclass
@@ -174,34 +159,33 @@ def _check_layer(layer: str) -> None:
         raise ValueError(f"unknown layer {layer!r}, expected one of {LAYER_NAMES}")
 
 
-def forward_to_layer(model: Model, batch: Batch, layer: str) -> Hidden:
-    """Run the network prefix and stop at the named cut point."""
+def forward_to_layer(model: Model, batch: Batch, layer: str) -> tuple[str, ad.Tensor]:
+    """Run the network prefix up to ``layer``; returns ``(cut, tensor)``.
+
+    At ``word`` embed-mlp stops at ``POOLED``, each row's word vectors
+    pooled straight from the table, and text-cnn at the word grid.
+    """
     _check_layer(layer)
+    table = model.params["embed"]
     if model.kind == "embed-mlp":
-        word = Hidden("word", None, batch.valid_lens, batch.token_ids)
+        cut = POOLED, ad.embedding_mean(table, batch.token_ids, batch.valid_lens)
     else:
-        grid = ad.embedding_lookup(model.params["embed"], batch.token_ids)
-        word = Hidden("word", grid, batch.valid_lens)
-    if layer == "word":
-        word.valid_lens = word.valid_lens.copy()
-        return word
-    return _word_to_sent(model, word)
+        cut = "word", ad.embedding_lookup(table, batch.token_ids)
+    return cut if layer == "word" else ("sent", _to_sent(model, *cut))
 
 
-def _word_to_sent(model: Model, hidden: Hidden) -> Hidden:
-    """The sent layer from the word cut: a mean pool from the table and a
-    tanh layer (embed-mlp), or the filter bank in one conv node (text-cnn)."""
-    if model.kind == "embed-mlp":
-        table = model.params["embed"]
-        return _pooled_to_sent(model, ad.embedding_mean(table, hidden.token_ids, hidden.valid_lens))
-    if model.kind == "text-cnn":
-        return Hidden("sent", ad.conv1d_maxpool_batch(hidden.tensor, *filter_bank(model)))
-    raise ValueError(f"unknown model kind {model.kind!r}")
-
-
-def _pooled_to_sent(model: Model, pooled: ad.Tensor) -> Hidden:
-    pre = ad.add(ad.matmul(pooled, model.params["w_hidden"]), model.params["b_hidden"])
-    return Hidden("sent", ad.tanh(pre))
+def _to_sent(model: Model, cut: str, tensor: ad.Tensor) -> ad.Tensor:
+    """The sent layer from a cut the backbone resumes from: a tanh layer
+    over embed-mlp's pooled rows, or text-cnn's filter bank over its word
+    grid in one conv node."""
+    if cut == "sent":
+        return tensor
+    if cut == POOLED and model.kind == "embed-mlp":
+        pre = ad.add(ad.matmul(tensor, model.params["w_hidden"]), model.params["b_hidden"])
+        return ad.tanh(pre)
+    if cut == "word" and model.kind == "text-cnn":
+        return ad.conv1d_maxpool_batch(tensor, *filter_bank(model))
+    raise ValueError(f"{model.kind} cannot resume from cut {cut!r}")
 
 
 def filter_bank(model: Model) -> list[ad.Tensor]:
@@ -211,21 +195,17 @@ def filter_bank(model: Model) -> list[ad.Tensor]:
 
 
 def forward_from_layer(
-    model: Model, hidden: Hidden, dropout_mask: np.ndarray | None = None
+    model: Model, cut: str, tensor: ad.Tensor, dropout_mask: np.ndarray | None = None
 ) -> ad.Tensor:
-    """Run the network suffix from a cut point (``word``, ``sent``, or
-    ``POOLED`` for embed-mlp) down to logits.
+    """Run the network suffix from ``tensor`` at ``cut`` down to logits.
 
-    ``dropout_mask`` is a precomputed inverted-dropout mask for the sent
-    layer (entries 0 or 1/keep). Passing the same mask to two calls
-    makes them share the dropped units; None means evaluation mode.
+    embed-mlp resumes from ``POOLED`` or ``sent``, text-cnn from ``word``
+    or ``sent``. ``dropout_mask`` is a precomputed inverted-dropout mask
+    for the sent layer (entries 0 or 1/keep). Passing the same mask to
+    two calls makes them share the dropped units; None means evaluation
+    mode.
     """
-    if hidden.layer == POOLED and model.kind == "embed-mlp":
-        hidden = _pooled_to_sent(model, hidden.tensor)
-    elif hidden.layer == "word":
-        hidden = _word_to_sent(model, hidden)
-    _check_layer(hidden.layer)
-    sent = hidden.tensor
+    sent = _to_sent(model, cut, tensor)
     if dropout_mask is not None:
         if dropout_mask.shape != sent.shape:
             raise ValueError(
@@ -237,7 +217,7 @@ def forward_from_layer(
 
 def forward(model: Model, batch: Batch, dropout_mask: np.ndarray | None = None) -> ad.Tensor:
     """Full forward pass, logits [n, num_classes]."""
-    return forward_from_layer(model, forward_to_layer(model, batch, "word"), dropout_mask)
+    return forward_from_layer(model, *forward_to_layer(model, batch, "word"), dropout_mask)
 
 
 def make_dropout_mask(

@@ -27,12 +27,6 @@ def make_model(rng, dropout=0.0, backbone="embed-mlp"):
     return models.init_embed_mlp(25, 5, 6, 3, rng, dropout=dropout)
 
 
-def fixed_pairing(model, batch, j_index, layer="sent"):
-    """A pairing chosen by hand, recorded on the active tape."""
-    hidden = models.forward_to_layer(model, batch, layer)
-    return mx.pair_up(model, hidden, batch.label_rows, j_index)
-
-
 class TestClipGrad:
     def test_values_clamped_to_unit_interval(self):
         out = amp.clip_grad(np.array([-3.0, -1.0, -0.2, 0.0, 0.7, 1.0, 5.0]))
@@ -132,7 +126,7 @@ class TestGradLambda:
             mx.sample_lambda(1.0, len(batch), np.random.default_rng(6)), requires_grad=True
         )
         with ad.Tape() as tape:
-            pairs = fixed_pairing(model, batch, np.arange(len(batch)))
+            pairs = mx.pair_up(model, batch, "sent", np.arange(len(batch)))
             loss = mx.score(model, pairs, lam_leaf, lam_leaf)
             g = amp.grad_lambda(tape, ad.reduce_sum(loss), lam_leaf)
         np.testing.assert_array_equal(g, np.zeros(len(batch)))
@@ -236,7 +230,7 @@ class TestRecomputeLoss:
             mx.sample_lambda(1.0, len(batch), np.random.default_rng(16)), requires_grad=True
         )
         with ad.Tape():
-            pairs = fixed_pairing(model, batch, np.arange(len(batch)))
+            pairs = mx.pair_up(model, batch, "sent", np.arange(len(batch)))
             loss = mx.score(model, pairs, lam_leaf, lam_leaf)
             moved = amp.recompute_loss(model, pairs, lam_leaf, np.clip(lam_leaf.data + 0.3, 0, 1))
         np.testing.assert_allclose(moved.data, loss.data, rtol=1e-12)
@@ -320,7 +314,7 @@ class TestAmpStep:
             lam_leaf = ad.Tensor(lam, requires_grad=True)
             with ad.Tape() as tape:
                 j = mx.pair_batch(len(batch), np.random.default_rng(seeds[3]))
-                pairs = fixed_pairing(model, batch, j)
+                pairs = mx.pair_up(model, batch, "sent", j)
                 loss = mx.score(model, pairs, lam_leaf, lam_leaf)
                 g_lam = amp.clip_grad(amp.grad_lambda(tape, ad.reduce_sum(loss), lam_leaf))
                 lam_prime = amp.perturb_lambda(lam, g_lam, 0.01)

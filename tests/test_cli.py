@@ -1,12 +1,15 @@
 """Subcommand behavior, CSV formats, exit codes."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from admix import harness as hz
 from admix.cli import main, render_sweep_svg
+
+ACCEPTANCE = Path(__file__).resolve().parents[1] / "configs" / "acceptance.cfg"
 
 TINY = """
 policy = mixup
@@ -67,6 +70,18 @@ class TestExitCodes:
         path.write_text(TINY + "min_freq = 0\n")
         assert main(["train", "--config", str(path)]) == 1
         assert "min_freq" in capsys.readouterr().err
+
+    def test_wrong_width_pretrained_table_is_config_error(self, tmp_path, capsys):
+        # the acceptance task has 502 vocabulary entries and 16-wide embeddings
+        _, _, _, vocab = hz.prepare_task(hz.load_config(ACCEPTANCE), seed=0)
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("".join(f"{token}{' 0.5' * 8}\n" for token in vocab.id_to_token))
+        path = tmp_path / "pretrained.cfg"
+        path.write_text(ACCEPTANCE.read_text() + f"embed_path = {vectors}\n")
+        assert main(["train", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: pretrained table (502, 8) does not match embedding (502, 16)\n"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -1,6 +1,7 @@
 """Training loop, config parsing, experiment runners, sweep, gradcheck."""
 
 import dataclasses
+import gc
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -785,7 +786,9 @@ def test_text_cnn_sent_rows_do_not_depend_on_the_batch(acceptance_task):
     enc = dt.encode_batch(test_ds.examples[:700], vocab, cfg.max_len, cfg.num_classes)
 
     def sent(rows):
-        return md.forward_to_layer(model_a, hz._slice_batch(enc, rows), "sent").tensor.data
+        cut, tensor = md.forward_to_layer(model_a, hz._slice_batch(enc, rows), "sent")
+        assert cut == "sent"
+        return tensor.data
 
     whole = sent(np.arange(700)).tobytes()
     block = ad.CONV_BLOCK_ROWS
@@ -871,6 +874,69 @@ def test_step_graph_size_and_unread_lambda_adjoints(acceptance_task, monkeypatch
     _, kept = step(True)
     for got, want in zip(skipped, kept):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("policy", [*mx.POLICIES, mx.MAXOP])
+@pytest.mark.parametrize("layer", ["sent", "word"])
+@pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
+def test_a_training_run_leaves_nothing_for_the_cyclic_gc(backbone, layer, policy):
+    # train frees each step's tape, the conv's columns among them, by
+    # dropping its last reference; that holds only while no tape node is
+    # in a reference cycle, which only the cyclic collector would free
+    cfg = hz.load_config(ROOT / "configs" / "acceptance.cfg")
+    cfg = dataclasses.replace(cfg, backbone=backbone, layer=layer, policy=policy, max_steps=8)
+    gc.collect()
+    gc.disable()
+    try:
+        hz.train(cfg, seed=0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+class TestPretrainedTable:
+    """``embed_path`` and ``embed_frozen`` through the config: Guo et al.'s
+    static (frozen) and tuned pretrained embeddings."""
+
+    @staticmethod
+    def write_vectors(path, vocab, dim):
+        # a vector for every vocabulary entry, so the file alone fixes the table
+        table = np.random.default_rng(9).uniform(-1.0, 1.0, (len(vocab), dim))
+        with open(path, "w", encoding="utf-8") as fh:
+            for token, row in zip(vocab.id_to_token, table):
+                fh.write(" ".join([token, *(repr(float(x)) for x in row)]) + "\n")
+        return table
+
+    @pytest.mark.parametrize("policy", ["mixup", "amp"])
+    @pytest.mark.parametrize("layer", ["sent", "word"])
+    @pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
+    def test_frozen_table_stays_bitwise_while_the_rest_trains(
+        self, tmp_path, monkeypatch, backbone, layer, policy
+    ):
+        cfg = hz.load_config(ROOT / "configs" / "acceptance.cfg")
+        _, _, _, vocab = hz.prepare_task(cfg, seed=0)
+        path = tmp_path / "vectors.txt"
+        table = self.write_vectors(path, vocab, cfg.embed_dim)
+        cfg = dataclasses.replace(
+            cfg, backbone=backbone, layer=layer, policy=policy, max_steps=20,
+            embed_path=str(path), embed_frozen=True,
+        )
+        built = []
+        build_model = hz.build_model
+
+        def recording(*args, **kwargs):
+            model = build_model(*args, **kwargs)
+            built.append(model.state())
+            return model
+
+        monkeypatch.setattr(hz, "build_model", recording)
+        model, _ = hz.train(cfg, seed=0)
+        (init,) = built
+        assert "embed" not in model.trainable_params()
+        assert model.params["embed"].data.tobytes() == table.tobytes() == init["embed"].tobytes()
+        for name, p in model.params.items():
+            if name != "embed":
+                assert not np.array_equal(p.data, init[name]), name
 
 
 class TestGradcheck:

@@ -213,8 +213,7 @@ class TestRandOp:
         model = make_model(np.random.default_rng(20))
         batch = make_batch(np.random.default_rng(21))
         j = mx.pair_batch(len(batch), np.random.default_rng(22))
-        hidden = models.forward_to_layer(model, batch, "sent")
-        pairs = mx.pair_up(model, hidden, batch.label_rows, j)
+        pairs = mx.pair_up(model, batch, "sent", j)
         ones = np.ones(len(batch))
         loss = mx.score(model, pairs, ones, ones)
         plain_loss = ad.softmax_cross_entropy(models.forward(model, batch), batch.label_rows)
@@ -236,8 +235,7 @@ class TestRandOp:
         model = make_model(np.random.default_rng(20))
         batch = make_batch(np.random.default_rng(21))
         j = mx.pair_batch(len(batch), np.random.default_rng(6))
-        hidden = models.forward_to_layer(model, batch, "word")
-        pairs = mx.pair_up(model, hidden, batch.label_rows, j)
+        pairs = mx.pair_up(model, batch, "word", j)
         lens = np.maximum(batch.valid_lens, batch.valid_lens[j])
         assert np.any(lens != batch.valid_lens) and np.any(lens != batch.valid_lens[j])
         grid = ad.embedding_lookup(model.params["embed"], batch.token_ids)
@@ -254,36 +252,36 @@ class TestRandOp:
     @pytest.mark.parametrize("layer", ["sent", "word"])
     @pytest.mark.parametrize("j", [[0, 2, 2, 3, 4, 5], [0, 1, 2, 3, 4, 6]], ids=["repeat", "range"])
     def test_rejects_a_pairing_that_is_not_a_permutation(self, j, layer):
+        # the check runs before the prefix, so nothing is recorded
         model = make_model(np.random.default_rng(20))
         batch = make_batch(np.random.default_rng(21))
         with ad.Tape() as tape:
-            hidden = models.forward_to_layer(model, batch, layer)
-            recorded = len(tape.nodes)
             with pytest.raises(ValueError, match="j_index must be a permutation"):
-                mx.pair_up(model, hidden, batch.label_rows, np.array(j))
-            assert len(tape.nodes) == recorded
+                mx.pair_up(model, batch, layer, np.array(j))
+            assert tape.nodes == []
 
     def test_text_cnn_word_grid_is_paired_as_is(self):
         model = models.init_text_cnn(25, 5, (2, 3), 4, 3, np.random.default_rng(20))
         batch = make_batch(np.random.default_rng(21))
         j = mx.pair_batch(len(batch), np.random.default_rng(6))
-        hidden = models.forward_to_layer(model, batch, "word")
-        pairs = mx.pair_up(model, hidden, batch.label_rows, j)
-        np.testing.assert_array_equal(pairs.hidden_j.data, hidden.tensor.data[j])
-        assert pairs.layer == "word" and pairs.hidden_i is hidden.tensor
+        pairs = mx.pair_up(model, batch, "word", j)
+        cut, grid = models.forward_to_layer(model, batch, "word")
+        np.testing.assert_array_equal(pairs.hidden_i.data, grid.data)
+        np.testing.assert_array_equal(pairs.hidden_j.data, grid.data[j])
+        assert pairs.layer == cut == "word"
 
     def test_lambda_gradient_matches_finite_differences(self):
         model = make_model(np.random.default_rng(23))
         batch = make_batch(np.random.default_rng(24), n=4)
-        hidden = models.forward_to_layer(model, batch, "sent")
+        _, sent = models.forward_to_layer(model, batch, "sent")
         j = np.array([2, 3, 0, 1])
-        g_i_data = hidden.tensor.data
+        g_i_data = sent.data
 
         def loss_at(lam_t):
             g_i = ad.Tensor(g_i_data)
             g_j = ad.Tensor(g_i_data[j])
             mixed = ad.lerp(g_i, g_j, lam_t)
-            logits = models.forward_from_layer(model, models.Hidden("sent", mixed))
+            logits = models.forward_from_layer(model, "sent", mixed)
             loss = ad.pair_cross_entropy(logits, batch.label_rows, batch.label_rows[j], lam_t)
             return ad.reduce_sum(loss)
 
@@ -302,8 +300,9 @@ class TestRandOp:
             col = ad.reshape(lam, (n,) + (1,) * (pairs.hidden_i.ndim - 1))
             mixed = ad.add(ad.mul(pairs.hidden_i, col),
                            ad.mul(pairs.hidden_j, ad.add(ad.scale(col, -1.0), 1.0)))
-            hidden = models.Hidden(pairs.layer, mixed)
-            logits = models.forward_from_layer(model, hidden, dropout_mask=pairs.dropout_mask)
+            logits = models.forward_from_layer(
+                model, pairs.layer, mixed, dropout_mask=pairs.dropout_mask
+            )
             ce_i = ad.softmax_cross_entropy(logits, pairs.y_i)
             ce_j = ad.softmax_cross_entropy(logits, pairs.y_j)
             return ad.add(ad.mul(lam, ce_i), ad.mul(ad.add(ad.scale(lam, -1.0), 1.0), ce_j))
@@ -321,8 +320,7 @@ class TestRandOp:
         for score in (lambda m, p, lam: mx.score(m, p, lam, lam), composite_score):
             lam_leaf = ad.Tensor(lam, requires_grad=True)
             with ad.Tape() as tape:
-                hidden = models.forward_to_layer(model, batch, layer)
-                pairs = mx.pair_up(model, hidden, batch.label_rows, j, mask)
+                pairs = mx.pair_up(model, batch, layer, j, mask)
                 loss = score(model, pairs, lam_leaf)
                 results.append((loss.data, amp.grad_lambda(tape, ad.reduce_sum(loss), lam_leaf)))
         for fused, composite in zip(*results):
@@ -354,14 +352,13 @@ class TestPooledWordMixing:
         grid = ad.embedding_lookup(model.params["embed"], batch.token_ids)
         mixed = ad.lerp(grid, ad.gather_rows(grid, j), lam)
         lens = np.maximum(batch.valid_lens, batch.valid_lens[j])
-        pooled = models.Hidden(models.POOLED, ad.mean_pool_batch(mixed, lens))
-        logits = models.forward_from_layer(model, pooled, dropout_mask=mask)
+        pooled = ad.mean_pool_batch(mixed, lens)
+        logits = models.forward_from_layer(model, models.POOLED, pooled, dropout_mask=mask)
         return ad.pair_cross_entropy(logits, batch.label_rows, batch.label_rows[j], lam)
 
     @staticmethod
     def pooled_score(model, batch, j, lam, mask):
-        hidden = models.forward_to_layer(model, batch, "word")
-        return mx.score(model, mx.pair_up(model, hidden, batch.label_rows, j, mask), lam, lam)
+        return mx.score(model, mx.pair_up(model, batch, "word", j, mask), lam, lam)
 
     @pytest.mark.parametrize("lam_kind", ["zero", "one", "beta"])
     def test_loss_and_every_gradient_match_the_grid_blend(self, lam_kind):
@@ -395,18 +392,19 @@ class TestPooledWordMixing:
             assert np.abs(pooled - grid).max() <= 1e-13 * np.abs(grid).max()
 
     @staticmethod
-    def gathered_grid_pair_up(model, hidden, label_rows, j_index, dropout_mask=None):
+    def gathered_grid_pair_up(model, batch, layer, j_index, dropout_mask=None):
         """The pairing as it was before pooling moved into the table: look
         up the word grid, gather the partner's whole grid, then pool both
         endpoints."""
-        grid = ad.embedding_lookup(model.params["embed"], hidden.token_ids)
-        lens = np.maximum(hidden.valid_lens, hidden.valid_lens[j_index])
+        assert layer == "word"
+        grid = ad.embedding_lookup(model.params["embed"], batch.token_ids)
+        lens = np.maximum(batch.valid_lens, batch.valid_lens[j_index])
         return mx.MixBatch(
             layer=models.POOLED,
             hidden_i=ad.mean_pool_batch(grid, lens),
             hidden_j=ad.mean_pool_batch(ad.gather_rows(grid, j_index), lens),
-            y_i=label_rows,
-            y_j=label_rows[j_index],
+            y_i=batch.label_rows,
+            y_j=batch.label_rows[j_index],
             dropout_mask=dropout_mask,
         )
 
@@ -442,8 +440,7 @@ class TestPooledWordMixing:
         batch = make_batch(np.random.default_rng(41), n=7, max_len=9)
         j = mx.pair_batch(len(batch), np.random.default_rng(6))
         with ad.Tape() as tape:
-            hidden = models.forward_to_layer(model, batch, "word")
-            mx.pair_up(model, hidden, batch.label_rows, j)
+            mx.pair_up(model, batch, "word", j)
         assert [node.op for node in tape.nodes] == ["embedding_mean", "embedding_mean"]
         for node in tape.nodes:
             assert node.output.shape == (len(batch), model.params["embed"].shape[1])

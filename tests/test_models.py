@@ -78,42 +78,41 @@ class TestSplitForward:
         batch = make_batch(np.random.default_rng(4), max_len=6)
         mask = models.make_dropout_mask(m, len(batch), np.random.default_rng(5))
         full = models.forward(m, batch, dropout_mask=mask)
-        hidden = models.forward_to_layer(m, batch, layer)
-        split = models.forward_from_layer(m, hidden, dropout_mask=mask)
+        cut, tensor = models.forward_to_layer(m, batch, layer)
+        split = models.forward_from_layer(m, cut, tensor, dropout_mask=mask)
         np.testing.assert_array_equal(full.data, split.data)
 
     def test_word_hidden_shape_and_lengths(self):
-        # embed-mlp's word cut keeps the ids and lengths its suffix pools
-        # from the table; text-cnn's holds the grid those ids name
+        # embed-mlp's word cut is the pooled cut: each row's word vectors
+        # averaged over its valid length; text-cnn's is the word grid
         rng = np.random.default_rng(3)
         mlp = models.init_embed_mlp(20, 5, 7, 3, rng)
         cnn = models.init_text_cnn(20, 5, (2, 3), 4, 3, rng)
         batch = make_batch(np.random.default_rng(4), n=3, max_len=6)
-        h = models.forward_to_layer(mlp, batch, "word")
-        assert h.layer == "word" and h.tensor is None
-        np.testing.assert_array_equal(h.token_ids, batch.token_ids)
-        np.testing.assert_array_equal(h.valid_lens, batch.valid_lens)
-        grid = ad.embedding_lookup(mlp.params["embed"], h.token_ids)
-        assert grid.shape == (3, 6, 5)
-        h = models.forward_to_layer(cnn, batch, "word")
-        assert h.layer == "word" and h.token_ids is None
-        grid = ad.embedding_lookup(cnn.params["embed"], batch.token_ids)
-        np.testing.assert_array_equal(h.tensor.data, grid.data)
-        np.testing.assert_array_equal(h.valid_lens, batch.valid_lens)
+        batch.valid_lens = np.array([1, 6, 4])
+        cut, pooled = models.forward_to_layer(mlp, batch, "word")
+        assert cut == models.POOLED and pooled.shape == (3, 5)
+        grid = mlp.params["embed"].data[batch.token_ids]
+        for s, n_valid in enumerate(batch.valid_lens):
+            np.testing.assert_allclose(pooled.data[s], grid[s, :n_valid].mean(axis=0), rtol=1e-12)
+        table_pool = ad.mean_pool_batch(ad.Tensor(grid), batch.valid_lens)
+        np.testing.assert_array_equal(pooled.data, table_pool.data)
+        cut, tensor = models.forward_to_layer(cnn, batch, "word")
+        assert cut == "word" and tensor.shape == (3, 6, 5)
+        np.testing.assert_array_equal(tensor.data, cnn.params["embed"].data[batch.token_ids])
 
     def test_sent_hidden_has_no_lengths(self):
+        # a cut point is a (cut, tensor) pair and nothing more
         m = models.init_embed_mlp(20, 5, 7, 3, np.random.default_rng(3))
         batch = make_batch(np.random.default_rng(4))
-        h = models.forward_to_layer(m, batch, "sent")
-        assert h.layer == "sent"
-        assert h.valid_lens is None
-        assert h.tensor.shape == (len(batch), 7)
+        cut, tensor = models.forward_to_layer(m, batch, "sent")
+        assert cut == "sent"
+        assert tensor.shape == (len(batch), 7)
 
     def test_zero_sent_hidden_gives_bias_logits(self):
         m = models.init_embed_mlp(20, 5, 7, 3, np.random.default_rng(3))
         m.params["b_out"].data = np.array([0.5, -1.0, 2.0])
-        hidden = models.Hidden("sent", ad.Tensor(np.zeros((4, 7))))
-        logits = models.forward_from_layer(m, hidden)
+        logits = models.forward_from_layer(m, "sent", ad.Tensor(np.zeros((4, 7))))
         np.testing.assert_array_equal(logits.data, np.tile([0.5, -1.0, 2.0], (4, 1)))
 
     def test_unknown_layer_rejected(self):
@@ -121,6 +120,22 @@ class TestSplitForward:
         batch = make_batch(np.random.default_rng(4))
         with pytest.raises(ValueError, match="unknown layer"):
             models.forward_to_layer(m, batch, "pixel")
+
+    @pytest.mark.parametrize(
+        "kind, cut",
+        [("embed-mlp", "word"), ("embed-mlp", "pixel"), ("text-cnn", models.POOLED), ("text-cnn", "pixel")],
+    )
+    def test_a_cut_the_backbone_cannot_resume_from_is_named(self, kind, cut):
+        # each backbone with the other backbone's cut, and with an unknown one
+        rng = np.random.default_rng(3)
+        if kind == "embed-mlp":
+            m = models.init_embed_mlp(20, 5, 7, 3, rng)
+            tensor = ad.Tensor(rng.random((4, 8, 5)))
+        else:
+            m = models.init_text_cnn(20, 5, (2, 3), 4, 3, rng)
+            tensor = ad.Tensor(rng.random((4, 5)))
+        with pytest.raises(ValueError, match=f"^{kind} cannot resume from cut '{cut}'$"):
+            models.forward_from_layer(m, cut, tensor)
 
     def test_dropout_mask_shape_checked(self):
         m = models.init_embed_mlp(20, 5, 7, 3, np.random.default_rng(3))
