@@ -4,12 +4,13 @@ One training step runs three stages on a single tape:
 
 1. random stage: a plain interpolation pass (pairing, lambda draw,
    mixed forward) producing per-sample losses L;
-2. ascent stage: backprop of sum(L), walking only the tape nodes
-   downstream of the lambda leaf, yields dL/dlambda, which is clipped
-   to [-1, 1] and applied as lambda' = lambda + epsilon * grad,
-   clamped to [0, 1]. ``mixup.score`` re-mixes the same pairing at
-   lambda' while the label weights keep the original lambda, and reruns
-   the suffix under the same dropout mask, giving L';
+2. ascent stage: backprop of sum(L) over only the tape nodes downstream
+   of the lambda leaf, forming no parameter adjoint (``ad.backward``
+   masks the rest), yields dL/dlambda, which is clipped to [-1, 1] and
+   applied as lambda' = lambda + epsilon * grad, clamped to [0, 1].
+   ``mixup.score`` re-mixes the same pairing at lambda' while the label
+   weights keep the original lambda, and reruns the suffix under the
+   same dropout mask, giving L';
 3. selection stage: per sample, the step keeps whichever loss is
    larger, via mask = 1 when L' - L > 0, so the optimized objective is
    mean(max(L, L')). The ``maxop`` policy skips the selection and keeps
@@ -65,14 +66,12 @@ class LossBundle:
 def grad_lambda(tape: ad.Tape, loss_sum: ad.Tensor, lam_leaf: ad.Tensor) -> np.ndarray:
     """Backprop ``loss_sum`` and return the gradient on the lambda leaf.
 
-    Only the nodes downstream of ``lam_leaf`` run their backward, so no
-    layer below the mixing layer is differentiated here.
+    Only the nodes downstream of ``lam_leaf`` run their backward, and
+    they form no parameter adjoint: ``ad.backward`` masks those inputs.
     """
-    if not lam_leaf.requires_grad:
-        raise ValueError("lambda leaf does not require grad")
     (grad,) = ad.backward(tape, loss_sum, [lam_leaf])
     if grad is None:
-        raise ValueError("lambda leaf is not reachable from the loss on this tape")
+        raise ValueError("lambda leaf does not require grad or is not reachable from the loss")
     return grad
 
 
@@ -142,8 +141,6 @@ def amp_step(
     n = len(batch)
 
     g_lam = clip_grad(grad_lambda(tape, ad.reduce_sum(loss), lam_leaf))
-    # no later walk reads dL/dlambda, so the final backward skips it
-    lam_leaf.requires_grad = False
     lam_prime = perturb_lambda(lam_leaf.data, g_lam, config.epsilon)
     loss_prime = recompute_loss(model, pairs, lam_leaf, lam_prime)
 

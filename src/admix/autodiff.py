@@ -8,8 +8,10 @@ marks, in one forward sweep, the nodes downstream of the leaves it is
 asked for (the activity analysis of Griewank & Walther, *Evaluating
 Derivatives*), then walks only those nodes in reverse, so its cost is
 linear in the number of recorded ops and no node that cannot reach a
-requested leaf runs its backward. It returns the gradients of those
-leaves; no gradient is stored on a tensor.
+requested leaf runs its backward. It also clears, for the walk only,
+the ``requires_grad`` of those nodes' inputs that no leaf reaches, so
+no adjoint that a leaf cannot read is formed. It returns the gradients
+of those leaves; no gradient is stored on a tensor.
 
 This module is only the tape, ``backward`` and the 16 ops named in
 ``OPS``, and it depends on numpy alone. The finite-difference audit of
@@ -633,8 +635,8 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
 # ``add``, ``scale`` and ``reshape`` (or ``softmax_cross_entropy``) it
 # replaces, with 1 - w written as w * -1.0 + 1.0, and returns each
 # input's adjoint as the same sum that composite's walk builds, so the
-# two agree bitwise. A weight leaf's adjoint is computed only while it
-# requires grad when the walk reaches the node.
+# two agree bitwise. A weight's adjoint is formed only when a requested
+# leaf is the weight or upstream of it (``backward`` clears its flag).
 
 
 def _weights(w, n: int) -> Tensor:
@@ -712,10 +714,11 @@ def backward(tape: Tape, root: Tensor, leaves) -> list:
 
     ``root`` must be scalar, and ``leaves`` are tensors that no node on
     ``tape`` produced. Only the nodes downstream of ``leaves`` are
-    visited, each exactly once, in reverse creation order; a node that
-    no leaf reaches cannot add to a leaf's gradient, so pruning it leaves
-    every result bitwise unchanged. Visited nodes whose output received
-    no gradient are skipped.
+    visited, each exactly once, in reverse creation order, with the
+    ``requires_grad`` of their unreached inputs cleared until this returns
+    (or raises). No leaf is upstream of a pruned node or a masked input,
+    so neither changes a result's bits. Visited nodes whose output
+    received no gradient are skipped.
     Every result is an array nothing else holds, or None for a leaf that
     ``root`` does not reach: a result is copied only when it is a view
     (its ``base`` is set) or the same object as an earlier leaf's result,
@@ -727,27 +730,42 @@ def backward(tape: Tape, root: Tensor, leaves) -> list:
         raise ValueError(f"backward root must be scalar, got shape {root.shape}")
     leaves = list(leaves)
     # forward sweep: a node is active when one of its inputs is a leaf or
-    # the output of an active node; no other node can reach a leaf
+    # an active node's output; no other node, and no unreached input, reaches a leaf
     reached = {id(leaf) for leaf in leaves}
-    active = []
+    active, masked = [], {}
     for node in tape.nodes:
         for tensor in node.inputs:
             if id(tensor) in reached:
                 reached.add(id(node.output))
                 active.append(node)
+                if len(node.inputs) > 1:  # a lone input is reached
+                    for other in node.inputs:
+                        if id(other) not in reached and other.requires_grad:
+                            masked[id(other)] = other
                 break
-    pending: dict[int, np.ndarray] = {id(root): np.ones(root.shape)}
-    for node in reversed(active):
-        out_grad = pending.pop(id(node.output), None)
-        if out_grad is None:
-            continue
-        in_grads = node.backward_fn(out_grad)
-        for tensor, grad in zip(node.inputs, in_grads):
-            if grad is None or not tensor.requires_grad:
+
+    def set_masked(flag: bool) -> None:
+        for tensor in masked.values():
+            tensor.requires_grad = flag
+
+    if masked:
+        set_masked(False)
+    try:
+        pending: dict[int, np.ndarray] = {id(root): np.ones(root.shape)}
+        for node in reversed(active):
+            out_grad = pending.pop(id(node.output), None)
+            if out_grad is None:
                 continue
-            key = id(tensor)
-            earlier = pending.get(key)
-            pending[key] = grad if earlier is None else earlier + grad
+            in_grads = node.backward_fn(out_grad)
+            for tensor, grad in zip(node.inputs, in_grads):
+                if grad is None or not tensor.requires_grad:
+                    continue
+                key = id(tensor)
+                earlier = pending.get(key)
+                pending[key] = grad if earlier is None else earlier + grad
+    finally:
+        if masked:
+            set_masked(True)
     tape.last_visit_count = len(active)
     grads, handed_out = [], set()
     for leaf in leaves:

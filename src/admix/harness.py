@@ -365,8 +365,6 @@ def policy_step(model, batch, config, mix_rng, dropout_rng):
         lam = np.ones(n)
     else:
         _, lam_leaf, loss = mx.rand_op(model, batch, config, mix_rng, dropout_rng)
-        # mixup never reads dL/dlambda, so the backward skips it
-        lam_leaf.requires_grad = False
         lam = lam_leaf.data
     total = ad.scale(ad.reduce_sum(loss), 1.0 / n)
     return total, am.LossBundle.unperturbed(loss.data, lam)

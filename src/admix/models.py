@@ -230,19 +230,15 @@ def make_dropout_mask(
     return (rng.random((n, model.sent_dim)) < keep) / keep
 
 
-def load_pretrained_embeddings(
-    path, vocab, rng: np.random.Generator | None = None
-) -> ad.Tensor | None:
+def load_pretrained_embeddings(path, vocab, rng: np.random.Generator) -> ad.Tensor | None:
     """Build an embedding table from a whitespace-separated vectors file.
 
     Each line is ``token v1 .. vd``; the dimension comes from the first
-    line. Tokens present in ``vocab`` take their file vector, everything
-    else keeps a uniform(-0.1, 0.1) draw from ``rng``. A file with no
-    data lines warns and returns None so the caller keeps its own init.
+    line. Tokens of ``vocab`` (a ``data.Vocab``) take their file vector,
+    every other row keeps a uniform(-0.1, 0.1) draw from ``rng``. A file
+    with no data lines warns and returns None so the caller keeps its own
+    init.
     """
-    token_to_id = vocab.token_to_id if hasattr(vocab, "token_to_id") else dict(vocab)
-    if rng is None:
-        rng = np.random.default_rng(0)
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -250,14 +246,13 @@ def load_pretrained_embeddings(
             if not parts:
                 continue
             rows.append((lineno, parts[0], parts[1:]))
-    vocab_size = max(token_to_id.values()) + 1 if token_to_id else 0
     if not rows:
         warnings.warn(f"no usable vectors in {path}; keeping random init")
         return None
     dim = len(rows[0][2])
     if dim == 0:
         raise ValueError(f"line {rows[0][0]}: no vector components")
-    table = _uniform(rng, (vocab_size, dim))
+    table = _uniform(rng, (len(vocab), dim))
     filled = 0
     for lineno, token, comps in rows:
         if len(comps) != dim:
@@ -266,7 +261,7 @@ def load_pretrained_embeddings(
             vec = np.array([float(c) for c in comps])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        idx = token_to_id.get(token)
+        idx = vocab.token_to_id.get(token)
         if idx is not None:
             table[idx] = vec
             filled += 1

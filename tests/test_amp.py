@@ -163,15 +163,17 @@ class TestPrunedAscent:
         assert pruned_visits < tape.last_visit_count == len(tape)
 
     def run_ascent(self, monkeypatch, backbone, layer):
-        """Op names whose backward ran during grad_lambda of one amp step."""
+        """(op name, input adjoints) of each backward run during grad_lambda
+        of one amp step."""
         ran = []
         original = amp.grad_lambda
 
         def traced_grad_lambda(tape, loss_sum, lam_leaf):
             for node in tape.nodes:
                 def fn(g, node=node, clean=node.backward_fn):
-                    ran.append(node.op)
-                    return clean(g)
+                    grads = clean(g)
+                    ran.append((node.op, grads))
+                    return grads
                 node.backward_fn = fn
             return original(tape, loss_sum, lam_leaf)
 
@@ -207,7 +209,38 @@ class TestPrunedAscent:
         _, _, _, ran = self.run_ascent(monkeypatch, "embed-mlp", "word")
         assert ran
         scatters = {"embedding_lookup", "embedding_mean", "gather_rows", "mean_pool_batch"}
-        assert not scatters & set(ran)
+        assert not scatters & {op for op, _ in ran}
+
+    def test_text_cnn_word_ascent_forms_no_filter_adjoint(self, monkeypatch):
+        # the ascent asks only for lambda, so the conv forms the adjoint of
+        # its mixed input but not the bank's; the final walk forms both
+        needs, stage = [], ["final"]
+        conv_backward, grad_lambda = ad._conv_backward, amp.grad_lambda
+
+        def recording(*args):
+            needs.append((stage[0], args[-2:]))  # (need_x, need_f)
+            return conv_backward(*args)
+
+        def ascent(*args):
+            stage[0] = "ascent"
+            try:
+                return grad_lambda(*args)
+            finally:
+                stage[0] = "final"
+
+        monkeypatch.setattr(ad, "_conv_backward", recording)
+        monkeypatch.setattr(amp, "grad_lambda", ascent)
+        model, tape, total, _ = self.run_ascent(monkeypatch, "text-cnn", "word")
+        assert needs == [("ascent", (True, False))]
+        ad.backward(tape, total, model.trainable_params().values())
+        # the random and the re-scored pass each record one conv node
+        assert needs[1:] == [("final", (True, True))] * 2
+
+    def test_embed_mlp_sent_ascent_forms_no_weight_adjoint(self, monkeypatch):
+        _, _, _, ran = self.run_ascent(monkeypatch, "embed-mlp", "sent")
+        matmuls = [grads for op, grads in ran if op == "matmul"]
+        assert matmuls
+        assert all(ga is not None and gb is None for ga, gb in matmuls)
 
 
 class TestRecomputeLoss:

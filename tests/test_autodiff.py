@@ -1190,6 +1190,73 @@ class TestBackward:
         assert gz is None
 
 
+def graph_with_unrequested_inputs(rng):
+    """Only ``x`` is asked for; ``w``, ``b`` and ``lam`` require grad but
+    are unreached inputs of walked nodes, and ``c`` is a constant."""
+    x, w, b, lam = leaf(rng, 3, 4), leaf(rng, 4, 2), leaf(rng, 2), leaf(rng, 3)
+    with ad.Tape() as tape:
+        h = ad.add(ad.matmul(x, w), b)
+        mixed = ad.lerp(h, ad.tanh(h), lam)
+        y = ad.reduce_sum(ad.mul(mixed, ad.Tensor(rand(rng, 3, 2))))
+    return tape, y, x, [w, b, lam]
+
+
+def tape_flags(tape):
+    tensors = {id(t): t for node in tape.nodes for t in (*node.inputs, node.output)}
+    return {key: t.requires_grad for key, t in tensors.items()}
+
+
+class TestMaskedInputs:
+    """``backward`` clears the flags of unreached inputs for its walk only."""
+
+    def test_walk_forms_no_adjoint_for_unrequested_inputs(self):
+        tape, y, x, unrequested = graph_with_unrequested_inputs(np.random.default_rng(64))
+        formed = []
+        for node in tape.nodes:
+
+            def spy(g, clean=node.backward_fn, inputs=node.inputs):
+                grads = clean(g)
+                formed.extend(t for t, grad in zip(inputs, grads) if grad is not None)
+                return grads
+
+            node.backward_fn = spy
+        (gx,) = ad.backward(tape, y, [x])
+        assert not {id(t) for t in formed} & {id(t) for t in unrequested}
+        full = ad.backward(tape, y, [x, *unrequested])
+        assert all(grad is not None for grad in full)
+        np.testing.assert_array_equal(gx, full[0])
+
+    def test_flags_are_restored_after_the_walk(self):
+        tape, y, x, unrequested = graph_with_unrequested_inputs(np.random.default_rng(65))
+        before = tape_flags(tape)
+        seen = []
+        matmul = tape.nodes[0]
+        clean = matmul.backward_fn
+
+        def spy(g):
+            seen.append([t.requires_grad for t in unrequested])
+            return clean(g)
+
+        matmul.backward_fn = spy
+        ad.backward(tape, y, [x])
+        assert seen == [[False, False, False]]
+        assert tape_flags(tape) == before
+        assert all(t.requires_grad for t in unrequested)
+
+    def test_flags_are_restored_when_a_backward_fn_raises(self):
+        tape, y, x, unrequested = graph_with_unrequested_inputs(np.random.default_rng(66))
+        before = tape_flags(tape)
+
+        def boom(g):
+            raise RuntimeError("boom")
+
+        tape.nodes[1].backward_fn = boom  # the add, after the walk has masked
+        with pytest.raises(RuntimeError, match="boom"):
+            ad.backward(tape, y, [x])
+        assert tape_flags(tape) == before
+        assert all(t.requires_grad for t in unrequested)
+
+
 class TestFiniteDiffCheck:
     def test_quadratic_checks_out(self):
         x = ad.Tensor([1.0, -2.0, 3.0], requires_grad=True)

@@ -840,13 +840,14 @@ def test_embed_mlp_forward_memory_is_bounded_by_the_row_block(acceptance_task):
 
 @pytest.mark.parametrize("policy, nodes", [("none", 9), ("mixup", 11), ("amp", 20)])
 def test_step_graph_size_and_unread_lambda_adjoints(acceptance_task, monkeypatch, policy, nodes):
-    # mixup and amp stop differentiating lambda once nothing reads its
-    # gradient; the parameter gradients must not notice
+    # the parameter walk forms no dL/dlambda, the step leaves lambda's flag
+    # set, and the parameter gradients equal those of a walk that also
+    # asks for lambda
     cfg, test_ds, vocab = acceptance_task
     cfg = dataclasses.replace(cfg, policy=policy)
     model = hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(0))
     batch = dt.encode_batch(test_ds.examples[: cfg.batch_size], vocab, cfg.max_len, cfg.num_classes)
-    leaves = []
+    leaves, formed = [], []  # formed: for each fused-op backward, whether it formed dL/dw
     rand_op = mx.rand_op
 
     def capture(*args, **kwargs):
@@ -855,24 +856,42 @@ def test_step_graph_size_and_unread_lambda_adjoints(acceptance_task, monkeypatch
         return out
 
     monkeypatch.setattr(mx, "rand_op", capture)
+    for op in ("lerp", "pair_cross_entropy"):
 
-    def step(lambda_requires_grad):
+        def counted(*args, fused=getattr(ad, op), **kwargs):
+            out = fused(*args, **kwargs)
+            node = ad.active_tape().nodes[-1]
+            clean = node.backward_fn
+
+            def backward_fn(g):
+                grads = clean(g)
+                formed.append(grads[-1] is not None)
+                return grads
+
+            node.backward_fn = backward_fn
+            return out
+
+        monkeypatch.setattr(ad, op, counted)
+
+    def step(with_lambda):
         leaves.clear()
-        params = model.trainable_params()
+        params = list(model.trainable_params().values())
         with ad.Tape() as tape:
             total, _ = hz.policy_step(
                 model, batch, cfg, np.random.default_rng(1), np.random.default_rng(2)
             )
-            assert [leaf.requires_grad for leaf in leaves] == ([] if policy == "none" else [False])
-            for leaf in leaves:
-                leaf.requires_grad = lambda_requires_grad
-            grads = ad.backward(tape, total, params.values())
-        return tape, grads
+            formed.clear()
+            grads = ad.backward(tape, total, params + (leaves if with_lambda else []))
+        assert [leaf.requires_grad for leaf in leaves] == ([] if policy == "none" else [True])
+        return tape, grads[: len(params)], list(formed)
 
-    tape, skipped = step(False)
+    tape, without, formed_without = step(False)
     assert (len(tape), tape.last_visit_count) == (nodes, nodes)
-    _, kept = step(True)
-    for got, want in zip(skipped, kept):
+    assert not any(formed_without)
+    _, with_lambda, formed_with = step(True)
+    assert any(formed_with) == (policy != "none")
+    assert len(formed_with) == len(formed_without)
+    for got, want in zip(without, with_lambda):
         np.testing.assert_array_equal(got, want)
 
 

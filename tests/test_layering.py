@@ -65,3 +65,40 @@ def test_mixing_does_not_import_the_harness(module):
 def test_nothing_imports_the_cli(module):
     inside, _ = imports(module)
     assert "cli" not in inside
+
+
+def requires_grad_writers(module: str) -> set:
+    """Top-level functions and methods of ``module`` that set a ``requires_grad``
+    attribute, by assignment or ``setattr``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    scopes = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            scopes += [(f"{top.name}.{getattr(item, 'name', '')}", item) for item in top.body]
+        else:
+            scopes.append((getattr(top, "name", "<module>"), top))
+    writers = set()
+    for name, scope in scopes:
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if node.attr == "requires_grad":
+                    writers.add(name)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "setattr"
+                and any(getattr(arg, "value", None) == "requires_grad" for arg in node.args)
+            ):
+                writers.add(name)
+    return {(module, name) for name in writers}
+
+
+def test_only_the_walk_and_two_setups_set_requires_grad():
+    # which adjoints a walk forms is decided in autodiff.backward alone; a
+    # flag toggled mid-step elsewhere would decide it a second time
+    found = set().union(*(requires_grad_writers(module) for module in MODULES))
+    assert found == {
+        ("autodiff", "Tensor.__init__"),
+        ("autodiff", "backward"),
+        ("models", "freeze_embeddings"),
+        ("gradcheck", "_param_loss"),
+    }

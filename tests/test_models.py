@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from admix import autodiff as ad
+from admix import data as dt
 from admix import gradcheck as gk
 from admix import models
 
@@ -234,14 +235,15 @@ class TestDropoutMask:
 
 
 class TestPretrainedEmbeddings:
-    def vocab(self):
-        return {"<pad>": 0, "<unk>": 1, "cat": 2, "dog": 3}
+    def load(self, path, seed=0):
+        tokens = ["<pad>", "<unk>", "cat", "dog"]
+        vocab = dt.Vocab({t: i for i, t in enumerate(tokens)}, tokens)
+        return models.load_pretrained_embeddings(path, vocab, np.random.default_rng(seed))
 
     def test_matching_tokens_take_file_vectors(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 2.0 3.0\ndog 4.0 5.0 6.0\nzebra 7.0 8.0 9.0\n")
-        rng = np.random.default_rng(2)
-        table = models.load_pretrained_embeddings(path, self.vocab(), rng)
+        table = self.load(path, seed=2)
         assert table.shape == (4, 3)
         np.testing.assert_array_equal(table.data[2], [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(table.data[3], [4.0, 5.0, 6.0])
@@ -253,29 +255,29 @@ class TestPretrainedEmbeddings:
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 2.0 3.0\ndog 4.0 5.0\n")
         with pytest.raises(ValueError, match="line 2"):
-            models.load_pretrained_embeddings(path, self.vocab())
+            self.load(path)
 
     def test_non_numeric_component_names_line(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 2.0 3.0\ndog 4.0 x 6.0\n")
         with pytest.raises(ValueError, match="line 2"):
-            models.load_pretrained_embeddings(path, self.vocab())
+            self.load(path)
 
     def test_empty_file_warns_and_returns_none(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("\n\n")
         with pytest.warns(UserWarning, match="random init"):
-            assert models.load_pretrained_embeddings(path, self.vocab()) is None
+            assert self.load(path) is None
 
     def test_duplicate_token_last_occurrence_wins(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 1.0\ncat 9.0 9.0\n")
-        table = models.load_pretrained_embeddings(path, self.vocab())
+        table = self.load(path)
         np.testing.assert_array_equal(table.data[2], [9.0, 9.0])
 
     def test_deterministic_given_rng(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 2.0\n")
-        t1 = models.load_pretrained_embeddings(path, self.vocab(), np.random.default_rng(5))
-        t2 = models.load_pretrained_embeddings(path, self.vocab(), np.random.default_rng(5))
+        t1 = self.load(path, seed=5)
+        t2 = self.load(path, seed=5)
         np.testing.assert_array_equal(t1.data, t2.data)
