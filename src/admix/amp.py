@@ -18,6 +18,9 @@ One training step runs three stages on a single tape:
 
 With epsilon = 0 the perturbed pass recomputes the same values and the
 step reduces to the plain interpolation policy, reproducing it bitwise.
+
+``LossBundle`` records the per-sample arrays the stages compute, as they
+are; L' - L and the selected loss are derived from them.
 """
 
 from __future__ import annotations
@@ -35,32 +38,32 @@ from .errors import DivergenceError
 
 @dataclass
 class LossBundle:
-    """Per-sample diagnostics of one step under any policy."""
+    """Per-sample record of one step under any policy. The arrays are the
+    step's own, not copies, and readers do not write to them."""
 
     loss: np.ndarray  # L, before perturbation
-    loss_prime: np.ndarray  # L' after perturbation (equals L when unused)
-    delta: np.ndarray  # L' - L
+    loss_prime: np.ndarray  # L' after perturbation (L itself when unused)
     mask: np.ndarray  # 1.0 where the perturbed branch was kept
-    loss_final: np.ndarray  # elementwise max(L, L')
     lam: np.ndarray
     grad_lambda: np.ndarray  # clipped dL/dlambda (zeros when unused)
     lambda_prime: np.ndarray
 
+    @property
+    def delta(self) -> np.ndarray:
+        """L' - L."""
+        return self.loss_prime - self.loss
+
+    @property
+    def loss_final(self) -> np.ndarray:
+        """The selected loss, by ``ad.lerp``'s own expression, so bitwise
+        what ``final_loss`` records: max(L, L') under ``compute_mask``."""
+        return self.loss_prime * self.mask + self.loss * (self.mask * -1.0 + 1.0)
+
     @classmethod
     def unperturbed(cls, loss: np.ndarray, lam: np.ndarray) -> "LossBundle":
-        """Bundle of a step that leaves lambda alone, so L' = L is kept."""
-        n = loss.shape[0]
-        values = loss.copy()
-        return cls(
-            loss=values,
-            loss_prime=values.copy(),
-            delta=np.zeros(n),
-            mask=np.zeros(n),
-            loss_final=values.copy(),
-            lam=lam.copy(),
-            grad_lambda=np.zeros(n),
-            lambda_prime=lam.copy(),
-        )
+        """Bundle of a step that leaves lambda alone: L' is ``loss``, lambda' is ``lam``."""
+        zeros = np.zeros(loss.shape[0])
+        return cls(loss, loss, zeros, lam, zeros, lam)
 
 
 def grad_lambda(tape: ad.Tape, loss_sum: ad.Tensor, lam_leaf: ad.Tensor) -> np.ndarray:
@@ -151,14 +154,4 @@ def amp_step(
     loss_final = final_loss(loss, loss_prime, mask)
     total = ad.scale(ad.reduce_sum(loss_final), 1.0 / n)
 
-    bundle = LossBundle(
-        loss=loss.data.copy(),
-        loss_prime=loss_prime.data.copy(),
-        delta=loss_prime.data - loss.data,
-        mask=mask,
-        loss_final=loss_final.data.copy(),
-        lam=lam_leaf.data.copy(),
-        grad_lambda=g_lam,
-        lambda_prime=lam_prime,
-    )
-    return total, bundle
+    return total, LossBundle(loss.data, loss_prime.data, mask, lam_leaf.data, g_lam, lam_prime)

@@ -25,6 +25,8 @@ from .errors import DivergenceError
 SWEEP_HEADER = ["lambda", "loss_model_a", "loss_model_b"]
 EXPERIMENTS_HEADER = ["policy", "seed", "test_error"]
 SUMMARY_HEADER = ["policy", "mean", "std", "rp_percent"]
+SVG_WIDTH = 640
+SVG_HEIGHT = 400
 
 
 def _write_csv(path, header, rows) -> None:
@@ -49,9 +51,9 @@ def _print_summary(rows) -> None:
         print(f"{name:<12s} {mean:>10.4f} {std:>10.4f} {rp_text:>8s}")
 
 
-def render_sweep_svg(rows, path, width: int = 640, height: int = 400) -> None:
+def render_sweep_svg(rows, path) -> None:
     """Minimal two-line SVG plot of sweep rows (no plotting dependency)."""
-    margin = 50
+    width, height, margin = SVG_WIDTH, SVG_HEIGHT, 50
     xs = [r[0] for r in rows]
     series = [[r[1] for r in rows], [r[2] for r in rows]]
     lo = min(min(s) for s in series)

@@ -50,7 +50,7 @@ def tokenize(text: str) -> list:
     return text.lower().split()
 
 
-def load_corpus(path, name: str = "", label_names: dict | None = None) -> Dataset:
+def load_corpus(path, label_names: dict | None = None) -> Dataset:
     """Read tab-separated ``label<TAB>text`` lines.
 
     Labels that all parse as nonnegative integers are used as class ids
@@ -79,7 +79,7 @@ def load_corpus(path, name: str = "", label_names: dict | None = None) -> Datase
             if label not in label_names:
                 raise ValueError(f"{path}: line {lineno}: unknown label {label!r}")
             examples.append((text, label_names[label]))
-        return Dataset(examples, num_classes, name or str(path), dict(label_names))
+        return Dataset(examples, num_classes, str(path), dict(label_names))
 
     def as_int(label):
         try:
@@ -102,7 +102,7 @@ def load_corpus(path, name: str = "", label_names: dict | None = None) -> Datase
         examples = [(text, label_names[label]) for label, text in rows]
     if num_classes < 2:
         raise ValueError(f"{path}: need at least 2 classes, found {num_classes}")
-    return Dataset(examples, num_classes, name or str(path), label_names)
+    return Dataset(examples, num_classes, str(path), label_names)
 
 
 def build_vocab(dataset: Dataset, min_freq: int = 1) -> Vocab:

@@ -254,7 +254,6 @@ def _param_loss(model, batch, rng):
     def loss_fn(t):
         saved = model.params[name]
         model.params[name] = t
-        t.requires_grad = True
         logits = md.forward(model, batch)
         out = ad.reduce_sum(ad.softmax_cross_entropy(logits, batch.label_rows))
         model.params[name] = saved

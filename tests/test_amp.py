@@ -395,6 +395,31 @@ class TestExperimentConfigAsMixConfig:
                 _, lam_leaf, loss = mx.rand_op(model, batch, cfg, rng, dropout_rng)
             values = [total.data, lam_leaf.data, loss.data]
             values += [getattr(bundle, f.name) for f in dataclasses.fields(amp.LossBundle)]
+            values += [bundle.delta, bundle.loss_final]
             states = (rng.bit_generator.state, dropout_rng.bit_generator.state)
             runs.append(([np.asarray(v).tobytes() for v in values], states))
         assert runs[0] == runs[1]
+
+
+class TestLossBundle:
+    @pytest.mark.parametrize("policy", ["none", "mixup", "amp", "maxop"])
+    def test_derived_fields_match_the_tape_bitwise(self, policy):
+        # the objective is scale(reduce_sum(selected)); the selected loss is
+        # final_loss's output under amp and maxop, L under none and mixup
+        model = make_model(np.random.default_rng(90), dropout=0.3)
+        batch = make_batch(np.random.default_rng(91), n=16)
+        cfg = hz.ExperimentConfig(policy=policy, epsilon=0.3)
+        with ad.Tape() as tape:
+            total, bundle = hz.policy_step(
+                model, batch, cfg, np.random.default_rng(92), np.random.default_rng(93)
+            )
+        (summed,) = tape.nodes[-1].inputs
+        assert tape.nodes[-1].output is total and tape.nodes[-2].output is summed
+        (selected,) = tape.nodes[-2].inputs
+        assert bundle.loss_final.tobytes() == selected.data.tobytes()
+        assert bundle.delta.tobytes() == (bundle.loss_prime - bundle.loss).tobytes()
+        if policy in ("amp", "maxop"):
+            assert tape.nodes[-3].op == "lerp" and tape.nodes[-3].output is selected
+        else:
+            assert selected.data is bundle.loss
+        assert len(dataclasses.fields(amp.LossBundle)) == 6

@@ -24,9 +24,12 @@ rel drift against the file (for ``final_params_sha256``, which stores no
 values, only that it changed), writes nothing, and exits 1 when anything
 drifted. Without ``--check`` the script prints the same report and
 rewrites the file: do that only for a change that is meant to move the
-traces, and state the drift.
+traces, and state the drift. Either way it first prints the OpenBLAS core
+numpy runs on (``unknown`` when its library does not say), since a digest
+is only reproducible under the same kernel.
 """
 
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -150,6 +153,18 @@ def test_sweep_matches_golden(combo, golden):
         )
 
 
+def blas_core() -> str:
+    """The OpenBLAS core of the library bundled in ``numpy.libs``, or ``unknown``."""
+    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def drift_lines(old: dict, new: dict) -> list:
     """One line per trace of ``new`` whose sha256 differs from ``old``'s,
     with the max abs and max rel drift between the two value lists, or
@@ -179,6 +194,7 @@ if __name__ == "__main__":
     check = sys.argv[1:] == ["--check"]
     if sys.argv[1:] and not check:
         sys.exit(f"usage: {sys.argv[0]} [--check]")
+    print(f"OpenBLAS core: {blas_core()}")
     traces = {combo: record(combo) for combo in COMBOS}
     traces.update({combo: record_sweep(combo) for combo in SWEEP_COMBOS})
     previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}

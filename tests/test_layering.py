@@ -94,11 +94,11 @@ def requires_grad_writers(module: str) -> set:
 
 def test_only_the_walk_and_two_setups_set_requires_grad():
     # which adjoints a walk forms is decided in autodiff.backward alone; a
-    # flag toggled mid-step elsewhere would decide it a second time
+    # flag toggled mid-step elsewhere would decide it a second time. The two
+    # setups are the Tensor constructor and freezing the embedding table
     found = set().union(*(requires_grad_writers(module) for module in MODULES))
     assert found == {
         ("autodiff", "Tensor.__init__"),
         ("autodiff", "backward"),
         ("models", "freeze_embeddings"),
-        ("gradcheck", "_param_loss"),
     }
