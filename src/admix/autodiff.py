@@ -13,6 +13,11 @@ the ``requires_grad`` of those nodes' inputs that no leaf reaches, so
 no adjoint that a leaf cannot read is formed. It returns the gradients
 of those leaves; no gradient is stored on a tensor.
 
+``Tape.wrap``, None by default, is the one hook on a node's adjoint, as
+PyTorch's autograd node hooks are: set to ``wrap(op, backward_fn) ->
+backward_fn``, it replaces the closure of every node any tape records,
+on the tapes training opens too. ``gradcheck --corrupt`` uses it.
+
 This module is only the tape, ``backward`` and the 16 ops named in
 ``OPS``, and it depends on numpy alone. The finite-difference audit of
 those ops is ``admix.gradcheck``.
@@ -99,6 +104,8 @@ class Tape:
     the recorded program needs no special handling.
     """
 
+    wrap = None  # the adjoint hook (module docstring); read from the class, so it stays unbound
+
     def __init__(self):
         self.nodes: list[_Node] = []
         # Number of nodes visited by the most recent backward() call: the
@@ -126,6 +133,8 @@ def active_tape() -> Tape | None:
 
 def _record(op, inputs, output, backward_fn) -> None:
     if _TAPE_STACK and output.requires_grad:
+        if Tape.wrap is not None:
+            backward_fn = Tape.wrap(op, backward_fn)
         _TAPE_STACK[-1].nodes.append(_Node(op, inputs, output, backward_fn))
 
 

@@ -54,10 +54,10 @@ def load_corpus(path, label_names: dict | None = None) -> Dataset:
     """Read tab-separated ``label<TAB>text`` lines.
 
     Labels that all parse as nonnegative integers are used as class ids
-    directly (classes = max id + 1); otherwise labels are names, mapped
-    to ids in first-appearance order. Malformed lines fail with their
-    line number. Passing ``label_names`` forces that existing mapping
-    (how a test file stays aligned with its training file).
+    directly (classes = max id + 1; ``label_names`` keeps ``01`` as written);
+    otherwise labels are names, mapped to ids in first-appearance order.
+    Malformed lines fail with their line number. A given ``label_names``
+    is used as is (so a test file keeps its training file's ids).
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -91,7 +91,8 @@ def load_corpus(path, label_names: dict | None = None) -> Dataset:
     ints = [as_int(label) for label, _ in rows]
     if all(v is not None for v in ints):
         num_classes = max(ints) + 1
-        label_names = {str(c): c for c in sorted(set(ints))}
+        written = sorted({(value, label) for (label, _), value in zip(rows, ints)})
+        label_names = {label: value for value, label in written}
         examples = [(text, value) for (_, text), value in zip(rows, ints)]
     else:
         label_names = {}

@@ -385,21 +385,9 @@ _CHECKS = (
 )
 
 
-def _corrupting(original_op):
-    """Wrap an op so the node it records returns sign-flipped gradients."""
-
-    def wrapper(*args, **kwargs):
-        out = original_op(*args, **kwargs)
-        tape = ad.active_tape()
-        if tape is not None and tape.nodes and tape.nodes[-1].output is out:
-            node = tape.nodes[-1]
-            clean = node.backward_fn
-            node.backward_fn = lambda g: tuple(
-                None if piece is None else -piece for piece in clean(g)
-            )
-        return out
-
-    return wrapper
+def _negated(backward_fn):
+    """``backward_fn`` with every adjoint it returns sign-flipped."""
+    return lambda g: tuple(None if piece is None else -piece for piece in backward_fn(g))
 
 
 def gradcheck(corrupt: str | None = None, instances: int = 100, seed: int = 0) -> GradcheckReport:
@@ -407,17 +395,17 @@ def gradcheck(corrupt: str | None = None, instances: int = 100, seed: int = 0) -
 
     Each row reports the max relative error over ``instances`` random
     cases. ``corrupt`` names a tape op in ``ad.OPS`` whose recorded
-    gradient is sign-flipped for the duration, a hook for verifying the
-    checker actually fails on wrong gradients.
+    adjoint is sign-flipped through ``ad.Tape.wrap``, to verify that the
+    checker fails on wrong gradients; that replaces any wrap already set
+    until the sweep returns or raises.
     """
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
-    restore = None
+    previous = ad.Tape.wrap
     if corrupt is not None:
         if corrupt not in ad.OPS:
             raise ValueError(f"cannot corrupt unknown op {corrupt!r}")
-        restore = getattr(ad, corrupt)
-        setattr(ad, corrupt, _corrupting(restore))
+        ad.Tape.wrap = lambda op, fn: _negated(fn) if op == corrupt else fn
     try:
         rows = []
         for name, key, error, tol in _CHECKS:
@@ -427,5 +415,4 @@ def gradcheck(corrupt: str | None = None, instances: int = 100, seed: int = 0) -
             rows.append((name, worst, tol))
         return GradcheckReport(rows)
     finally:
-        if restore is not None:
-            setattr(ad, corrupt, restore)
+        ad.Tape.wrap = previous

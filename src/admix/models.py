@@ -237,7 +237,7 @@ def load_pretrained_embeddings(path, vocab, rng: np.random.Generator) -> ad.Tens
     line. Tokens of ``vocab`` (a ``data.Vocab``) take their file vector,
     every other row keeps a uniform(-0.1, 0.1) draw from ``rng``. A file
     with no data lines warns and returns None so the caller keeps its own
-    init.
+    init; a malformed line or a ``nan``/``inf`` component raises.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -261,6 +261,8 @@ def load_pretrained_embeddings(path, vocab, rng: np.random.Generator) -> ad.Tens
             vec = np.array([float(c) for c in comps])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if not np.isfinite(vec).all():  # a nan logit would score as class 0
+            raise ValueError(f"line {lineno}: non-finite component in the vector of {token!r}")
         idx = vocab.token_to_id.get(token)
         if idx is not None:
             table[idx] = vec

@@ -76,6 +76,37 @@ class TestTensorAndTape:
         assert len(inner) == 1
         assert ad.active_tape() is None
 
+    def test_a_set_wrap_wraps_every_recorded_node(self, monkeypatch):
+        # each node of every tape, nested ones too, stores what the wrap made
+        # for it under its OPS name; an op outside any tape calls no wrap
+        made = []
+
+        def wrap(op, backward_fn):
+            def wrapped(g):
+                return backward_fn(g)
+
+            made.append((op, wrapped))
+            return wrapped
+
+        x = ad.Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True)
+
+        def run():
+            with ad.Tape() as outer:
+                h = ad.tanh(x)
+                with ad.Tape() as inner:
+                    y = ad.reduce_sum(ad.scale(h, 2.0))
+                z = ad.reduce_sum(ad.mul(h, y))
+            ad.tanh(x)
+            return outer, inner, ad.backward(outer, z, [x])
+
+        _, _, (plain,) = run()
+        monkeypatch.setattr(ad.Tape, "wrap", wrap)
+        outer, inner, (wrapped,) = run()
+        nodes = [outer.nodes[0], *inner.nodes, *outer.nodes[1:]]  # in recording order
+        assert made == [(node.op, node.backward_fn) for node in nodes]
+        assert [op for op, _ in made] == ["tanh", "scale", "reduce_sum", "mul", "reduce_sum"]
+        assert wrapped.tobytes() == plain.tobytes()
+
 
 class TestMatmul:
     def test_shape_errors_name_both_shapes(self):

@@ -83,6 +83,25 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: pretrained table (502, 8) does not match embedding (502, 16)\n"
 
+    def test_non_finite_pretrained_vector_is_config_error(self, tmp_path, capsys):
+        # an all-nan <unk> row trained and scored its test rows' nan logits
+        # as class 0, with exit 0
+        _, _, _, vocab = hz.prepare_task(hz.load_config(ACCEPTANCE), seed=0)
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(
+            "".join(
+                f"{token}{(' nan' if token == '<unk>' else ' 0.5') * 16}\n"
+                for token in vocab.id_to_token
+            )
+        )
+        path = tmp_path / "pretrained.cfg"
+        path.write_text(ACCEPTANCE.read_text() + f"embed_path = {vectors}\n")
+        assert main(["train", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        line = vocab.id_to_token.index("<unk>") + 1
+        assert err == f"error: line {line}: non-finite component in the vector of '<unk>'\n"
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

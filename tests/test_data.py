@@ -45,6 +45,23 @@ class TestLoadCorpus:
         assert ds.num_classes == 3
         assert [label for _, label in ds.examples] == [0, 2, 1]
 
+    def test_integer_labels_keep_their_written_form(self, tmp_path):
+        # zero-padded ids key the map as written, so the test file of the
+        # pair finds them; plain ids keep the map {"0": 0, "1": 1, ...}
+        train = write_corpus(tmp_path, ["01\talpha", "00\tbeta", "01\tgamma"], "train.tsv")
+        test = write_corpus(tmp_path, ["00\tdelta", "01\tepsilon"], "test.tsv")
+        ds = data.load_corpus(train)
+        assert ds.label_names == {"00": 0, "01": 1}
+        assert data.load_corpus(test, label_names=ds.label_names).examples == [
+            ("delta", 0),
+            ("epsilon", 1),
+        ]
+        plain = data.load_corpus(write_corpus(tmp_path, ["2\ta", "0\tb", "2\tc"], "plain.tsv"))
+        assert list(plain.label_names.items()) == [("0", 0), ("2", 2)]
+        both = data.load_corpus(write_corpus(tmp_path, ["1\ta", "0\tb", "01\tc"], "both.tsv"))
+        assert both.label_names == {"0": 0, "01": 1, "1": 1}
+        assert [label for _, label in both.examples] == [1, 0, 1]
+
     def test_mixed_labels_fall_back_to_names(self, tmp_path):
         path = write_corpus(tmp_path, ["1\talpha", "x\tbeta"])
         ds = data.load_corpus(path)

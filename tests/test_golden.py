@@ -24,9 +24,13 @@ rel drift against the file (for ``final_params_sha256``, which stores no
 values, only that it changed), writes nothing, and exits 1 when anything
 drifted. Without ``--check`` the script prints the same report and
 rewrites the file: do that only for a change that is meant to move the
-traces, and state the drift. Either way it first prints the OpenBLAS core
-numpy runs on (``unknown`` when its library does not say), since a digest
-is only reproducible under the same kernel.
+traces, and state the drift. The file's ``written_under`` entry records
+the numpy version, the OpenBLAS version and the OpenBLAS core it was
+written with. Either way the script first prints the core numpy runs on
+(``unknown`` when its library does not say) beside that one, since a
+digest is only reproducible under the same kernel: ``--check`` says "no
+change" only under the file's kernel, and labels drift under another
+kernel "other kernel".
 """
 
 import ctypes
@@ -45,6 +49,7 @@ from admix import harness as hz
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden_traces.json")
+HEADER = "written_under"
 STEPS = 40
 RTOL = 1e-9
 ATOL = 1e-12
@@ -165,6 +170,28 @@ def blas_core() -> str:
     return "unknown"
 
 
+def written_under() -> dict:
+    """The numpy and OpenBLAS versions and the OpenBLAS core running now."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "openblas": blas.get("version"), "blas_core": blas_core()}
+
+
+def verdict(drifted: int, file_core: str, core: str) -> str:
+    """The last line of ``--check``: "no change" only under the file's kernel."""
+    if file_core != core:
+        return f"{drifted} digests differ from {GOLDEN.name} (other kernel)"
+    return f"{drifted} digests differ from {GOLDEN.name}" if drifted else "no change"
+
+
+def test_the_file_names_the_kernel_it_was_written_under(golden):
+    assert set(golden[HEADER]) == {"numpy", "openblas", "blas_core"}
+    assert verdict(0, golden[HEADER]["blas_core"], golden[HEADER]["blas_core"]) == "no change"
+    # drift, or none, under another kernel is never "no change"
+    for drifted in (0, 15):
+        assert verdict(drifted, "SkylakeX", "Haswell").endswith(" (other kernel)")
+    assert verdict(2, "Haswell", "Haswell") == "2 digests differ from golden_traces.json"
+
+
 def drift_lines(old: dict, new: dict) -> list:
     """One line per trace of ``new`` whose sha256 differs from ``old``'s,
     with the max abs and max rel drift between the two value lists, or
@@ -194,15 +221,17 @@ if __name__ == "__main__":
     check = sys.argv[1:] == ["--check"]
     if sys.argv[1:] and not check:
         sys.exit(f"usage: {sys.argv[0]} [--check]")
-    print(f"OpenBLAS core: {blas_core()}")
+    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    here = written_under()
+    file_core = previous.get(HEADER, {}).get("blas_core", "unknown")
+    print(f"OpenBLAS core: {here['blas_core']}; {GOLDEN.name} was written under {file_core}")
     traces = {combo: record(combo) for combo in COMBOS}
     traces.update({combo: record_sweep(combo) for combo in SWEEP_COMBOS})
-    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     drift = drift_lines(previous, traces)
     for line in drift:
         print(line)
     if check:
-        print(f"{len(drift)} digests differ from {GOLDEN}" if drift else "no change")
+        print(verdict(len(drift), file_core, here["blas_core"]))
         sys.exit(1 if drift else 0)
-    GOLDEN.write_text(json.dumps(traces, indent=1) + "\n", encoding="utf-8")
+    GOLDEN.write_text(json.dumps({HEADER: here, **traces}, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")

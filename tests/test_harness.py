@@ -389,6 +389,26 @@ class TestTrain:
         hz.train(tiny_config(backbone="text-cnn", policy="amp", max_steps=3), seed=0)
         assert len(tapes) == 3
 
+    @pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
+    def test_a_set_wrap_wraps_every_node_training_records(self, monkeypatch, backbone):
+        # one class attribute reaches the tapes train opens itself
+        made = {}  # tape -> [(op, wrapped backward_fn)] in recording order
+
+        def wrap(op, backward_fn):
+            def wrapped(g):
+                return backward_fn(g)
+
+            made.setdefault(ad.active_tape(), []).append((op, wrapped))
+            return wrapped
+
+        monkeypatch.setattr(ad.Tape, "wrap", wrap)
+        hz.train(tiny_config(backbone=backbone, policy="amp", max_steps=3), seed=0)
+        assert len(made) == 3
+        for tape, wrapped in made.items():
+            assert wrapped == [(node.op, node.backward_fn) for node in tape.nodes]
+        ops = {op for wrapped in made.values() for op, _ in wrapped}
+        assert {"matmul", "lerp", "pair_cross_entropy"} <= ops <= set(ad.OPS)
+
     def test_policies_share_data_and_init_randomness(self):
         # same seed, different policy: identical init and batch order, so
         # the very first per-sample losses differ only through mixing
@@ -855,23 +875,19 @@ def test_step_graph_size_and_unread_lambda_adjoints(acceptance_task, monkeypatch
         leaves.append(out[1])
         return out
 
+    def counted(op, clean):
+        if op not in ("lerp", "pair_cross_entropy"):
+            return clean
+
+        def backward_fn(g):
+            grads = clean(g)
+            formed.append(grads[-1] is not None)
+            return grads
+
+        return backward_fn
+
     monkeypatch.setattr(mx, "rand_op", capture)
-    for op in ("lerp", "pair_cross_entropy"):
-
-        def counted(*args, fused=getattr(ad, op), **kwargs):
-            out = fused(*args, **kwargs)
-            node = ad.active_tape().nodes[-1]
-            clean = node.backward_fn
-
-            def backward_fn(g):
-                grads = clean(g)
-                formed.append(grads[-1] is not None)
-                return grads
-
-            node.backward_fn = backward_fn
-            return out
-
-        monkeypatch.setattr(ad, op, counted)
+    monkeypatch.setattr(ad.Tape, "wrap", counted)
 
     def step(with_lambda):
         leaves.clear()
@@ -893,6 +909,42 @@ def test_step_graph_size_and_unread_lambda_adjoints(acceptance_task, monkeypatch
     assert len(formed_with) == len(formed_without)
     for got, want in zip(without, with_lambda):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("policy, nodes", [("none", 9), ("mixup", 11), ("amp", 20)])
+def test_an_unset_wrap_leaves_each_node_its_op_closure(acceptance_task, monkeypatch, policy, nodes):
+    # with Tape.wrap None each node keeps the closure its op made, as
+    # before the hook existed: the node count is unchanged, and the
+    # gradients are those of a pass-through wrap, byte for byte
+    cfg, test_ds, vocab = acceptance_task
+    cfg = dataclasses.replace(cfg, policy=policy)
+    batch = dt.encode_batch(test_ds.examples[: cfg.batch_size], vocab, cfg.max_len, cfg.num_classes)
+
+    def step():
+        model = hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(0))
+        params = list(model.trainable_params().values())
+        with ad.Tape() as tape:
+            total, _ = hz.policy_step(
+                model, batch, cfg, np.random.default_rng(1), np.random.default_rng(2)
+            )
+        return tape, ad.backward(tape, total, params)
+
+    assert ad.Tape.wrap is None
+    tape, plain = step()
+    assert len(tape) == nodes
+    for node in tape.nodes:
+        assert node.backward_fn.__qualname__ == f"{node.op}.<locals>.backward_fn"
+    made = []
+
+    def pass_through(op, backward_fn):
+        made.append(lambda g: backward_fn(g))
+        return made[-1]
+
+    monkeypatch.setattr(ad.Tape, "wrap", pass_through)
+    tape, passed = step()
+    assert [node.backward_fn for node in tape.nodes] == made
+    assert len(made) == nodes
+    assert [g.tobytes() for g in passed] == [g.tobytes() for g in plain]
 
 
 @pytest.mark.parametrize("policy", [*mx.POLICIES, mx.MAXOP])
@@ -1018,9 +1070,24 @@ class TestGradcheck:
         assert "tanh" in report.failures()
         assert "FAIL" in report.format()
 
-    def test_corruption_is_undone(self):
+    def test_corruption_is_undone(self, monkeypatch):
         gk.gradcheck(corrupt="matmul", instances=2)
+        assert ad.Tape.wrap is None
         assert gk.gradcheck(instances=2).passed
+
+        # a wrap set before the call is back in place when a row raises
+        def previous(op, backward_fn):
+            return backward_fn
+
+        def failing(rng):
+            assert ad.Tape.wrap is not previous
+            raise RuntimeError("row failed")
+
+        monkeypatch.setattr(ad.Tape, "wrap", previous)
+        monkeypatch.setattr(gk, "_CHECKS", (("row", 0, failing, 1e-4),))
+        with pytest.raises(RuntimeError, match="row failed"):
+            gk.gradcheck(corrupt="matmul", instances=2)
+        assert ad.Tape.wrap is previous
 
     @pytest.mark.parametrize("instances", [0, -3])
     def test_no_instances_rejected(self, instances):

@@ -2,7 +2,8 @@
 
 ``autodiff`` is the bottom layer and depends on numpy alone; training
 code does not reach into the gradient audit; nothing imports the
-command-line front end.
+command-line front end; and no module rebinds another's attribute, but
+for the audit setting the tape's adjoint hook.
 """
 
 import ast
@@ -67,18 +68,23 @@ def test_nothing_imports_the_cli(module):
     assert "cli" not in inside
 
 
+def scopes(tree: ast.Module) -> list:
+    """(name, node) of each top-level statement, and of each class body's statement."""
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            found += [(f"{top.name}.{getattr(item, 'name', '')}", item) for item in top.body]
+        else:
+            found.append((getattr(top, "name", "<module>"), top))
+    return found
+
+
 def requires_grad_writers(module: str) -> set:
     """Top-level functions and methods of ``module`` that set a ``requires_grad``
     attribute, by assignment or ``setattr``."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    scopes = []
-    for top in tree.body:
-        if isinstance(top, ast.ClassDef):
-            scopes += [(f"{top.name}.{getattr(item, 'name', '')}", item) for item in top.body]
-        else:
-            scopes.append((getattr(top, "name", "<module>"), top))
     writers = set()
-    for name, scope in scopes:
+    for name, scope in scopes(tree):
         for node in ast.walk(scope):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
                 if node.attr == "requires_grad":
@@ -102,3 +108,70 @@ def test_only_the_walk_and_two_setups_set_requires_grad():
         ("autodiff", "backward"),
         ("models", "freeze_embeddings"),
     }
+
+
+def dotted(node) -> tuple[str, str | None]:
+    """``node`` as dotted text, and the name its chain of attributes starts from."""
+    if isinstance(node, ast.Attribute):
+        text, root = dotted(node.value)
+        return f"{text}.{node.attr}", root
+    if isinstance(node, ast.Name):
+        return node.id, node.id
+    return ast.unparse(node), None
+
+
+def package_attribute_writes(tree: ast.Module) -> set:
+    """(scope, target) for each attribute that ``tree`` sets or deletes on a
+    name it imports from the package, by assignment, ``setattr`` or ``delattr``."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("admix")):
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "admix":
+                    imported.add(alias.asname or "admix")
+    writes = set()
+    for name, scope in scopes(tree):
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target, root = dotted(node)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in ("setattr", "delattr")
+                and node.args
+            ):
+                target, root = dotted(node.args[0])
+                target = f"{node.func.id}({target}, ...)"
+            else:
+                continue
+            if root in imported:
+                writes.add((name, target))
+    return writes
+
+
+def test_the_attribute_guard_sees_every_form_of_write():
+    tree = ast.parse(
+        "from . import autodiff as ad, models\n"
+        "from .autodiff import Tape\n"
+        "def f(fn):\n"
+        "    ad.matmul = fn\n"
+        "    setattr(models, 'forward', fn)\n"
+        "    Tape.wrap = fn\n"
+        "    del ad.OPS\n"
+        "    local = object()\n"
+        "    local.attr = fn\n"
+    )
+    assert package_attribute_writes(tree) == {
+        ("f", "ad.matmul"), ("f", "setattr(models, ...)"), ("f", "Tape.wrap"), ("f", "ad.OPS"),
+    }
+
+
+def test_only_the_audit_rebinds_a_package_attribute():
+    # a module that swaps another's attribute changes it for every caller;
+    # the one such write is the audit's corruption, through the tape's hook
+    found = set()
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        found |= {(module, *write) for write in package_attribute_writes(tree)}
+    assert found == {("gradcheck", "gradcheck", "ad.Tape.wrap")}

@@ -263,6 +263,14 @@ class TestPretrainedEmbeddings:
         with pytest.raises(ValueError, match="line 2"):
             self.load(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_component_names_line(self, tmp_path, bad):
+        # zebra is not in the vocabulary: a bad line is rejected all the same
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"cat 1.0 2.0 3.0\nzebra 4.0 {bad} 6.0\n")
+        with pytest.raises(ValueError, match="line 2: non-finite component in the vector of 'zebra'"):
+            self.load(path)
+
     def test_empty_file_warns_and_returns_none(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("\n\n")
