@@ -596,18 +596,19 @@ def reduce_sum(x: Tensor) -> Tensor:
     return out
 
 
-def _target_rows(logits: Tensor, targets) -> np.ndarray:
-    """``targets`` as a checked float64 [n, C] array matching ``logits``."""
-    t = _as_constant(targets).data
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be [n, C], got shape {logits.shape}")
-    if logits.shape[1] < 2:
-        raise ValueError(f"need at least 2 classes, got {logits.shape[1]}")
-    if t.shape != logits.shape:
-        raise ValueError(f"targets shape {t.shape} does not match logits {logits.shape}")
-    if t.size and t.min() < 0.0:
-        raise ValueError("target weights must be nonnegative")
-    return t
+def _class_entries(logits: Tensor, labels) -> np.ndarray:
+    """Flat positions in the [n, C] ``logits`` of each row's class id in ``labels``."""
+    y = np.asarray(labels)
+    if logits.ndim != 2 or logits.shape[1] < 2:
+        raise ValueError(f"logits must be [n, C] with C >= 2, got shape {logits.shape}")
+    n, c = logits.shape
+    if y.shape != (n,) or y.dtype.kind not in "iu":
+        raise ValueError(f"labels must be {n} integer class ids, got {y.dtype} of shape {y.shape}")
+    # an id outside [0, C) would read an entry of another row, not fail
+    if n and not (y.min() >= 0 and y.max() < c):
+        raise ValueError(f"class ids must lie in [0, {c}), got {y.min()}..{y.max()}")
+    # intp first: uint64 ids plus the int64 row offsets would promote to float64
+    return np.arange(0, n * c, c) + y.astype(np.intp, copy=False)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -615,23 +616,25 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _cross_entropy_adjoint(softmax: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return (softmax * t.sum(axis=1, keepdims=True) - t) * g[:, None]
+def _cross_entropy_adjoint(softmax: np.ndarray, at: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(softmax - the one-hot rows with a 1 at the flat positions ``at``) * g, row by row."""
+    d = softmax.copy()
+    d.ravel()[at] -= 1.0
+    return d * g[:, None]
 
 
-def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Per-sample cross entropy against rows of target probabilities.
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Per-sample cross entropy of [n, C] ``logits`` against [n] class ids.
 
-    ``logits`` is [n, C]; ``targets`` is a plain [n, C] array of
-    nonnegative weights (one-hot or soft rows) and is never
-    differentiated. Uses max subtraction, so huge logits stay finite.
+    ``labels`` is a plain integer array and is never differentiated. Uses
+    max subtraction, so huge logits stay finite.
     """
-    t = _target_rows(logits, targets)
+    at = _class_entries(logits, labels)
     log_probs = _log_softmax(logits.data)
-    out = Tensor(-(t * log_probs).sum(axis=1), requires_grad=logits.requires_grad)
+    out = Tensor(-log_probs.take(at), requires_grad=logits.requires_grad)
 
     def backward_fn(g):
-        return (_cross_entropy_adjoint(np.exp(log_probs), t, g),)
+        return (_cross_entropy_adjoint(np.exp(log_probs), at, g),)
 
     _record("softmax_cross_entropy", (logits,), out, backward_fn)
     return out
@@ -641,7 +644,7 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
 # fused mixing ops
 #
 # Each evaluates the float64 expressions of the composite of ``mul``,
-# ``add``, ``scale`` and ``reshape`` (or ``softmax_cross_entropy``) it
+# ``add``, ``scale`` and ``reshape`` (and two class-id cross entropies) it
 # replaces, with 1 - w written as w * -1.0 + 1.0, and returns each
 # input's adjoint as the same sum that composite's walk builds, so the
 # two agree bitwise. A weight's adjoint is formed only when a requested
@@ -686,17 +689,16 @@ def lerp(a: Tensor, b: Tensor, w) -> Tensor:
 def pair_cross_entropy(logits: Tensor, y_i, y_j, w) -> Tensor:
     """Per-sample w * ce(logits, y_i) + (1 - w) * ce(logits, y_j), from one log-softmax.
 
-    ``y_i`` and ``y_j`` are target rows as in ``softmax_cross_entropy``;
-    ``w`` may be a tensor (a leaf gets dL/dw) or a plain [n] array. By
-    linearity of cross entropy in the target row this equals the cross
-    entropy against the interpolated rows.
+    ``y_i`` and ``y_j`` are [n] class ids as in ``softmax_cross_entropy``;
+    ``w`` may be a tensor (a leaf gets dL/dw) or a plain [n] array. Cross
+    entropy is linear in the target row, so this equals the cross entropy
+    against the w-interpolated one-hot rows of ``y_i`` and ``y_j``.
     """
-    t_i = _target_rows(logits, y_i)
-    t_j = _target_rows(logits, y_j)
+    at_i, at_j = _class_entries(logits, y_i), _class_entries(logits, y_j)
     w = _weights(w, logits.shape[0])
     log_probs = _log_softmax(logits.data)
-    ce_i = -(t_i * log_probs).sum(axis=1)
-    ce_j = -(t_j * log_probs).sum(axis=1)
+    ce_i = -log_probs.take(at_i)
+    ce_j = -log_probs.take(at_j)
     one_minus = w.data * -1.0 + 1.0
     out = Tensor(w.data * ce_i + one_minus * ce_j, requires_grad=_needs_grad(logits, w))
 
@@ -704,8 +706,8 @@ def pair_cross_entropy(logits: Tensor, y_i, y_j, w) -> Tensor:
         gz = gw = None
         if logits.requires_grad:
             softmax = np.exp(log_probs)
-            dz_j = _cross_entropy_adjoint(softmax, t_j, g * one_minus)
-            gz = dz_j + _cross_entropy_adjoint(softmax, t_i, g * w.data)
+            dz_j = _cross_entropy_adjoint(softmax, at_j, g * one_minus)
+            gz = dz_j + _cross_entropy_adjoint(softmax, at_i, g * w.data)
         if w.requires_grad:
             gw = g * ce_i + (g * ce_j) * -1.0
         return gz, gw

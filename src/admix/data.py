@@ -38,16 +38,24 @@ class Dataset:
 
 @dataclass
 class Vocab:
-    token_to_id: dict
-    id_to_token: list
+    token_to_id: dict  # ids 0, 1, 2, ... in insertion order
 
     def __len__(self) -> int:
-        return len(self.id_to_token)
+        return len(self.token_to_id)
 
 
 def tokenize(text: str) -> list:
     """Lowercased whitespace tokens."""
     return text.lower().split()
+
+
+def _as_class_id(label: str) -> int | None:
+    """``label`` as a nonnegative integer, or None if it is not one."""
+    try:
+        value = int(label)
+    except ValueError:
+        return None
+    return value if value >= 0 else None
 
 
 def load_corpus(path, label_names: dict | None = None) -> Dataset:
@@ -57,7 +65,9 @@ def load_corpus(path, label_names: dict | None = None) -> Dataset:
     directly (classes = max id + 1; ``label_names`` keeps ``01`` as written);
     otherwise labels are names, mapped to ids in first-appearance order.
     Malformed lines fail with their line number. A given ``label_names``
-    is used as is (so a test file keeps its training file's ids).
+    is used as is (so a test file keeps its training file's ids); when
+    each of its labels is the integer id it maps to, any other class id
+    below its class count is accepted too.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -74,21 +84,16 @@ def load_corpus(path, label_names: dict | None = None) -> Dataset:
 
     if label_names is not None:
         num_classes = max(label_names.values()) + 1
+        int_map = all(_as_class_id(label) == value for label, value in label_names.items())
         examples = []
         for lineno, (label, text) in enumerate(rows, start=1):
-            if label not in label_names:
+            value = label_names.get(label, _as_class_id(label) if int_map else None)
+            if value is None or value >= num_classes:
                 raise ValueError(f"{path}: line {lineno}: unknown label {label!r}")
-            examples.append((text, label_names[label]))
+            examples.append((text, value))
         return Dataset(examples, num_classes, str(path), dict(label_names))
 
-    def as_int(label):
-        try:
-            value = int(label)
-        except ValueError:
-            return None
-        return value if value >= 0 else None
-
-    ints = [as_int(label) for label, _ in rows]
+    ints = [_as_class_id(label) for label, _ in rows]
     if all(v is not None for v in ints):
         num_classes = max(ints) + 1
         written = sorted({(value, label) for (label, _), value in zip(rows, ints)})
@@ -119,13 +124,11 @@ def build_vocab(dataset: Dataset, min_freq: int = 1) -> Vocab:
     for text, _ in dataset.examples:
         for token in tokenize(text):
             counts[token] = counts.get(token, 0) + 1
-    id_to_token = [PAD_TOKEN, UNK_TOKEN]
     token_to_id = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
     for token, count in counts.items():
         if count >= min_freq:
-            token_to_id[token] = len(id_to_token)
-            id_to_token.append(token)
-    return Vocab(token_to_id, id_to_token)
+            token_to_id[token] = len(token_to_id)
+    return Vocab(token_to_id)
 
 
 def check_labels(examples, num_classes: int) -> None:
@@ -136,7 +139,7 @@ def check_labels(examples, num_classes: int) -> None:
 
 
 def encode_batch(examples, vocab: Vocab, max_len: int, num_classes: int) -> Batch:
-    """Encode (text, label) pairs into a padded id matrix plus one-hot rows.
+    """Encode (text, label) pairs into a padded id matrix plus class ids.
 
     Sequences truncate at ``max_len``; an example with no tokens encodes
     as a single unknown so valid lengths stay positive.
@@ -161,7 +164,7 @@ def encode_batch(examples, vocab: Vocab, max_len: int, num_classes: int) -> Batc
     # a boolean mask fills in row-major order, so the rows go in one write
     ids[np.arange(max_len) < valid[:, None]] = flat
     label_ids = np.fromiter((label for _, label in examples), dtype=np.int64, count=n)
-    return Batch(ids, valid, np.eye(num_classes)[label_ids], label_ids)
+    return Batch(ids, valid, label_ids)
 
 
 def _indices_by_class(dataset: Dataset) -> list:

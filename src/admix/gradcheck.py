@@ -111,8 +111,7 @@ def _conv_safe_instance(rng, n, length, depth, shapes, margin=1e-3):
 def _random_batch(rng, n, max_len, vocab_size, num_classes):
     ids = rng.integers(0, vocab_size, size=(n, max_len))
     vls = rng.integers(1, max_len + 1, size=n)
-    labels = rng.integers(0, num_classes, size=n)
-    return md.Batch(ids, vls, np.eye(num_classes)[labels], labels)
+    return md.Batch(ids, vls, rng.integers(0, num_classes, size=n))
 
 
 def _scalarized(op_output, weights):
@@ -218,8 +217,7 @@ def _gen_concat(rng):
 
 
 def _gen_softmax_ce(rng):
-    targets = rng.random((4, 5))
-    targets /= targets.sum(axis=1, keepdims=True)
+    targets = rng.integers(0, 5, 4)
     w = rng.standard_normal(4)
     x = ad.Tensor(rng.standard_normal((4, 5)), requires_grad=True)
     return lambda t: _scalarized(ad.softmax_cross_entropy(t, targets), w), x
@@ -240,10 +238,8 @@ def _gen_pair_cross_entropy(rng):
     logits = ad.Tensor(rng.standard_normal((4, 3)))
     i_cls = rng.integers(0, 3, 4)
     j_cls = (i_cls + 1 + rng.integers(0, 2, 4)) % 3
-    y_i = np.eye(3)[i_cls]
-    y_j = np.eye(3)[j_cls]
     lam = ad.Tensor(rng.uniform(0.05, 0.95, 4), requires_grad=True)
-    return lambda t: ad.reduce_sum(ad.pair_cross_entropy(logits, y_i, y_j, t)), lam
+    return lambda t: ad.reduce_sum(ad.pair_cross_entropy(logits, i_cls, j_cls, t)), lam
 
 
 def _param_loss(model, batch, rng):
@@ -255,7 +251,7 @@ def _param_loss(model, batch, rng):
         saved = model.params[name]
         model.params[name] = t
         logits = md.forward(model, batch)
-        out = ad.reduce_sum(ad.softmax_cross_entropy(logits, batch.label_rows))
+        out = ad.reduce_sum(ad.softmax_cross_entropy(logits, batch.label_ids))
         model.params[name] = saved
         return out
 

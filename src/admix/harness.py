@@ -361,7 +361,7 @@ def policy_step(model, batch, config, mix_rng, dropout_rng):
     if config.policy == "none":
         mask = md.make_dropout_mask(model, n, dropout_rng)
         logits = md.forward(model, batch, dropout_mask=mask)
-        loss = ad.softmax_cross_entropy(logits, batch.label_rows)
+        loss = ad.softmax_cross_entropy(logits, batch.label_ids)
         lam = np.ones(n)
     else:
         _, lam_leaf, loss = mx.rand_op(model, batch, config, mix_rng, dropout_rng)
@@ -372,9 +372,7 @@ def policy_step(model, batch, config, mix_rng, dropout_rng):
 
 def _slice_batch(enc: md.Batch, idx) -> md.Batch:
     """Rows ``idx`` of every field: a gather for an index array, views for a slice."""
-    return md.Batch(
-        enc.token_ids[idx], enc.valid_lens[idx], enc.label_rows[idx], enc.label_ids[idx]
-    )
+    return md.Batch(enc.token_ids[idx], enc.valid_lens[idx], enc.label_ids[idx])
 
 
 # rows per forward pass when evaluating or sweeping; bounds their memory
@@ -638,5 +636,5 @@ def plain_mean_loss(model: md.Model, dataset: dt.Dataset, vocab: dt.Vocab, max_l
     enc = dt.encode_batch(dataset.examples, vocab, max_len, model.num_classes)
     losses = np.empty(len(enc))
     for rows, logits in _chunk_logits(model, enc):
-        losses[rows] = ad.softmax_cross_entropy(logits, enc.label_rows[rows]).data
+        losses[rows] = ad.softmax_cross_entropy(logits, enc.label_ids[rows]).data
     return float(np.mean(losses))

@@ -1,10 +1,10 @@
-"""Beta-distributed interpolation of hidden states and label rows.
+"""Beta-distributed interpolation of hidden states and of label losses.
 
 A training step under this policy pairs each example with a partner
 from the same minibatch, draws a mixing coefficient lambda from
 Beta(alpha, alpha), interpolates hidden states at one of the named
-backbone cut points, and scores the result against both endpoint labels
-weighted by lambda and (1 - lambda).
+backbone cut points, and scores the result against both endpoints' class
+ids, their cross entropies weighted by lambda and (1 - lambda).
 
 ``pair_up`` takes the batch and the layer and runs the prefix itself.
 A pairing holds both endpoints at a ``(cut, tensor)`` cut point of
@@ -64,8 +64,8 @@ class MixBatch:
     layer: str  # the cut the mixed rows resume from: md.POOLED at embed-mlp's word layer
     hidden_i: ad.Tensor
     hidden_j: ad.Tensor  # row s: the partner of hidden_i row s
-    y_i: np.ndarray
-    y_j: np.ndarray
+    y_i: np.ndarray  # [n] class ids of the hidden_i rows
+    y_j: np.ndarray  # [n] class ids of the hidden_j rows
     dropout_mask: np.ndarray | None
 
 
@@ -162,8 +162,8 @@ def pair_up(
         layer=cut,
         hidden_i=hidden_i,
         hidden_j=hidden_j,
-        y_i=batch.label_rows,
-        y_j=batch.label_rows[j_index],
+        y_i=batch.label_ids,
+        y_j=batch.label_ids[j_index],
         dropout_mask=dropout_mask,
     )
 

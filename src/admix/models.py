@@ -32,12 +32,11 @@ POOLED = "pooled"
 
 @dataclass
 class Batch:
-    """Encoded minibatch: padded token ids, lengths, one-hot label rows."""
+    """Encoded minibatch: padded token ids, lengths, class ids."""
 
     token_ids: np.ndarray  # [n, max_len] int64
     valid_lens: np.ndarray  # [n] int64, >= 1
-    label_rows: np.ndarray  # [n, num_classes] float64
-    label_ids: np.ndarray  # [n] int64
+    label_ids: np.ndarray  # [n] int64, in [0, num_classes)
 
     def __len__(self) -> int:
         return self.token_ids.shape[0]
@@ -251,18 +250,19 @@ def load_pretrained_embeddings(path, vocab, rng: np.random.Generator) -> ad.Tens
         return None
     dim = len(rows[0][2])
     if dim == 0:
-        raise ValueError(f"line {rows[0][0]}: no vector components")
+        raise ValueError(f"{path}: line {rows[0][0]}: no vector components")
     table = _uniform(rng, (len(vocab), dim))
     filled = 0
     for lineno, token, comps in rows:
+        where = f"{path}: line {lineno}"
         if len(comps) != dim:
-            raise ValueError(f"line {lineno}: expected {dim} components, got {len(comps)}")
+            raise ValueError(f"{where}: expected {dim} components, got {len(comps)}")
         try:
             vec = np.array([float(c) for c in comps])
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
         if not np.isfinite(vec).all():  # a nan logit would score as class 0
-            raise ValueError(f"line {lineno}: non-finite component in the vector of {token!r}")
+            raise ValueError(f"{where}: non-finite component in the vector of {token!r}")
         idx = vocab.token_to_id.get(token)
         if idx is not None:
             table[idx] = vec

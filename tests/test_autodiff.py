@@ -902,79 +902,99 @@ class TestShapeRules:
         shape_property(check)
 
 
+def numpy_cross_entropy(z, rows):
+    """Cross entropy of logits ``z`` against target rows, in plain numpy."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return -(rows * log_probs).sum(axis=1)
+
+
 class TestSoftmaxCrossEntropy:
     def test_saturated_logits_stay_finite(self):
         logits = ad.Tensor([[1000.0, 0.0]])
-        loss = ad.softmax_cross_entropy(logits, np.array([[1.0, 0.0]]))
+        loss = ad.softmax_cross_entropy(logits, np.array([0]))
         assert np.isfinite(loss.data).all()
         assert loss.data[0] <= 1e-12
-        wrong = ad.softmax_cross_entropy(logits, np.array([[0.0, 1.0]]))
+        wrong = ad.softmax_cross_entropy(logits, np.array([1]))
         np.testing.assert_allclose(wrong.data[0], 1000.0, rtol=1e-12)
 
     def test_uniform_logits_give_log_num_classes(self):
         logits = ad.Tensor(np.zeros((3, 5)))
-        targets = np.eye(5)[:3]
-        loss = ad.softmax_cross_entropy(logits, targets)
+        loss = ad.softmax_cross_entropy(logits, np.arange(3))
         np.testing.assert_allclose(loss.data, np.log(5.0), rtol=1e-12)
 
     def test_linear_in_target_rows(self):
+        # the pair loss is the cross entropy against the interpolated rows
         rng = np.random.default_rng(51)
         z = rand(rng, 4, 6)
-        t0 = np.eye(6)[rng.integers(0, 6, 4)]
-        t1 = np.eye(6)[rng.integers(0, 6, 4)]
-        mixed = 0.3 * t0 + 0.7 * t1
-        l_mixed = ad.softmax_cross_entropy(ad.Tensor(z), mixed).data
-        l0 = ad.softmax_cross_entropy(ad.Tensor(z), t0).data
-        l1 = ad.softmax_cross_entropy(ad.Tensor(z), t1).data
-        np.testing.assert_allclose(l_mixed, 0.3 * l0 + 0.7 * l1, rtol=1e-12, atol=1e-12)
+        y0, y1 = rng.integers(0, 6, 4), rng.integers(0, 6, 4)
+        lam = rng.random(4)
+        mixed = lam[:, None] * np.eye(6)[y0] + (1.0 - lam[:, None]) * np.eye(6)[y1]
+        pair = ad.pair_cross_entropy(ad.Tensor(z), y0, y1, lam).data
+        np.testing.assert_allclose(pair, numpy_cross_entropy(z, mixed), rtol=1e-12, atol=1e-12)
+        l0 = ad.softmax_cross_entropy(ad.Tensor(z), y0).data
+        l1 = ad.softmax_cross_entropy(ad.Tensor(z), y1).data
+        np.testing.assert_allclose(pair, lam * l0 + (1.0 - lam) * l1, rtol=1e-12, atol=1e-12)
 
     def test_gradient_is_softmax_minus_target(self):
         rng = np.random.default_rng(52)
         z_data = rand(rng, 3, 4)
-        targets = np.array([[0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.2, 0.3, 0.5]])
+        labels = np.array([1, 0, 3])
         z = ad.Tensor(z_data, requires_grad=True)
         with ad.Tape() as tape:
-            y = ad.reduce_sum(ad.softmax_cross_entropy(z, targets))
+            y = ad.reduce_sum(ad.softmax_cross_entropy(z, labels))
         (grad,) = ad.backward(tape, y, [z])
         e = np.exp(z_data - z_data.max(axis=1, keepdims=True))
         softmax = e / e.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(grad, softmax - targets, rtol=1e-10)
+        np.testing.assert_allclose(grad, softmax - np.eye(4)[labels], rtol=1e-10)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(53)
-        targets = np.array([[0.25, 0.75, 0.0], [0.4, 0.1, 0.5]])
+        labels = np.array([1, 2])
         w = rand(rng, 2)
         z = ad.Tensor(rand(rng, 2, 3), requires_grad=True)
         err = gk.finite_diff_check(
-            lambda t: weighted_sum(ad.softmax_cross_entropy(t, targets), w), z
+            lambda t: weighted_sum(ad.softmax_cross_entropy(t, labels), w), z
         )
         assert err <= 1e-6
 
-    def test_contract_errors(self):
-        with pytest.raises(ValueError, match="2 classes"):
-            ad.softmax_cross_entropy(ad.Tensor(np.zeros((3, 1))), np.zeros((3, 1)))
-        with pytest.raises(ValueError, match="nonnegative"):
-            ad.softmax_cross_entropy(ad.Tensor(np.zeros((1, 3))), np.array([[-0.1, 0.6, 0.5]]))
-        with pytest.raises(ValueError, match="shape"):
-            ad.softmax_cross_entropy(ad.Tensor(np.zeros((2, 3))), np.zeros((2, 4)))
-        # float64 targets, as arrays or tensors, skip the conversion but no check
-        logits = ad.Tensor(np.zeros((2, 3)))
-        good = np.eye(3)[:2]
-        negative = good.copy()
-        negative[1, 2] = -1e-300
-        for bad, match in [
-            (negative, "nonnegative"),
-            (np.eye(3), "does not match logits"),
-            (good.T, "does not match logits"),
-            (good.reshape(-1), "does not match logits"),
-        ]:
-            for target in (bad, ad.Tensor(bad)):
-                with pytest.raises(ValueError, match=match):
-                    ad.softmax_cross_entropy(logits, target)
-                with pytest.raises(ValueError, match=match):
-                    ad.pair_cross_entropy(logits, target, good, np.ones(2))
-                with pytest.raises(ValueError, match=match):
-                    ad.pair_cross_entropy(logits, good, target, np.ones(2))
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+    def test_any_integer_dtype_gives_the_int64_result(self, dtype):
+        rng = np.random.default_rng(54)
+        z = ad.Tensor(rand(rng, 4, 3))
+        y0, y1, lam = rng.integers(0, 3, 4), rng.integers(0, 3, 4), rng.random(4)
+        want = ad.softmax_cross_entropy(z, y0).data
+        np.testing.assert_array_equal(ad.softmax_cross_entropy(z, y0.astype(dtype)).data, want)
+        np.testing.assert_array_equal(
+            ad.pair_cross_entropy(z, y0.astype(dtype), y1.astype(dtype), lam).data,
+            ad.pair_cross_entropy(z, y0, y1, lam).data,
+        )
+
+    @pytest.mark.parametrize(
+        "logits_shape, labels, match",
+        [
+            ((2, 3), np.array([0.0, 1.0]), "labels must be 2 integer class ids, got float64"),
+            ((2, 3), np.array([0, -1]), r"class ids must lie in \[0, 3\), got -1\.\.0"),
+            ((2, 3), np.array([3, 0]), r"class ids must lie in \[0, 3\), got 0\.\.3"),
+            ((2, 3), np.array([[0], [1]]), r"2 integer class ids, got int64 of shape \(2, 1\)"),
+            ((2, 1), np.array([0, 0]), r"logits must be \[n, C\] with C >= 2, got shape \(2, 1\)"),
+        ],
+        ids=["float", "negative", "too-large", "shape", "one-column-logits"],
+    )
+    @pytest.mark.parametrize("op", ["softmax_cross_entropy", "pair_y_i", "pair_y_j"])
+    def test_class_id_errors(self, op, logits_shape, labels, match):
+        logits = ad.Tensor(np.zeros(logits_shape))
+        good, w = np.zeros(2, dtype=np.int64), np.ones(2)
+        calls = {
+            "softmax_cross_entropy": lambda: ad.softmax_cross_entropy(logits, labels),
+            "pair_y_i": lambda: ad.pair_cross_entropy(logits, labels, good, w),
+            "pair_y_j": lambda: ad.pair_cross_entropy(logits, good, labels, w),
+        }
+        with pytest.raises(ValueError, match=match):
+            calls[op]()
+
+
+IDS = np.arange(3)  # one class id per row of a [3, C] logits array
 
 
 def composite_lerp(a, b, w):
@@ -1026,8 +1046,7 @@ class TestFusedMixingOps:
     def test_pair_cross_entropy_matches_composite_bitwise(self, n, w_leaf):
         rng = np.random.default_rng(61)
         logits = ad.Tensor(3.0 * rand(rng, n, 4), requires_grad=True)
-        y_i = np.eye(4)[rng.integers(0, 4, n)]
-        y_j = rng.random((n, 4))  # soft rows, off the simplex
+        y_i, y_j = rng.integers(0, 4, n), rng.integers(0, 4, n)
         w = ad.Tensor(rng.random(n), requires_grad=w_leaf)
         weights = rand(rng, n)
         fused = value_and_grads(
@@ -1045,8 +1064,8 @@ class TestFusedMixingOps:
         b = ad.Tensor(rand(rng, 4, 3))
         w = ad.Tensor(rng.random(4), requires_grad=True)
         with ad.Tape() as tape:
-            out = ad.pair_cross_entropy(ad.lerp(a, b, w), np.eye(3)[[0, 1, 2, 0]],
-                                        np.eye(3)[[1, 2, 0, 0]], w)
+            out = ad.pair_cross_entropy(ad.lerp(a, b, w), np.array([0, 1, 2, 0]),
+                                        np.array([1, 2, 0, 0]), w)
         # the closures read the flag when the walk runs them
         w.requires_grad = False
         for node in tape.nodes:
@@ -1072,13 +1091,13 @@ class TestFusedMixingOps:
     @pytest.mark.parametrize(
         "logits_shape, y_i, y_j, w_shape, match",
         [
-            ((3,), np.eye(3), np.eye(3), (3,), r"logits must be \[n, C\]"),
-            ((3, 1), np.ones((3, 1)), np.ones((3, 1)), (3,), "at least 2 classes"),
-            ((3, 3), np.eye(4)[:3], np.eye(3), (3,), "does not match logits"),
-            ((3, 3), np.eye(3), np.eye(4)[:3], (3,), "does not match logits"),
-            ((3, 3), -np.eye(3), np.eye(3), (3,), "nonnegative"),
-            ((3, 3), np.eye(3), -np.eye(3), (3,), "nonnegative"),
-            ((3, 3), np.eye(3), np.eye(3), (2,), r"weights must have shape \(3,\)"),
+            ((3,), IDS, IDS, (3,), r"logits must be \[n, C\]"),
+            ((3, 1), IDS * 0, IDS * 0, (3,), r"logits must be \[n, C\] with C >= 2"),
+            ((3, 3), np.arange(4), IDS, (3,), "labels must be 3 integer class ids"),
+            ((3, 3), IDS, np.arange(4), (3,), "labels must be 3 integer class ids"),
+            ((3, 3), -IDS, IDS, (3,), r"class ids must lie in \[0, 3\)"),
+            ((3, 3), IDS, -IDS, (3,), r"class ids must lie in \[0, 3\)"),
+            ((3, 3), IDS, IDS, (2,), r"weights must have shape \(3,\)"),
         ],
         ids=["1d-logits", "one-class", "y_i-shape", "y_j-shape", "y_i-negative",
              "y_j-negative", "w-length"],

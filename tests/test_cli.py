@@ -75,7 +75,7 @@ class TestExitCodes:
         # the acceptance task has 502 vocabulary entries and 16-wide embeddings
         _, _, _, vocab = hz.prepare_task(hz.load_config(ACCEPTANCE), seed=0)
         vectors = tmp_path / "vectors.txt"
-        vectors.write_text("".join(f"{token}{' 0.5' * 8}\n" for token in vocab.id_to_token))
+        vectors.write_text("".join(f"{token}{' 0.5' * 8}\n" for token in vocab.token_to_id))
         path = tmp_path / "pretrained.cfg"
         path.write_text(ACCEPTANCE.read_text() + f"embed_path = {vectors}\n")
         assert main(["train", "--config", str(path)]) == 1
@@ -91,7 +91,7 @@ class TestExitCodes:
         vectors.write_text(
             "".join(
                 f"{token}{(' nan' if token == '<unk>' else ' 0.5') * 16}\n"
-                for token in vocab.id_to_token
+                for token in vocab.token_to_id
             )
         )
         path = tmp_path / "pretrained.cfg"
@@ -99,8 +99,9 @@ class TestExitCodes:
         assert main(["train", "--config", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        line = vocab.id_to_token.index("<unk>") + 1
-        assert err == f"error: line {line}: non-finite component in the vector of '<unk>'\n"
+        line = list(vocab.token_to_id).index("<unk>") + 1
+        message = f"line {line}: non-finite component in the vector of '<unk>'"
+        assert err == f"error: {vectors}: {message}\n"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -62,6 +62,27 @@ class TestLoadCorpus:
         assert both.label_names == {"0": 0, "01": 1, "1": 1}
         assert [label for _, label in both.examples] == [1, 0, 1]
 
+    def test_test_file_takes_a_class_id_the_training_file_lacks(self, tmp_path):
+        # training ids 0 and 2 make 3 classes, so id 1 is a class too
+        ds = data.load_corpus(write_corpus(tmp_path, ["0\ta", "2\tb"], "train.tsv"))
+        assert (ds.num_classes, ds.label_names) == (3, {"0": 0, "2": 2})
+        test = write_corpus(tmp_path, ["1\tc", "2\td", "0\te"], "test.tsv")
+        assert data.load_corpus(test, label_names=ds.label_names).examples == [
+            ("c", 1),
+            ("d", 2),
+            ("e", 0),
+        ]
+        for bad in ("3", "-1", "x"):
+            path = write_corpus(tmp_path, ["0\tf", f"{bad}\tg"], "bad.tsv")
+            with pytest.raises(ValueError, match=f"{path}: line 2: unknown label '{bad}'"):
+                data.load_corpus(path, label_names=ds.label_names)
+        # a name map keeps its exact lookup, ids included
+        names = data.load_corpus(write_corpus(tmp_path, ["LOC\ta", "0\tb"], "names.tsv"))
+        assert names.label_names == {"LOC": 0, "0": 1}
+        path = write_corpus(tmp_path, ["1\tc"], "names_test.tsv")
+        with pytest.raises(ValueError, match="line 1: unknown label '1'"):
+            data.load_corpus(path, label_names=names.label_names)
+
     def test_mixed_labels_fall_back_to_names(self, tmp_path):
         path = write_corpus(tmp_path, ["1\talpha", "x\tbeta"])
         ds = data.load_corpus(path)
@@ -98,7 +119,7 @@ class TestVocab:
     def test_reserved_ids_and_first_appearance_order(self):
         ds = data.Dataset([("the cat sat", 0), ("the dog ran", 1)], 2)
         vocab = data.build_vocab(ds)
-        assert vocab.id_to_token[:2] == [data.PAD_TOKEN, data.UNK_TOKEN]
+        assert list(vocab.token_to_id)[:2] == [data.PAD_TOKEN, data.UNK_TOKEN]
         assert vocab.token_to_id["the"] == 2
         assert vocab.token_to_id["cat"] == 3
         assert len(vocab) == 2 + 5  # reserved ids plus unique tokens
@@ -134,7 +155,6 @@ class TestEncodeBatch:
         assert batch.token_ids.shape == (2, 5)
         np.testing.assert_array_equal(batch.valid_lens, [2, 4])
         assert (batch.token_ids[0, 2:] == data.PAD_ID).all()
-        np.testing.assert_array_equal(batch.label_rows, [[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_array_equal(batch.label_ids, [0, 1])
 
     def test_truncates_at_max_len(self):
@@ -157,7 +177,8 @@ class TestEncodeBatch:
         text = "the cat sat"
         batch = data.encode_batch([(text, 0)], self.vocab, max_len=8, num_classes=2)
         vl = batch.valid_lens[0]
-        assert [self.vocab.id_to_token[i] for i in batch.token_ids[0, :vl]] == text.split()
+        tokens = list(self.vocab.token_to_id)
+        assert [tokens[i] for i in batch.token_ids[0, :vl]] == text.split()
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label"):
@@ -178,7 +199,7 @@ class TestEncodeBatch:
             ids[row, : len(token_ids)] = token_ids
             valid[row] = len(token_ids)
             label_ids[row] = label
-        return models.Batch(ids, valid, np.eye(num_classes)[label_ids], label_ids)
+        return models.Batch(ids, valid, label_ids)
 
     @pytest.mark.parametrize("max_len", [1, 3, 6])
     def test_matches_per_row_reference(self, max_len):

@@ -697,7 +697,7 @@ class TestLambdaSweep:
             examples = [test_ds.examples[i], test_ds.examples[j]]
             enc = dt.encode_batch(examples, vocab, cfg.max_len, cfg.num_classes)
             for col, model in enumerate(models, start=1):
-                ce = ad.softmax_cross_entropy(md.forward(model, enc), enc.label_rows).data
+                ce = ad.softmax_cross_entropy(md.forward(model, enc), enc.label_ids).data
                 assert rows[-1][col] == ce[0], (i, j, col)
                 assert rows[0][col] == pytest.approx(ce[1], rel=0, abs=1e-12), (i, j, col)
 
@@ -761,7 +761,7 @@ class TestLambdaSweep:
 
     def test_vocab_mismatch_rejected(self, sweep_setup):
         cfg, model_a, model_b, test_ds, vocab = sweep_setup
-        small = dt.Vocab({"<pad>": 0, "<unk>": 1}, ["<pad>", "<unk>"])
+        small = dt.Vocab({"<pad>": 0, "<unk>": 1})
         with pytest.raises(ValueError, match="vocabulary"):
             hz.lambda_sweep(model_a, model_b, test_ds, small, cfg.max_len)
 
@@ -974,7 +974,7 @@ class TestPretrainedTable:
         # a vector for every vocabulary entry, so the file alone fixes the table
         table = np.random.default_rng(9).uniform(-1.0, 1.0, (len(vocab), dim))
         with open(path, "w", encoding="utf-8") as fh:
-            for token, row in zip(vocab.id_to_token, table):
+            for token, row in zip(vocab.token_to_id, table):
                 fh.write(" ".join([token, *(repr(float(x)) for x in row)]) + "\n")
         return table
 

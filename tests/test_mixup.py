@@ -14,9 +14,7 @@ from admix import models
 def make_batch(rng, n=6, max_len=7, vocab=25, num_classes=3):
     ids = rng.integers(0, vocab, size=(n, max_len))
     vls = rng.integers(1, max_len + 1, size=n)
-    label_ids = rng.integers(0, num_classes, size=n)
-    rows = np.eye(num_classes)[label_ids]
-    return models.Batch(ids, vls, rows, label_ids)
+    return models.Batch(ids, vls, rng.integers(0, num_classes, size=n))
 
 
 def make_model(rng, dropout=0.0):
@@ -166,19 +164,19 @@ class TestPairCrossEntropy:
     def test_equals_cross_entropy_against_mixed_rows(self):
         rng = np.random.default_rng(15)
         logits = ad.Tensor(rng.standard_normal((6, 4)))
-        y_i = np.eye(4)[rng.integers(0, 4, 6)]
-        y_j = np.eye(4)[rng.integers(0, 4, 6)]
+        y_i, y_j = rng.integers(0, 4, 6), rng.integers(0, 4, 6)
         lam = rng.random(6)
         weighted = ad.pair_cross_entropy(logits, y_i, y_j, lam).data
-        mixed_rows = y_i * lam[:, None] + y_j * (1.0 - lam[:, None])
-        direct = ad.softmax_cross_entropy(logits, mixed_rows).data
+        mixed_rows = np.eye(4)[y_i] * lam[:, None] + np.eye(4)[y_j] * (1.0 - lam[:, None])
+        shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        direct = -(mixed_rows * log_probs).sum(axis=1)
         np.testing.assert_allclose(weighted, direct, rtol=1e-12, atol=1e-12)
 
     def test_lambda_one_recovers_plain_loss_bitwise(self):
         rng = np.random.default_rng(16)
         logits = ad.Tensor(rng.standard_normal((5, 3)))
-        y_i = np.eye(3)[rng.integers(0, 3, 5)]
-        y_j = np.eye(3)[rng.integers(0, 3, 5)]
+        y_i, y_j = rng.integers(0, 3, 5), rng.integers(0, 3, 5)
         loss = ad.pair_cross_entropy(logits, y_i, y_j, np.ones(5)).data
         plain = ad.softmax_cross_entropy(logits, y_i).data
         np.testing.assert_array_equal(loss, plain)
@@ -186,8 +184,7 @@ class TestPairCrossEntropy:
     def test_swap_symmetry(self):
         rng = np.random.default_rng(17)
         logits = ad.Tensor(rng.standard_normal((5, 3)))
-        y_i = np.eye(3)[rng.integers(0, 3, 5)]
-        y_j = np.eye(3)[rng.integers(0, 3, 5)]
+        y_i, y_j = rng.integers(0, 3, 5), rng.integers(0, 3, 5)
         lam = rng.random(5)
         a = ad.pair_cross_entropy(logits, y_i, y_j, lam).data
         b = ad.pair_cross_entropy(logits, y_j, y_i, 1.0 - lam).data
@@ -197,8 +194,7 @@ class TestPairCrossEntropy:
         # with fixed logits, d loss / d lambda reduces to ce_i - ce_j
         rng = np.random.default_rng(18)
         logits = ad.Tensor(rng.standard_normal((5, 3)))
-        y_i = np.eye(3)[rng.integers(0, 3, 5)]
-        y_j = np.eye(3)[rng.integers(0, 3, 5)]
+        y_i, y_j = rng.integers(0, 3, 5), rng.integers(0, 3, 5)
         lam = ad.Tensor(rng.random(5), requires_grad=True)
         with ad.Tape() as tape:
             y = ad.reduce_sum(ad.pair_cross_entropy(logits, y_i, y_j, lam))
@@ -216,7 +212,7 @@ class TestRandOp:
         pairs = mx.pair_up(model, batch, "sent", j)
         ones = np.ones(len(batch))
         loss = mx.score(model, pairs, ones, ones)
-        plain_loss = ad.softmax_cross_entropy(models.forward(model, batch), batch.label_rows)
+        plain_loss = ad.softmax_cross_entropy(models.forward(model, batch), batch.label_ids)
         np.testing.assert_array_equal(loss.data, plain_loss.data)
 
     def test_deterministic_under_seed(self):
@@ -246,7 +242,7 @@ class TestRandOp:
         gathered = ad.mean_pool_batch(ad.gather_rows(grid, j), lens)
         np.testing.assert_array_equal(pairs.hidden_j.data, gathered.data)
         np.testing.assert_array_equal(pairs.hidden_i.data, ad.mean_pool_batch(grid, lens).data)
-        np.testing.assert_array_equal(pairs.y_j, batch.label_rows[j])
+        np.testing.assert_array_equal(pairs.y_j, batch.label_ids[j])
         assert pairs.layer == models.POOLED and pairs.hidden_i.shape == (len(batch), 5)
 
     @pytest.mark.parametrize("layer", ["sent", "word"])
@@ -282,7 +278,7 @@ class TestRandOp:
             g_j = ad.Tensor(g_i_data[j])
             mixed = ad.lerp(g_i, g_j, lam_t)
             logits = models.forward_from_layer(model, "sent", mixed)
-            loss = ad.pair_cross_entropy(logits, batch.label_rows, batch.label_rows[j], lam_t)
+            loss = ad.pair_cross_entropy(logits, batch.label_ids, batch.label_ids[j], lam_t)
             return ad.reduce_sum(loss)
 
         lam = ad.Tensor(np.array([0.3, 0.5, 0.62, 0.81]), requires_grad=True)
@@ -354,7 +350,7 @@ class TestPooledWordMixing:
         lens = np.maximum(batch.valid_lens, batch.valid_lens[j])
         pooled = ad.mean_pool_batch(mixed, lens)
         logits = models.forward_from_layer(model, models.POOLED, pooled, dropout_mask=mask)
-        return ad.pair_cross_entropy(logits, batch.label_rows, batch.label_rows[j], lam)
+        return ad.pair_cross_entropy(logits, batch.label_ids, batch.label_ids[j], lam)
 
     @staticmethod
     def pooled_score(model, batch, j, lam, mask):
@@ -403,8 +399,8 @@ class TestPooledWordMixing:
             layer=models.POOLED,
             hidden_i=ad.mean_pool_batch(grid, lens),
             hidden_j=ad.mean_pool_batch(ad.gather_rows(grid, j_index), lens),
-            y_i=batch.label_rows,
-            y_j=batch.label_rows[j_index],
+            y_i=batch.label_ids,
+            y_j=batch.label_ids[j_index],
             dropout_mask=dropout_mask,
         )
 

@@ -1,5 +1,7 @@
 """Backbone construction, split-forward consistency, embedding file parsing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,7 @@ from admix import models
 def make_batch(rng, n=4, max_len=8, vocab=20, num_classes=3):
     ids = rng.integers(0, vocab, size=(n, max_len))
     vls = rng.integers(1, max_len + 1, size=n)
-    label_ids = rng.integers(0, num_classes, size=n)
-    rows = np.eye(num_classes)[label_ids]
-    return models.Batch(ids, vls, rows, label_ids)
+    return models.Batch(ids, vls, rng.integers(0, num_classes, size=n))
 
 
 class TestInit:
@@ -166,7 +166,7 @@ class TestGradients:
                 t.requires_grad = True
                 logits = models.forward(m, batch)
                 out = ad.scale(
-                    ad.reduce_sum(ad.softmax_cross_entropy(logits, batch.label_rows)),
+                    ad.reduce_sum(ad.softmax_cross_entropy(logits, batch.label_ids)),
                     1.0 / len(batch),
                 )
                 m.params[name] = saved
@@ -207,7 +207,7 @@ class TestGradients:
                 t.requires_grad = True
                 logits = models.forward(m, batch)
                 out = ad.scale(
-                    ad.reduce_sum(ad.softmax_cross_entropy(logits, batch.label_rows)),
+                    ad.reduce_sum(ad.softmax_cross_entropy(logits, batch.label_ids)),
                     1.0 / len(batch),
                 )
                 m.params[name] = saved
@@ -237,7 +237,7 @@ class TestDropoutMask:
 class TestPretrainedEmbeddings:
     def load(self, path, seed=0):
         tokens = ["<pad>", "<unk>", "cat", "dog"]
-        vocab = dt.Vocab({t: i for i, t in enumerate(tokens)}, tokens)
+        vocab = dt.Vocab({t: i for i, t in enumerate(tokens)})
         return models.load_pretrained_embeddings(path, vocab, np.random.default_rng(seed))
 
     def test_matching_tokens_take_file_vectors(self, tmp_path):
@@ -254,13 +254,13 @@ class TestPretrainedEmbeddings:
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 2.0 3.0\ndog 4.0 5.0\n")
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: expected 3 components")):
             self.load(path)
 
     def test_non_numeric_component_names_line(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 2.0 3.0\ndog 4.0 x 6.0\n")
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: could not convert")):
             self.load(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
@@ -268,7 +268,14 @@ class TestPretrainedEmbeddings:
         # zebra is not in the vocabulary: a bad line is rejected all the same
         path = tmp_path / "vecs.txt"
         path.write_text(f"cat 1.0 2.0 3.0\nzebra 4.0 {bad} 6.0\n")
-        with pytest.raises(ValueError, match="line 2: non-finite component in the vector of 'zebra'"):
+        message = f"{path}: line 2: non-finite component in the vector of 'zebra'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.load(path)
+
+    def test_token_without_components_names_file(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("\ncat\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: no vector components")):
             self.load(path)
 
     def test_empty_file_warns_and_returns_none(self, tmp_path):

@@ -87,7 +87,6 @@ def recorded_step(policy: str, backbone: str = "embed-mlp"):
     batch = md.Batch(
         rng.integers(0, 25, size=(ROWS, MAX_LEN)),
         rng.integers(1, MAX_LEN + 1, size=ROWS),
-        np.eye(3)[label_ids],
         label_ids,
     )
     config = mx.MixConfig(policy=policy, layer="word", epsilon=0.3)
