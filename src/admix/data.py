@@ -50,20 +50,22 @@ def tokenize(text: str) -> list:
 
 
 def _as_class_id(label: str) -> int | None:
-    """``label`` as a nonnegative integer, or None if it is not one."""
-    try:
-        value = int(label)
-    except ValueError:
-        return None
-    return value if value >= 0 else None
+    """``label`` as a class id when it is written in ASCII digits only, else None.
+
+    ``int`` alone would also read ``+1``, `` 0``, ``1_000`` and non-ASCII
+    digits as ids.
+    """
+    return int(label) if label.isascii() and label.isdigit() else None
 
 
 def load_corpus(path, label_names: dict | None = None) -> Dataset:
     """Read tab-separated ``label<TAB>text`` lines.
 
-    Labels that all parse as nonnegative integers are used as class ids
-    directly (classes = max id + 1; ``label_names`` keeps ``01`` as written);
-    otherwise labels are names, mapped to ids in first-appearance order.
+    Labels that are all written in ASCII digits are used as class ids
+    directly (classes = max id + 1; ``label_names`` keeps ``01`` as written),
+    and the class count they imply may be at most twice the number of
+    distinct ids, so one stray large id cannot size the model; otherwise
+    labels are names, mapped to ids in first-appearance order.
     Malformed lines fail with their line number. A given ``label_names``
     is used as is (so a test file keeps its training file's ids); when
     each of its labels is the integer id it maps to, any other class id
@@ -96,6 +98,13 @@ def load_corpus(path, label_names: dict | None = None) -> Dataset:
     ints = [_as_class_id(label) for label, _ in rows]
     if all(v is not None for v in ints):
         num_classes = max(ints) + 1
+        distinct = len(set(ints))
+        if num_classes > 2 * distinct:
+            lineno = ints.index(num_classes - 1) + 1
+            raise ValueError(
+                f"{path}: line {lineno}: class id {rows[lineno - 1][0]} implies "
+                f"{num_classes} classes, more than twice the {distinct} distinct ids in the file"
+            )
         written = sorted({(value, label) for (label, _), value in zip(rows, ints)})
         label_names = {label: value for value, label in written}
         examples = [(text, value) for (_, text), value in zip(rows, ints)]

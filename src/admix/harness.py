@@ -379,19 +379,49 @@ def _slice_batch(enc: md.Batch, idx) -> md.Batch:
 ROW_CHUNK = 512
 
 
-def _chunk_logits(model: md.Model, enc: md.Batch):
-    """Yield ``(rows, logits)`` per ``ROW_CHUNK``-row slice of ``enc``, dropout off."""
-    for start in range(0, len(enc), ROW_CHUNK):
-        rows = slice(start, start + ROW_CHUNK)
-        yield rows, md.forward(model, _slice_batch(enc, rows))
+def _chunks(examples, vocab: dt.Vocab, max_len: int, num_classes: int, index_chunks=None):
+    """Yield the examples as encoded batches, each encoded only when it is reached.
+
+    ``index_chunks`` lists the example indices of each batch; by default
+    the batches are consecutive runs of ``ROW_CHUNK`` examples.
+    """
+    if index_chunks is None:
+        pieces = (examples[a : a + ROW_CHUNK] for a in range(0, len(examples), ROW_CHUNK))
+    else:
+        pieces = ([examples[k] for k in rows] for rows in index_chunks)
+    for piece in pieces:
+        yield dt.encode_batch(piece, vocab, max_len, num_classes)
 
 
-def _error_rate(model: md.Model, enc: md.Batch) -> float:
-    """Fraction of argmax-logit mismatches; ties take the lowest class id."""
-    wrong = 0
-    for rows, logits in _chunk_logits(model, enc):
-        wrong += int((np.argmax(logits.data, axis=1) != enc.label_ids[rows]).sum())
-    return wrong / len(enc)
+def _exact_terms(values: list) -> list:
+    """A few floats whose exact sum is the exact sum of ``values``.
+
+    Each term is the correctly rounded sum (``math.fsum``) of what the
+    terms before it leave over, and the list ends once that is zero, so
+    ``math.fsum`` of the terms is the exact total rounded once. A mean
+    kept as terms, chunk by chunk, therefore does not depend on the
+    chunking or on the order of the rows (Shewchuk 1997; Demmel and
+    Nguyen 2013). A non-finite total ends the list as its last term.
+    ``values`` is consumed.
+    """
+    terms = []
+    while (total := math.fsum(values)) != 0.0:
+        terms.append(total)
+        if not math.isfinite(total):
+            break
+        values.append(-total)
+    return terms
+
+
+def _error_rate(model: md.Model, batches) -> float:
+    """Fraction of argmax-logit mismatches over ``batches``, dropout off;
+    ties take the lowest class id."""
+    wrong = rows = 0
+    for batch in batches:
+        logits = md.forward(model, batch)
+        wrong += int((np.argmax(logits.data, axis=1) != batch.label_ids).sum())
+        rows += len(batch)
+    return wrong / rows
 
 
 def train(config: ExperimentConfig, seed: int, step_hook=None):
@@ -415,14 +445,13 @@ def train(config: ExperimentConfig, seed: int, step_hook=None):
     model = build_model(config, vocab, num_classes, init_rng)
 
     enc_train = dt.encode_batch(train_split.examples, vocab, config.max_len, num_classes)
-    enc_dev = (
-        dt.encode_batch(dev_split.examples, vocab, config.max_len, num_classes)
-        if len(dev_split)
-        else None
-    )
-    if enc_dev is None:
+    # the dev split is scored at every epoch boundary, so it stays encoded;
+    # the test split is scored once, a chunk at a time, so only its labels
+    # are checked now, to fail before the first step
+    dev_chunks = list(_chunks(dev_split.examples, vocab, config.max_len, num_classes))
+    if not dev_chunks:
         warnings.warn("empty dev split; final parameters are used as-is")
-    enc_test = dt.encode_batch(test_ds.examples, vocab, config.max_len, num_classes)
+    dt.check_labels(test_ds.examples, num_classes)
 
     report = TrainReport(seed=seed, policy=config.policy)
     optim = OptimState(lr=config.lr)
@@ -430,9 +459,9 @@ def train(config: ExperimentConfig, seed: int, step_hook=None):
 
     def dev_checkpoint(step: int) -> None:
         nonlocal best_state
-        if enc_dev is None:
+        if not dev_chunks:
             return
-        err = _error_rate(model, enc_dev)
+        err = _error_rate(model, dev_chunks)
         report.dev_errors.append(err)
         if err < report.best_dev_error:
             report.best_dev_error = err
@@ -477,7 +506,9 @@ def train(config: ExperimentConfig, seed: int, step_hook=None):
 
     if best_state is not None:
         model.load_state(best_state)
-    report.test_error = _error_rate(model, enc_test)
+    report.test_error = _error_rate(
+        model, _chunks(test_ds.examples, vocab, config.max_len, num_classes)
+    )
     report.wall_time = time.perf_counter() - start
     return model, report
 
@@ -582,10 +613,16 @@ def lambda_sweep(
     Pairing reverses a frozen shuffle of the dataset, an involution, so
     the mean row at lambda mirrors the row at 1 - lambda. The shuffle is
     scored in chunks of mirrored positions (``_mirrored_chunks``), each
-    holding every row's partner, so memory is bounded by ``ROW_CHUNK``,
-    not by the dataset size. Single-pair mode encodes only the ordered
-    pair (i, j), scores it as one mirrored chunk of two rows and keeps
-    row i's loss. Returns rows of (lambda, mean_loss_a, mean_loss_b).
+    holding every row's partner; a chunk is encoded only when it is
+    scored, and both models score it before the next one. Each mean is
+    the exact sum of its row losses rounded once, divided by the row
+    count (``_exact_terms``), so it does not depend on the chunking or on
+    the shuffle: the lambda = 1 means equal ``plain_mean_loss`` bit for
+    bit wherever the per-row losses do. Memory is O(``ROW_CHUNK`` +
+    ``grid_points``), whatever the dataset size. Single-pair mode encodes
+    only the ordered pair (i, j), scores it as one mirrored chunk of two
+    rows and keeps row i's loss. Every label is checked before anything
+    is scored. Returns rows of (lambda, mean_loss_a, mean_loss_b).
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -605,36 +642,39 @@ def lambda_sweep(
         i, j = int(pair[0]), int(pair[1])
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"pair indices {pair} out of range for {n} examples")
-        dt.check_labels(dataset.examples, num_classes)
-        examples = [dataset.examples[i], dataset.examples[j]]
-        enc = dt.encode_batch(examples, vocab, max_len, num_classes)
-        chunks = [np.array([0, 1])]
+        index_chunks, kept = [(i, j)], 1
     else:
-        enc = dt.encode_batch(dataset.examples, vocab, max_len, num_classes)
-        chunks = list(_mirrored_chunks(np.random.default_rng(pairing_seed).permutation(n)))
+        index_chunks = _mirrored_chunks(np.random.default_rng(pairing_seed).permutation(n))
+        kept = n
+    dt.check_labels(dataset.examples, num_classes)
 
     grid = np.linspace(0.0, 1.0, grid_points)
-    per_model = []
-    for model in (model_a, model_b):
-        losses = np.empty((grid_points, len(enc)))
-        for rows in chunks:
-            piece = _slice_batch(enc, rows)
-            pairs = mx.pair_up(model, piece, layer, np.arange(len(rows))[::-1])
+    models = (model_a, model_b)
+    sums = [[[] for _ in grid] for _ in models]  # exact-sum terms per model and grid point
+    for piece in _chunks(dataset.examples, vocab, max_len, num_classes, index_chunks):
+        rows = len(piece)
+        for model, model_sums in zip(models, sums):
+            pairs = mx.pair_up(model, piece, layer, np.arange(rows)[::-1])
             for k, lam in enumerate(grid):
-                lam_row = np.full(len(rows), lam)
-                losses[k, rows] = mx.score(model, pairs, lam_row, lam_row).data
-        if pair is not None:
-            losses = losses[:, :1]
-        per_model.append([float(np.mean(row)) for row in losses])
-    return [(float(grid[k]), per_model[0][k], per_model[1][k]) for k in range(grid_points)]
+                lam_row = np.full(rows, lam)
+                losses = mx.score(model, pairs, lam_row, lam_row).data[:kept]
+                model_sums[k] = _exact_terms(model_sums[k] + losses.tolist())
+    means_a, means_b = ([math.fsum(terms) / kept for terms in model_sums] for model_sums in sums)
+    return [(float(lam), a, b) for lam, a, b in zip(grid, means_a, means_b)]
 
 
 def plain_mean_loss(model: md.Model, dataset: dt.Dataset, vocab: dt.Vocab, max_len: int) -> float:
-    """Mean unmixed cross entropy over a dataset, eval mode."""
+    """Mean unmixed cross entropy over a dataset, eval mode.
+
+    The dataset is encoded and scored ``ROW_CHUNK`` rows at a time, and the
+    mean is the exact sum of the row losses rounded once, divided by the
+    row count (``_exact_terms``), so memory is O(``ROW_CHUNK``) and the mean
+    does not depend on the chunking or on the order of the rows.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot take the mean loss of an empty dataset")
-    enc = dt.encode_batch(dataset.examples, vocab, max_len, model.num_classes)
-    losses = np.empty(len(enc))
-    for rows, logits in _chunk_logits(model, enc):
-        losses[rows] = ad.softmax_cross_entropy(logits, enc.label_ids[rows]).data
-    return float(np.mean(losses))
+    terms = []
+    for batch in _chunks(dataset.examples, vocab, max_len, model.num_classes):
+        losses = ad.softmax_cross_entropy(md.forward(model, batch), batch.label_ids).data
+        terms = _exact_terms(terms + losses.tolist())
+    return math.fsum(terms) / len(dataset)

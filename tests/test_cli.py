@@ -103,6 +103,24 @@ class TestExitCodes:
         message = f"line {line}: non-finite component in the vector of '<unk>'"
         assert err == f"error: {vectors}: {message}\n"
 
+    @pytest.mark.parametrize("label", ["3000000", "1000000000"])
+    def test_large_class_id_is_config_error(self, tmp_path, capsys, label):
+        # the first trained a 3 000 001-class model on two labels, exit 0;
+        # the second let a MemoryError escape main
+        train = tmp_path / "train.tsv"
+        train.write_text(f"0\ta b\n{label}\tc d\n0\te\n")
+        test = tmp_path / "test.tsv"
+        test.write_text("0\ta\n")
+        path = tmp_path / "files.cfg"
+        path.write_text(TINY + f"train_path = {train}\ntest_path = {test}\n")
+        assert main(["train", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: {train}: line 2: class id {label} implies {int(label) + 1} classes, "
+            "more than twice the 2 distinct ids in the file\n"
+        )
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

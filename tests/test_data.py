@@ -83,6 +83,29 @@ class TestLoadCorpus:
         with pytest.raises(ValueError, match="line 1: unknown label '1'"):
             data.load_corpus(path, label_names=names.label_names)
 
+    @pytest.mark.parametrize("label", ["+1", " 0", "\u0661", "1_000"])
+    def test_only_ascii_digits_are_class_ids(self, tmp_path, label):
+        # int() reads each of these as an id; as one they would be 1, 0, 1, 1000
+        ds = data.load_corpus(write_corpus(tmp_path, ["0\ta", f"{label}\tb"]))
+        assert ds.label_names == {"0": 0, label: 1}
+        path = write_corpus(tmp_path, [f"{label}\tc"], "test.tsv")
+        plain = data.load_corpus(write_corpus(tmp_path, ["0\ta", "1\tb"], "plain.tsv"))
+        with pytest.raises(ValueError, match="line 1: unknown label"):
+            data.load_corpus(path, label_names=plain.label_names)
+
+    def test_implied_class_count_is_bounded(self, tmp_path):
+        # 4 classes from ids {0, 3} is the most two distinct ids may imply
+        ds = data.load_corpus(write_corpus(tmp_path, ["3\ta", "0\tb"]))
+        assert ds.num_classes == 4
+        for big in ("4", "3000000", "1000000000"):
+            path = write_corpus(tmp_path, ["0\ta", f"{big}\tb", "0\tc"], "big.tsv")
+            message = (
+                f"{path}: line 2: class id {big} implies {int(big) + 1} classes, "
+                "more than twice the 2 distinct ids in the file"
+            )
+            with pytest.raises(ValueError, match=message):
+                data.load_corpus(path)
+
     def test_mixed_labels_fall_back_to_names(self, tmp_path):
         path = write_corpus(tmp_path, ["1\talpha", "x\tbeta"])
         ds = data.load_corpus(path)

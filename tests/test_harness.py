@@ -2,8 +2,10 @@
 
 import dataclasses
 import gc
+import math
 import tracemalloc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -503,6 +505,20 @@ class TestTrain:
             with pytest.raises(DivergenceError):
                 hz.train(cfg, seed=0)
 
+    @pytest.mark.parametrize("split", [1, 2])  # dev, test
+    def test_bad_evaluation_label_fails_before_the_first_step(self, monkeypatch, split):
+        # the test split is encoded only when it is scored, after training
+        cfg = tiny_config(max_steps=3)
+        task = list(hz.prepare_task(cfg, seed=0))
+        examples = list(task[split].examples)
+        examples[-1] = (examples[-1][0], cfg.num_classes)
+        task[split] = task[split].replaced(examples)
+        monkeypatch.setattr(hz, "prepare_task", lambda config, seed: tuple(task))
+        steps = []
+        with pytest.raises(ValueError, match=f"label {cfg.num_classes} out of range"):
+            hz.train(cfg, seed=0, step_hook=lambda step, bundle: steps.append(step))
+        assert steps == []
+
     def test_dropout_consumed_identically_across_policies(self):
         # dropout draws come from a dedicated stream: turning it on must
         # not change which batches or lambdas the policies see
@@ -531,8 +547,7 @@ class TestEvaluate:
         return model
 
     def _error_rate(self, model, ds, vocab, max_len):
-        enc = dt.encode_batch(ds.examples, vocab, max_len, model.num_classes)
-        return hz._error_rate(model, enc)
+        return hz._error_rate(model, hz._chunks(ds.examples, vocab, max_len, model.num_classes))
 
     def test_counts_mismatches(self):
         model = self._constant_model([0.0, 1.0, 0.0])  # always predicts class 1
@@ -745,7 +760,6 @@ class TestLambdaSweep:
         assert len(odd) % 2 == 1
         model_a = hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(0))
         model_b = hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(1))
-        enc = dt.encode_batch(odd.examples, vocab, cfg.max_len, cfg.num_classes)
         results = []
         for chunk in (2, 7, len(odd) + 1):
             monkeypatch.setattr(hz, "ROW_CHUNK", chunk)
@@ -756,7 +770,8 @@ class TestLambdaSweep:
                 for layer in ("sent", "word")
             ]
             plain = hz.plain_mean_loss(model_a, odd, vocab, cfg.max_len)
-            results.append((sweeps, plain, hz._error_rate(model_a, enc)))
+            chunks = hz._chunks(odd.examples, vocab, cfg.max_len, cfg.num_classes)
+            results.append((sweeps, plain, hz._error_rate(model_a, chunks)))
         assert results[0] == results[1] == results[2]
 
     def test_vocab_mismatch_rejected(self, sweep_setup):
@@ -781,18 +796,57 @@ def acceptance_task():
 @pytest.mark.parametrize("layer", ["sent", "word"])
 @pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
 def test_full_sweep_memory_is_bounded_by_the_row_chunk(acceptance_task, backbone, layer):
-    # 3000 test rows; scored all at once, the peak was 13-52 MiB
+    # 3000 test rows; scored all at once, the peak was 13-52 MiB, and a
+    # [grid_points, n] loss matrix made it grow by 2.3-4.3 MB from 3 to 101
+    # grid points
     cfg, test_ds, vocab = acceptance_task
     cfg = dataclasses.replace(cfg, backbone=backbone)
     model = hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(0))
     assert len(test_ds) == 3000
-    tracemalloc.start()
-    try:
-        hz.lambda_sweep(model, model, test_ds, vocab, cfg.max_len, grid_points=3, layer=layer)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    peaks = {}
+    for grid_points in (3, 101):
+        tracemalloc.start()
+        try:
+            hz.lambda_sweep(
+                model, model, test_ds, vocab, cfg.max_len, grid_points=grid_points, layer=layer
+            )
+            _, peaks[grid_points] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[3] < 16 * 2**20
+    assert abs(peaks[101] - peaks[3]) < 256 * 2**10, peaks
+
+
+def test_exact_terms_sum_exactly_in_any_chunking():
+    rng = np.random.default_rng(0)
+    values = (rng.standard_normal(1000) * 10.0 ** rng.integers(-20, 20, 1000)).tolist()
+    exact = sum(Fraction(v) for v in values)
+    for size in (1, 7, 512, 1000):
+        terms = []
+        for a in range(0, len(values), size):
+            terms = hz._exact_terms(terms + values[a : a + size])
+        assert sum(Fraction(t) for t in terms) == exact
+        assert math.fsum(terms) == float(exact)
+    assert hz._exact_terms([1e16, 1.0, -1e16]) == [1.0]
+    assert hz._exact_terms([0.0, -0.0]) == []
+    # a non-finite total ends the terms instead of peeling forever
+    assert hz._exact_terms([1.0, math.inf]) == [math.inf]
+    assert math.isnan(hz._exact_terms([1.0, math.nan])[-1])
+
+
+@pytest.mark.parametrize("layer", ["sent", "word"])
+@pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
+def test_full_sweep_endpoints_are_exact_means(acceptance_task, backbone, layer):
+    # at lambda = 0 every row scores its partner's lambda = 1 loss, so the two
+    # means sum the same values in another order; np.mean of the two rows
+    # put them an ulp apart
+    cfg, test_ds, vocab = acceptance_task
+    cfg = dataclasses.replace(cfg, backbone=backbone)
+    models = [
+        hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(s)) for s in (0, 1)
+    ]
+    rows = hz.lambda_sweep(*models, test_ds, vocab, cfg.max_len, grid_points=2, layer=layer)
+    assert rows[0][1:] == rows[-1][1:]
 
 
 def test_text_cnn_sent_rows_do_not_depend_on_the_batch(acceptance_task):
