@@ -188,7 +188,9 @@ def _scatter_rows(shape: tuple[int, ...], idx: np.ndarray, g: np.ndarray) -> np.
     # intp first: uint64 ids times the int64 offsets would promote to float64
     flat = idx.astype(np.intp, copy=False).reshape(-1, 1) * width + np.arange(width)
     summed = np.bincount(flat.ravel(), weights=g.ravel(), minlength=shape[0] * width)
-    return summed.reshape(shape)
+    # shaped in place, not by a view, so ``backward`` need not copy the result
+    summed.shape = shape
+    return summed
 
 
 def _checked_ids(table: Tensor, ids) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import read_lines
 from .models import Batch
 
 PAD_ID = 0
@@ -49,75 +50,84 @@ def tokenize(text: str) -> list:
     return text.lower().split()
 
 
+# A class id is read from at most this many significant digits, far more
+# than the class-count bound in ``load_corpus`` lets through. A longer digit
+# label reads as ``_TOO_LARGE_ID`` and never reaches ``int``, which refuses
+# strings of over 4300 digits.
+_ID_DIGITS = 18
+_TOO_LARGE_ID = 10**_ID_DIGITS
+
+
 def _as_class_id(label: str) -> int | None:
     """``label`` as a class id when it is written in ASCII digits only, else None.
 
     ``int`` alone would also read ``+1``, `` 0``, ``1_000`` and non-ASCII
-    digits as ids.
+    digits as ids. Over ``_ID_DIGITS`` significant digits read as ``_TOO_LARGE_ID``.
     """
-    return int(label) if label.isascii() and label.isdigit() else None
+    if not (label.isascii() and label.isdigit()):
+        return None
+    digits = label.lstrip("0")
+    return int(digits or "0") if len(digits) <= _ID_DIGITS else _TOO_LARGE_ID
+
+
+def _shown(label: str) -> str:
+    """``label`` as an error message prints it, cut after 20 characters."""
+    return label if len(label) <= 20 else f"{label[:20]}... ({len(label)} characters)"
 
 
 def load_corpus(path, label_names: dict | None = None) -> Dataset:
     """Read tab-separated ``label<TAB>text`` lines.
 
-    Labels that are all written in ASCII digits are used as class ids
-    directly (classes = max id + 1; ``label_names`` keeps ``01`` as written),
-    and the class count they imply may be at most twice the number of
-    distinct ids, so one stray large id cannot size the model; otherwise
-    labels are names, mapped to ids in first-appearance order.
-    Malformed lines fail with their line number. A given ``label_names``
-    is used as is (so a test file keeps its training file's ids); when
-    each of its labels is the integer id it maps to, any other class id
-    below its class count is accepted too.
+    One map turns labels into class ids. A given ``label_names`` is used as
+    is (so a test file keeps its training file's ids); otherwise the map is
+    built from this file. When all its labels are written in ASCII digits,
+    each is its own id (classes = max id + 1; the map keeps ``01`` as
+    written), and the class count they imply may be at most twice the
+    number of distinct ids, so one stray large id cannot size the model;
+    otherwise labels are names, mapped to ids in first-appearance order.
+    Every line then goes through the map. When every label of the map is
+    its own id, any other class id below the class count is a class too.
+    Malformed lines fail with their line number.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if "\t" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected 'label<TAB>text'")
-            label, text = line.split("\t", 1)
-            if not label:
-                raise ValueError(f"{path}: line {lineno}: empty label")
-            rows.append((label, text))
+    for lineno, raw in read_lines(path):
+        line = raw.rstrip("\n")
+        if "\t" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected 'label<TAB>text'")
+        label, text = line.split("\t", 1)
+        if not label:
+            raise ValueError(f"{path}: line {lineno}: empty label")
+        rows.append((label, text))
     if not rows:
         raise ValueError(f"{path}: corpus is empty")
 
-    if label_names is not None:
-        num_classes = max(label_names.values()) + 1
-        int_map = all(_as_class_id(label) == value for label, value in label_names.items())
-        examples = []
-        for lineno, (label, text) in enumerate(rows, start=1):
-            value = label_names.get(label, _as_class_id(label) if int_map else None)
-            if value is None or value >= num_classes:
-                raise ValueError(f"{path}: line {lineno}: unknown label {label!r}")
-            examples.append((text, value))
-        return Dataset(examples, num_classes, str(path), dict(label_names))
-
-    ints = [_as_class_id(label) for label, _ in rows]
-    if all(v is not None for v in ints):
-        num_classes = max(ints) + 1
-        distinct = len(set(ints))
-        if num_classes > 2 * distinct:
-            lineno = ints.index(num_classes - 1) + 1
-            raise ValueError(
-                f"{path}: line {lineno}: class id {rows[lineno - 1][0]} implies "
-                f"{num_classes} classes, more than twice the {distinct} distinct ids in the file"
-            )
-        written = sorted({(value, label) for (label, _), value in zip(rows, ints)})
-        label_names = {label: value for value, label in written}
-        examples = [(text, value) for (_, text), value in zip(rows, ints)]
-    else:
-        label_names = {}
-        for label, _ in rows:
-            if label not in label_names:
-                label_names[label] = len(label_names)
-        num_classes = len(label_names)
-        examples = [(text, label_names[label]) for label, text in rows]
+    if label_names is None:
+        ids = [_as_class_id(label) for label, _ in rows]
+        if None in ids:
+            names = dict.fromkeys(label for label, _ in rows)
+            label_names = {label: value for value, label in enumerate(names)}
+        else:
+            top, distinct = max(ids), len(set(ids))
+            if top >= 2 * distinct:
+                lineno = ids.index(top) + 1
+                implied = top + 1 if top < _TOO_LARGE_ID else f"over {_TOO_LARGE_ID}"
+                raise ValueError(
+                    f"{path}: line {lineno}: class id {_shown(rows[lineno - 1][0])} implies "
+                    f"{implied} classes, more than twice the {distinct} distinct ids in the file"
+                )
+            written = sorted({(value, label) for (label, _), value in zip(rows, ids)})
+            label_names = {label: value for value, label in written}
+    num_classes = max(label_names.values()) + 1
     if num_classes < 2:
         raise ValueError(f"{path}: need at least 2 classes, found {num_classes}")
-    return Dataset(examples, num_classes, str(path), label_names)
+    ids_are_labels = all(_as_class_id(label) == value for label, value in label_names.items())
+    examples = []
+    for lineno, (label, text) in enumerate(rows, start=1):
+        value = label_names.get(label, _as_class_id(label) if ids_are_labels else None)
+        if value is None or value >= num_classes:
+            raise ValueError(f"{path}: line {lineno}: unknown label {_shown(label)!r}")
+        examples.append((text, value))
+    return Dataset(examples, num_classes, str(path), dict(label_names))
 
 
 def build_vocab(dataset: Dataset, min_freq: int = 1) -> Vocab:

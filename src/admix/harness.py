@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import data as dt
 from . import mixup as mx
 from . import models as md
-from .errors import DivergenceError
+from .errors import DivergenceError, read_lines
 
 _STREAMS = {"init": 0, "data": 1, "shuffle": 2, "mix": 3, "dropout": 4}
 
@@ -219,8 +219,8 @@ _PARSERS_BY_TYPE = {
 _FIELD_PARSERS = {f.name: _PARSERS_BY_TYPE[f.type] for f in dataclasses.fields(ExperimentConfig)}
 
 
-def config_from_items(items: dict) -> ExperimentConfig:
-    """Build a config from string key/value pairs; unknown keys are errors."""
+def _field_values(items: dict) -> dict:
+    """The typed value of each string key/value pair; unknown keys are errors."""
     kwargs = {}
     for key, raw in items.items():
         parser = _FIELD_PARSERS.get(key)
@@ -230,7 +230,12 @@ def config_from_items(items: dict) -> ExperimentConfig:
             kwargs[key] = parser(raw)
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
-    config = ExperimentConfig(**kwargs)
+    return kwargs
+
+
+def config_from_items(items: dict) -> ExperimentConfig:
+    """Build a config from string key/value pairs; unknown keys are errors."""
+    config = ExperimentConfig(**_field_values(items))
     config.validate()
     return config
 
@@ -253,8 +258,17 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_items(parse_config_text(fh.read()))
+    """The config in file ``path``. An error in its text (a line, a key or a
+    value that does not parse) starts with the path; a value out of range
+    fails ``validate``, whose errors name the key."""
+    text = "".join(line for _, line in read_lines(path))
+    try:
+        values = _field_values(parse_config_text(text))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    config = ExperimentConfig(**values)
+    config.validate()
+    return config
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .errors import read_lines
 
 LAYER_NAMES = ("word", "sent")
 # embed-mlp's cut point right after the mean pool; not a configurable layer
@@ -234,29 +235,25 @@ def load_pretrained_embeddings(path, vocab, rng: np.random.Generator) -> ad.Tens
 
     Each line is ``token v1 .. vd``; the dimension comes from the first
     line. Tokens of ``vocab`` (a ``data.Vocab``) take their file vector,
-    every other row keeps a uniform(-0.1, 0.1) draw from ``rng``. A file
-    with no data lines warns and returns None so the caller keeps its own
-    init; a malformed line or a ``nan``/``inf`` component raises.
+    every other row keeps a uniform(-0.1, 0.1) draw from ``rng``. The file
+    is read in one pass: the table is drawn at the first data line, and each
+    line is checked and filled as it is read, so only the table is held. A
+    file with no data lines warns and returns None so the caller keeps its
+    own init; a malformed line or a ``nan``/``inf`` component raises.
     """
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            rows.append((lineno, parts[0], parts[1:]))
-    if not rows:
-        warnings.warn(f"no usable vectors in {path}; keeping random init")
-        return None
-    dim = len(rows[0][2])
-    if dim == 0:
-        raise ValueError(f"{path}: line {rows[0][0]}: no vector components")
-    table = _uniform(rng, (len(vocab), dim))
-    filled = 0
-    for lineno, token, comps in rows:
+    table, filled = None, 0
+    for lineno, raw in read_lines(path):
+        parts = raw.split()
+        if not parts:
+            continue
+        token, comps = parts[0], parts[1:]
         where = f"{path}: line {lineno}"
-        if len(comps) != dim:
-            raise ValueError(f"{where}: expected {dim} components, got {len(comps)}")
+        if table is None:
+            if not comps:
+                raise ValueError(f"{where}: no vector components")
+            table = _uniform(rng, (len(vocab), len(comps)))
+        if len(comps) != table.shape[1]:
+            raise ValueError(f"{where}: expected {table.shape[1]} components, got {len(comps)}")
         try:
             vec = np.array([float(c) for c in comps])
         except ValueError as exc:
@@ -267,6 +264,9 @@ def load_pretrained_embeddings(path, vocab, rng: np.random.Generator) -> ad.Tens
         if idx is not None:
             table[idx] = vec
             filled += 1
+    if table is None:
+        warnings.warn(f"no usable vectors in {path}; keeping random init")
+        return None
     if filled == 0:
         warnings.warn(f"no tokens from {path} matched the vocabulary")
     return ad.Tensor(table, requires_grad=True)

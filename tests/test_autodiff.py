@@ -1176,6 +1176,15 @@ class TestBackward:
             assert all(grad.base is None for grad in grads)
             assert len({id(grad) for grad in grads}) == len(grads)
 
+    @pytest.mark.parametrize("op", [ad.embedding_lookup, ad.gather_rows])
+    def test_scatter_adjoint_owns_its_memory(self, op):
+        # a view of the summed counts made `backward` copy it on every walk
+        table = ad.Tensor(np.zeros((5, 3)), requires_grad=True)
+        with ad.Tape() as tape:
+            op(table, np.array([4, 0, 4]))
+        (grad,) = tape.nodes[-1].backward_fn(np.ones((3, 3)))
+        assert grad.base is None and grad.shape == (5, 3)
+
     def test_repeated_calls_return_equal_independent_arrays(self):
         a = ad.Tensor([1.0, 2.0], requires_grad=True)
         b = ad.Tensor([3.0, 4.0], requires_grad=True)

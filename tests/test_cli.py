@@ -121,6 +121,72 @@ class TestExitCodes:
             "more than twice the 2 distinct ids in the file\n"
         )
 
+    @pytest.mark.parametrize("where", ["train", "test"])
+    def test_class_id_past_the_int_digit_limit_is_config_error(self, tmp_path, capsys, where):
+        # int() refuses over 4300 digits, and its error named no file or line
+        big = "1" * 5000
+        lines = {"train": ["0\ta b", "1\tc d", "0\te"], "test": ["0\ta", "1\tb"]}
+        lines[where][1] = f"{big}\tc d"
+        paths = {}
+        for name, rows in lines.items():
+            paths[name] = tmp_path / f"{name}.tsv"
+            paths[name].write_text("\n".join(rows) + "\n")
+        path = tmp_path / "files.cfg"
+        path.write_text(TINY + f"train_path = {paths['train']}\ntest_path = {paths['test']}\n")
+        assert main(["train", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        shown = "11111111111111111111... (5000 characters)"
+        if where == "train":
+            message = (
+                f"class id {shown} implies over 1000000000000000000 classes, "
+                "more than twice the 2 distinct ids in the file"
+            )
+        else:
+            message = f"unknown label '{shown}'"
+        assert err == f"error: {paths[where]}: line 2: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["train.tsv", "vectors.txt", "files.cfg"])
+    def test_undecodable_byte_names_the_file_and_line(self, tmp_path, capsys, kind):
+        # the decoder's own error named neither: "'utf-8' codec can't decode byte 0xff ..."
+        paths = {name: tmp_path / name for name in ("train.tsv", "test.tsv", "vectors.txt")}
+        paths["files.cfg"] = tmp_path / "files.cfg"
+        files = {
+            "train.tsv": "0\ta b\n1\tc d\n0\te\n1\tf\n",
+            "test.tsv": "0\ta\n1\tb\n",
+            "vectors.txt": "a 0.5 0.5\nb 0.5 0.5\n",
+            "files.cfg": TINY.lstrip() + "embed_dim = 2\n"
+            f"train_path = {paths['train.tsv']}\ntest_path = {paths['test.tsv']}\n"
+            f"embed_path = {paths['vectors.txt']}\n",
+        }
+        for name, text in files.items():
+            lines = text.encode().split(b"\n")
+            if name == kind:
+                lines[1] += b"\xff"
+            paths[name].write_bytes(b"\n".join(lines))
+        assert main(["train", "--config", str(paths["files.cfg"])]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {paths[kind]}: line 2: byte 0xff is not UTF-8\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("bogus line", "line {n}: expected 'key = value', got 'bogus line'"),
+            ("nosuch = 1", "unknown config key 'nosuch'"),
+            ("lr = 0.1", "line {n}: duplicate key 'lr'"),
+            ("dropout = half", "config key 'dropout': could not convert string to float"),
+        ],
+    )
+    def test_config_text_error_names_the_config_file(self, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY + line + "\n")
+        assert main(["train", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        n = TINY.count("\n") + 1
+        assert err.startswith(f"error: {path}: {message.format(n=n)}")
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

@@ -106,6 +106,12 @@ class TestLoadCorpus:
             with pytest.raises(ValueError, match=message):
                 data.load_corpus(path)
 
+    def test_zero_padding_past_the_int_digit_limit_is_read(self, tmp_path):
+        # only the significant digits go to int(), which refuses over 4300
+        padded = "0" * 5000 + "1"
+        ds = data.load_corpus(write_corpus(tmp_path, ["0\ta", f"{padded}\tb"]))
+        assert (ds.num_classes, ds.label_names) == (2, {"0": 0, padded: 1})
+
     def test_mixed_labels_fall_back_to_names(self, tmp_path):
         path = write_corpus(tmp_path, ["1\talpha", "x\tbeta"])
         ds = data.load_corpus(path)
