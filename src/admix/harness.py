@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import math
 import time
 import warnings
@@ -241,14 +242,15 @@ def config_from_items(items: dict) -> ExperimentConfig:
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat ``key = value`` lines; blank lines and ``#`` comments skipped."""
+    """Flat ``key = value`` lines, ended as ``errors.read_lines`` ends them
+    (universal newlines); blank lines and ``#`` comments skipped."""
     items: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         if key in items:
@@ -331,13 +333,8 @@ def build_model(config: ExperimentConfig, vocab: dt.Vocab, num_classes: int, rng
             num_classes, rng, dropout=config.dropout, max_len=config.max_len,
         )
     if config.embed_path:
-        table = md.load_pretrained_embeddings(config.embed_path, vocab, rng)
+        table = md.load_pretrained_embeddings(config.embed_path, vocab, config.embed_dim, rng)
         if table is not None:
-            if table.shape != model.params["embed"].shape:
-                raise ValueError(
-                    f"pretrained table {table.shape} does not match embedding "
-                    f"{model.params['embed'].shape}"
-                )
             model.params["embed"] = table
     if config.embed_frozen:
         md.freeze_embeddings(model)

@@ -230,16 +230,17 @@ def make_dropout_mask(
     return (rng.random((n, model.sent_dim)) < keep) / keep
 
 
-def load_pretrained_embeddings(path, vocab, rng: np.random.Generator) -> ad.Tensor | None:
+def load_pretrained_embeddings(path, vocab, dim: int, rng: np.random.Generator) -> ad.Tensor | None:
     """Build an embedding table from a whitespace-separated vectors file.
 
-    Each line is ``token v1 .. vd``; the dimension comes from the first
-    line. Tokens of ``vocab`` (a ``data.Vocab``) take their file vector,
-    every other row keeps a uniform(-0.1, 0.1) draw from ``rng``. The file
-    is read in one pass: the table is drawn at the first data line, and each
-    line is checked and filled as it is read, so only the table is held. A
-    file with no data lines warns and returns None so the caller keeps its
-    own init; a malformed line or a ``nan``/``inf`` component raises.
+    Each line is ``token v1 .. vd``, and every line's width ``d`` must be
+    ``dim``, the config's ``embed_dim``. Tokens of ``vocab`` (a
+    ``data.Vocab``) take their file vector, every other row keeps a
+    uniform(-0.1, 0.1) draw from ``rng``. The file is read in one pass:
+    the table is drawn at the first data line, and each line is checked and
+    filled as it is read, so only the table is held. A file with no data
+    lines warns and returns None so the caller keeps its own init; a
+    malformed line or a ``nan``/``inf`` component raises.
     """
     table, filled = None, 0
     for lineno, raw in read_lines(path):
@@ -248,12 +249,10 @@ def load_pretrained_embeddings(path, vocab, rng: np.random.Generator) -> ad.Tens
             continue
         token, comps = parts[0], parts[1:]
         where = f"{path}: line {lineno}"
+        if len(comps) != dim:
+            raise ValueError(f"{where}: expected {dim} components (embed_dim), got {len(comps)}")
         if table is None:
-            if not comps:
-                raise ValueError(f"{where}: no vector components")
-            table = _uniform(rng, (len(vocab), len(comps)))
-        if len(comps) != table.shape[1]:
-            raise ValueError(f"{where}: expected {table.shape[1]} components, got {len(comps)}")
+            table = _uniform(rng, (len(vocab), dim))
         try:
             vec = np.array([float(c) for c in comps])
         except ValueError as exc:

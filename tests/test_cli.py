@@ -81,7 +81,7 @@ class TestExitCodes:
         assert main(["train", "--config", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: pretrained table (502, 8) does not match embedding (502, 16)\n"
+        assert err == f"error: {vectors}: line 1: expected 16 components (embed_dim), got 8\n"
 
     def test_non_finite_pretrained_vector_is_config_error(self, tmp_path, capsys):
         # an all-nan <unk> row trained and scored its test rows' nan logits
@@ -186,6 +186,19 @@ class TestExitCodes:
         assert out == ""
         n = TINY.count("\n") + 1
         assert err.startswith(f"error: {path}: {message.format(n=n)}")
+
+    @pytest.mark.parametrize(
+        "end", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_config_error_names_the_line_read_lines_counts(self, tmp_path, capsys, end):
+        # str.splitlines also breaks at these characters, universal newlines
+        # do not: the bogus line was reported as line 3
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"max_steps = 20{end}\nbogus line\n{TINY}", encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: line 2: expected 'key = value', got 'bogus line'\n"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -20,6 +20,7 @@ import pytest
 
 from admix import harness as hz
 from admix.cli import main
+from admix.errors import read_lines
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import strategies as st  # noqa: E402
@@ -50,8 +51,9 @@ EDGE_LABELS = ["1" * 5000, "99999999999999999999", "3000000", "-1", "١", "nan",
                " 0", "01", "5", "1\r", "0\r\n"]
 EDGE_COMPONENTS = ["1e999", "-1e308", "1e308", "nan", "-inf", "", "1" * 5000, "١", "1_0",
                    "0x1", "-0", "\r\n"]
-# no digit and no '#', so a flip cannot raise a number or comment out a key
-CONFIG_BYTES = list(b"\xff\x00\t\r\n =x,\xc3")
+# no digit and no '#', so a flip cannot raise a number or comment out a key;
+# str.splitlines breaks lines at \v, \f and \x1c-\x1e, universal newlines do not
+CONFIG_BYTES = list(b"\xff\x00\t\r\n =x,\xc3\v\f\x1c\x1d\x1e")
 
 
 def ops(flip_bytes, edge_values, cut=True):
@@ -116,6 +118,9 @@ def mutate(kind: str, content: bytes, mutations) -> bytes:
 @hypothesis.example(case=("train", [("flip", 4, 0xFF)]))
 # a config error named neither its file nor a key: "unknown config key 'max_xteps'"
 @hypothesis.example(case=("config", [("flip", SETTINGS.index("max_steps") + 4, ord("x"))]))
+# a form feed ended a config line: the duplicate key on read_lines' line 11
+# was reported as line 12
+@hypothesis.example(case=("config", [("flip", len(SETTINGS) - 1, ord("\f")), ("dup", 9)]))
 def test_a_mutated_input_file_fails_by_contract(tmp_path, capsys, case):
     kind, mutations = case
     paths = {name: tmp_path / name for name in FILES}
@@ -134,3 +139,12 @@ def test_a_mutated_input_file_fails_by_contract(tmp_path, capsys, case):
         named_file = any(str(path) in err for path in paths.values())
         named_key = any(re.search(rf"\b{key}\b", err) for key in KEYS)
         assert named_file or named_key, err
+    # a config text error's line N is the line read_lines yields as N: the
+    # lines before it parse, and with it they fail with the same error
+    where = re.match(rf"error: {re.escape(str(paths['config']))}: (line (\d+): (?!byte ).*)", err)
+    if where:
+        message, n = where[1], int(where[2])
+        lines = [line for _, line in read_lines(paths["config"])]
+        hz.parse_config_text("".join(lines[: n - 1]))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hz.parse_config_text("".join(lines[:n]))

@@ -30,7 +30,10 @@ written with. Either way the script first prints the core numpy runs on
 (``unknown`` when its library does not say) beside that one, since a
 digest is only reproducible under the same kernel: ``--check`` says "no
 change" only under the file's kernel, and labels drift under another
-kernel "other kernel".
+kernel "other kernel". ``test_the_comparisons_hold_under_a_second_kernel``
+runs the other tests of this file again in a subprocess with
+``OPENBLAS_CORETYPE`` set to a second kernel, where they must pass within
+the same tolerance.
 """
 
 import ctypes
@@ -38,6 +41,8 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -158,16 +163,22 @@ def test_sweep_matches_golden(combo, golden):
         )
 
 
-def blas_core() -> str:
-    """The OpenBLAS core of the library bundled in ``numpy.libs``, or ``unknown``."""
+def _openblas(name: str) -> str:
+    """``scipy_openblas_<name>64_()`` of the library bundled in ``numpy.libs``,
+    or ``unknown``."""
     for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
         try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+            func = getattr(ctypes.CDLL(str(lib)), f"scipy_openblas_{name}64_")
         except (OSError, AttributeError):
             continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
+        func.argtypes, func.restype = [], ctypes.c_char_p
+        return func().decode()
     return "unknown"
+
+
+def blas_core() -> str:
+    """The OpenBLAS core numpy runs on, or ``unknown``."""
+    return _openblas("get_corename")
 
 
 def written_under() -> dict:
@@ -190,6 +201,29 @@ def test_the_file_names_the_kernel_it_was_written_under(golden):
     for drifted in (0, 15):
         assert verdict(drifted, "SkylakeX", "Haswell").endswith(" (other kernel)")
     assert verdict(2, "Haswell", "Haswell") == "2 digests differ from golden_traces.json"
+
+
+def test_the_comparisons_hold_under_a_second_kernel():
+    # the digests are bitwise under one kernel only, but the comparisons'
+    # tolerance must hold under another. A build without DYNAMIC_ARCH
+    # ignores OPENBLAS_CORETYPE and runs its one kernel.
+    kernel = "Sandybridge" if blas_core() == "Haswell" else "Haswell"
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel}
+    here = str(Path(__file__).parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {here!r}); "
+        "import test_golden; print(test_golden.blas_core())"
+    )
+    core = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    if "DYNAMIC_ARCH" in _openblas("get_config").split():
+        assert core == kernel
+    others = [sys.executable, "-m", "pytest", __file__, "-q", "-p", "no:cacheprovider"]
+    run = subprocess.run(
+        [*others, "-k", "not second_kernel"], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stdout[-4000:]
 
 
 def drift_lines(old: dict, new: dict) -> list:

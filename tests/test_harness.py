@@ -1,6 +1,7 @@
 """Training loop, config parsing, experiment runners, sweep, gradcheck."""
 
 import dataclasses
+import functools
 import gc
 import math
 import tracemalloc
@@ -805,11 +806,17 @@ def test_full_sweep_memory_is_bounded_by_the_row_chunk(acceptance_task, backbone
     assert len(test_ds) == 3000
     peaks = {}
     for grid_points in (3, 101):
+        sweep = functools.partial(
+            hz.lambda_sweep,
+            model, model, test_ds, vocab, cfg.max_len, grid_points=grid_points, layer=layer,
+        )
+        # an untraced sweep first: a process-wide table that the sweep grows
+        # (a 1.9 MB block outlived one traced sweep) grows then, so the
+        # traced peak does not depend on which tests ran earlier
+        sweep()
         tracemalloc.start()
         try:
-            hz.lambda_sweep(
-                model, model, test_ds, vocab, cfg.max_len, grid_points=grid_points, layer=layer
-            )
+            sweep()
             _, peaks[grid_points] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -999,6 +1006,27 @@ def test_an_unset_wrap_leaves_each_node_its_op_closure(acceptance_task, monkeypa
     assert [node.backward_fn for node in tape.nodes] == made
     assert len(made) == nodes
     assert [g.tobytes() for g in passed] == [g.tobytes() for g in plain]
+
+
+def test_training_records_every_op_but_three(monkeypatch):
+    # only their own gradcheck rows and tests call these three; an op that
+    # training stops recording fails here until it is deleted as well
+    unreached = {"concat", "mean_pool_batch", "reshape"}
+    recorded = set()
+
+    def recorder(op, backward_fn):
+        recorded.add(op)
+        return backward_fn
+
+    monkeypatch.setattr(ad.Tape, "wrap", recorder)
+    for backbone in ("embed-mlp", "text-cnn"):
+        for layer in ("sent", "word"):
+            for policy in (*mx.POLICIES, mx.MAXOP):
+                cfg = tiny_config(
+                    backbone=backbone, layer=layer, policy=policy, max_steps=2, dropout=0.3
+                )
+                hz.train(cfg, seed=0)
+    assert recorded == set(ad.OPS) - unreached
 
 
 @pytest.mark.parametrize("policy", [*mx.POLICIES, mx.MAXOP])

@@ -235,15 +235,15 @@ class TestDropoutMask:
 
 
 class TestPretrainedEmbeddings:
-    def load(self, path, seed=0):
+    def load(self, path, dim, seed=0):
         tokens = ["<pad>", "<unk>", "cat", "dog"]
         vocab = dt.Vocab({t: i for i, t in enumerate(tokens)})
-        return models.load_pretrained_embeddings(path, vocab, np.random.default_rng(seed))
+        return models.load_pretrained_embeddings(path, vocab, dim, np.random.default_rng(seed))
 
     def test_matching_tokens_take_file_vectors(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 2.0 3.0\ndog 4.0 5.0 6.0\nzebra 7.0 8.0 9.0\n")
-        table = self.load(path, seed=2)
+        table = self.load(path, 3, seed=2)
         assert table.shape == (4, 3)
         np.testing.assert_array_equal(table.data[2], [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(table.data[3], [4.0, 5.0, 6.0])
@@ -255,13 +255,13 @@ class TestPretrainedEmbeddings:
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 2.0 3.0\ndog 4.0 5.0\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: expected 3 components")):
-            self.load(path)
+            self.load(path, 3)
 
     def test_non_numeric_component_names_line(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 2.0 3.0\ndog 4.0 x 6.0\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: could not convert")):
-            self.load(path)
+            self.load(path, 3)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
     def test_non_finite_component_names_line(self, tmp_path, bad):
@@ -270,29 +270,30 @@ class TestPretrainedEmbeddings:
         path.write_text(f"cat 1.0 2.0 3.0\nzebra 4.0 {bad} 6.0\n")
         message = f"{path}: line 2: non-finite component in the vector of 'zebra'"
         with pytest.raises(ValueError, match=re.escape(message)):
-            self.load(path)
+            self.load(path, 3)
 
     def test_token_without_components_names_file(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("\ncat\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: no vector components")):
-            self.load(path)
+        message = f"{path}: line 2: expected 3 components (embed_dim), got 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.load(path, 3)
 
     def test_empty_file_warns_and_returns_none(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("\n\n")
         with pytest.warns(UserWarning, match="random init"):
-            assert self.load(path) is None
+            assert self.load(path, 3) is None
 
     def test_duplicate_token_last_occurrence_wins(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 1.0\ncat 9.0 9.0\n")
-        table = self.load(path)
+        table = self.load(path, 2)
         np.testing.assert_array_equal(table.data[2], [9.0, 9.0])
 
     def test_deterministic_given_rng(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 2.0\n")
-        t1 = self.load(path, seed=5)
-        t2 = self.load(path, seed=5)
+        t1 = self.load(path, 2, seed=5)
+        t2 = self.load(path, 2, seed=5)
         np.testing.assert_array_equal(t1.data, t2.data)
