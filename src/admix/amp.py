@@ -55,9 +55,9 @@ class LossBundle:
 
     @property
     def loss_final(self) -> np.ndarray:
-        """The selected loss, by ``ad.lerp``'s own expression, so bitwise
-        what ``final_loss`` records: max(L, L') under ``compute_mask``."""
-        return self.loss_prime * self.mask + self.loss * (self.mask * -1.0 + 1.0)
+        """The selected loss, by ``ad.lerp`` itself, so bitwise what
+        ``final_loss`` records: max(L, L') under ``compute_mask``."""
+        return ad.lerp(ad.Tensor(self.loss_prime), ad.Tensor(self.loss), self.mask).data
 
     @classmethod
     def unperturbed(cls, loss: np.ndarray, lam: np.ndarray) -> "LossBundle":

@@ -3,21 +3,21 @@
 A training step under this policy pairs each example with a partner
 from the same minibatch, draws a mixing coefficient lambda from
 Beta(alpha, alpha), interpolates hidden states at one of the named
-backbone cut points, and scores the result against both endpoints' class
+backbone layers, and scores the result against both endpoints' class
 ids, their cross entropies weighted by lambda and (1 - lambda).
 
-``pair_up`` takes the batch and the layer and runs the prefix itself.
-A pairing holds both endpoints at a ``(cut, tensor)`` cut point of
-``models``, the cut that ``score`` resumes the suffix from.
+``pair_up`` takes the batch and the layer and runs the prefix through
+``models.forward_to_layer``; ``score`` resumes the suffix from the mix
+through ``models.forward_from_layer``. This module never looks inside a
+backbone.
 
-At ``word``, embed-mlp's next step is a mean pool, which is linear in
-each row: pooling both endpoints over the pair's longer valid length
-and mixing the pooled rows is the wordMixup of Guo et al. (2019), the
-grid blend followed by the pool, up to rounding. ``pair_up`` pools both
-endpoints straight from the embedding table (``ad.embedding_mean``), so
-no [n, max_len, embed_dim] grid is built, and every score of the
-pairing mixes the pooled [n, embed_dim] rows. text-cnn's conv is not
-linear, so its word grids are gathered and mixed as they are.
+At ``word`` each endpoint runs the prefix over its own token ids, both
+over the pair's longer valid length. embed-mlp's word layer is the
+mean pool, which is linear in each row, so mixing the two pooled rows
+is the wordMixup of Guo et al. (2019), the grid blend followed by the
+pool, up to rounding, and no [n, max_len, embed_dim] grid is built.
+text-cnn's word layer is the grid itself, padding included, so its
+grids mix as they are.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class MixConfig:
 class MixBatch:
     """One pairing of hidden states, ready to be scored at any coefficient."""
 
-    layer: str  # the cut the mixed rows resume from: md.POOLED at embed-mlp's word layer
+    layer: str  # the layer the mixed rows resume from
     hidden_i: ad.Tensor
     hidden_j: ad.Tensor  # row s: the partner of hidden_i row s
     y_i: np.ndarray  # [n] class ids of the hidden_i rows
@@ -139,33 +139,26 @@ def pair_up(
 
     ``j_index`` must be a permutation of ``range(n)``, so each row is the
     partner in exactly one pair. Both endpoints are recorded on the
-    active tape, so gradients reach them. The partner rows of
-    ``forward_to_layer``'s tensor are gathered, except at embed-mlp's
-    word cut: there both endpoints of a pair are pooled straight from
-    the embedding table, row s from ``token_ids[s]`` and its partner from
+    active tape, so gradients reach them. At ``sent`` the partner rows
+    of ``forward_to_layer``'s tensor are gathered. At ``word`` row s runs
+    the prefix from ``token_ids[s]`` and its partner from
     ``token_ids[j_index[s]]``, each over the longer of the pair's two
-    valid lengths, into [n, embed_dim] rows at ``md.POOLED``.
+    valid lengths.
     """
     n = len(batch)
     j_index = np.asarray(j_index)
-    if j_index.dtype.kind not in "iu" or not np.array_equal(np.sort(j_index), np.arange(n)):
+    integer = np.issubdtype(j_index.dtype, np.integer)
+    if not integer or not np.array_equal(np.sort(j_index), np.arange(n)):
         raise ValueError(f"j_index must be a permutation of range({n})")
-    if layer == "word" and model.kind == "embed-mlp":
-        table, ids = model.params["embed"], batch.token_ids
-        lens = np.maximum(batch.valid_lens, batch.valid_lens[j_index])
-        cut, hidden_i = md.POOLED, ad.embedding_mean(table, ids, lens)
-        hidden_j = ad.embedding_mean(table, ids[j_index], lens)
+    y_i, y_j = batch.label_ids, batch.label_ids[j_index]
+    if layer == "word":
+        ids, lens = batch.token_ids, np.maximum(batch.valid_lens, batch.valid_lens[j_index])
+        hidden_i = md.forward_to_layer(model, md.Batch(ids, lens, y_i), layer)
+        hidden_j = md.forward_to_layer(model, md.Batch(ids[j_index], lens, y_j), layer)
     else:
-        cut, hidden_i = md.forward_to_layer(model, batch, layer)
+        hidden_i = md.forward_to_layer(model, batch, layer)
         hidden_j = ad.gather_rows(hidden_i, j_index)
-    return MixBatch(
-        layer=cut,
-        hidden_i=hidden_i,
-        hidden_j=hidden_j,
-        y_i=batch.label_ids,
-        y_j=batch.label_ids[j_index],
-        dropout_mask=dropout_mask,
-    )
+    return MixBatch(layer, hidden_i, hidden_j, y_i, y_j, dropout_mask)
 
 
 def score(model: md.Model, pairs: MixBatch, lam_mix, lam_label) -> ad.Tensor:

@@ -1,19 +1,19 @@
 """Small text-classification backbones with a split forward pass.
 
-A cut point is a ``(cut, tensor)`` pair. ``forward_to_layer`` runs the
-prefix up to one of the two configurable layers and returns the pair;
-``forward_from_layer`` runs the suffix from it, and composing them
-reproduces the plain forward pass bitwise. The layers:
+``forward_to_layer`` runs the prefix up to one of the two configurable
+layers and returns its tensor; ``forward_from_layer`` runs the suffix
+from a tensor at that layer, and composing them reproduces the plain
+forward pass bitwise. The layers:
 
-- ``word``: the embedded tokens. text-cnn stops at the grid, shape
-  [n, max_len, embed_dim], cut ``word``. embed-mlp's suffix opens with
-  a mean pool, so it stops after it, at ``POOLED``: the [n, embed_dim]
-  mean of each row's word vectors, pooled straight from the embedding
-  table (``ad.embedding_mean``) without building the grid
+- ``word``: the embedded tokens. text-cnn's is the grid, shape
+  [n, max_len, embed_dim]. embed-mlp's suffix opens with a mean pool,
+  so its word layer is the pooled [n, embed_dim] rows, each row's word
+  vectors averaged straight from the embedding table
+  (``ad.embedding_mean``) without building the grid
 - ``sent``: the final hidden vector feeding the classifier
 
-Each backbone resumes from exactly two cuts: embed-mlp from ``POOLED``
-and ``sent``, text-cnn from ``word`` and ``sent``.
+This module alone knows how a backbone embeds its words; mixing code
+reaches a layer only through these two functions.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from . import autodiff as ad
 from .errors import read_lines
 
 LAYER_NAMES = ("word", "sent")
-# embed-mlp's cut point right after the mean pool; not a configurable layer
-POOLED = "pooled"
 
 
 @dataclass
@@ -159,33 +157,29 @@ def _check_layer(layer: str) -> None:
         raise ValueError(f"unknown layer {layer!r}, expected one of {LAYER_NAMES}")
 
 
-def forward_to_layer(model: Model, batch: Batch, layer: str) -> tuple[str, ad.Tensor]:
-    """Run the network prefix up to ``layer``; returns ``(cut, tensor)``.
+def forward_to_layer(model: Model, batch: Batch, layer: str) -> ad.Tensor:
+    """Run the network prefix up to ``layer`` and return its tensor.
 
-    At ``word`` embed-mlp stops at ``POOLED``, each row's word vectors
-    pooled straight from the table, and text-cnn at the word grid.
+    At ``word`` embed-mlp returns each row's word vectors pooled straight
+    from the table over its valid length, and text-cnn the word grid.
     """
     _check_layer(layer)
     table = model.params["embed"]
     if model.kind == "embed-mlp":
-        cut = POOLED, ad.embedding_mean(table, batch.token_ids, batch.valid_lens)
+        word = ad.embedding_mean(table, batch.token_ids, batch.valid_lens)
     else:
-        cut = "word", ad.embedding_lookup(table, batch.token_ids)
-    return cut if layer == "word" else ("sent", _to_sent(model, *cut))
+        word = ad.embedding_lookup(table, batch.token_ids)
+    return word if layer == "word" else _to_sent(model, word)
 
 
-def _to_sent(model: Model, cut: str, tensor: ad.Tensor) -> ad.Tensor:
-    """The sent layer from a cut the backbone resumes from: a tanh layer
-    over embed-mlp's pooled rows, or text-cnn's filter bank over its word
-    grid in one conv node."""
-    if cut == "sent":
-        return tensor
-    if cut == POOLED and model.kind == "embed-mlp":
-        pre = ad.add(ad.matmul(tensor, model.params["w_hidden"]), model.params["b_hidden"])
+def _to_sent(model: Model, word: ad.Tensor) -> ad.Tensor:
+    """The sent layer from the word layer: a tanh layer over embed-mlp's
+    pooled rows, or text-cnn's filter bank over its word grid in one conv
+    node."""
+    if model.kind == "embed-mlp":
+        pre = ad.add(ad.matmul(word, model.params["w_hidden"]), model.params["b_hidden"])
         return ad.tanh(pre)
-    if cut == "word" and model.kind == "text-cnn":
-        return ad.conv1d_maxpool_batch(tensor, *filter_bank(model))
-    raise ValueError(f"{model.kind} cannot resume from cut {cut!r}")
+    return ad.conv1d_maxpool_batch(word, *filter_bank(model))
 
 
 def filter_bank(model: Model) -> list[ad.Tensor]:
@@ -195,17 +189,17 @@ def filter_bank(model: Model) -> list[ad.Tensor]:
 
 
 def forward_from_layer(
-    model: Model, cut: str, tensor: ad.Tensor, dropout_mask: np.ndarray | None = None
+    model: Model, layer: str, tensor: ad.Tensor, dropout_mask: np.ndarray | None = None
 ) -> ad.Tensor:
-    """Run the network suffix from ``tensor`` at ``cut`` down to logits.
+    """Run the network suffix from ``tensor`` at ``layer`` down to logits.
 
-    embed-mlp resumes from ``POOLED`` or ``sent``, text-cnn from ``word``
-    or ``sent``. ``dropout_mask`` is a precomputed inverted-dropout mask
-    for the sent layer (entries 0 or 1/keep). Passing the same mask to
-    two calls makes them share the dropped units; None means evaluation
-    mode.
+    ``tensor`` has the shape ``forward_to_layer`` returns at ``layer``.
+    ``dropout_mask`` is a precomputed inverted-dropout mask for the sent
+    layer (entries 0 or 1/keep). Passing the same mask to two calls makes
+    them share the dropped units; None means evaluation mode.
     """
-    sent = _to_sent(model, cut, tensor)
+    _check_layer(layer)
+    sent = tensor if layer == "sent" else _to_sent(model, tensor)
     if dropout_mask is not None:
         if dropout_mask.shape != sent.shape:
             raise ValueError(
@@ -217,7 +211,8 @@ def forward_from_layer(
 
 def forward(model: Model, batch: Batch, dropout_mask: np.ndarray | None = None) -> ad.Tensor:
     """Full forward pass, logits [n, num_classes]."""
-    return forward_from_layer(model, *forward_to_layer(model, batch, "word"), dropout_mask)
+    word = forward_to_layer(model, batch, "word")
+    return forward_from_layer(model, "word", word, dropout_mask)
 
 
 def make_dropout_mask(

@@ -229,7 +229,7 @@ class TestTrain:
             ("lr", "inf", "lr must be positive and finite"),
             ("seeds", "0, 0", "seeds must be distinct"),
             ("noise_len", "-3", "noise_len must be >= 0"),
-            # embed-mlp's internal pooled cut point is not a layer to mix at
+            # embed-mlp's pooled rows are its word layer, not a layer of their own
             ("layer", "pool", "layer must be one of"),
             ("layer", "pooled", "layer must be one of"),
         ],

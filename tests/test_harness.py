@@ -1,9 +1,11 @@
 """Training loop, config parsing, experiment runners, sweep, gradcheck."""
 
 import dataclasses
-import functools
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -152,9 +154,11 @@ class TestConfig:
         seeds = 0, 1, 2
         filter_widths = 3,4
         max_steps = 10
+        embed_frozen = yes
         """
         cfg = hz.config_from_items(hz.parse_config_text(text))
         assert cfg.policy == "maxop"
+        assert cfg.embed_frozen is True
         assert cfg.alpha == 0.5
         assert cfg.epsilon == 0.004
         assert cfg.seeds == (0, 1, 2)
@@ -169,6 +173,8 @@ class TestConfig:
     def test_bad_value_names_the_key(self):
         with pytest.raises(ValueError, match="max_steps"):
             hz.config_from_items({"max_steps": "fifty"})
+        with pytest.raises(ValueError, match="^config key 'embed_frozen': .* got 'maybe'$"):
+            hz.config_from_items({"embed_frozen": "maybe"})
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="duplicate key"):
@@ -209,6 +215,10 @@ class TestConfig:
             ("embed_dim", "0", "embed_dim must be >= 1, got 0"),
             ("embed_dim", "-2", "embed_dim must be >= 1, got -2"),
             ("hidden_dim", "0", "hidden_dim must be >= 1, got 0"),
+            ("max_steps", "0", "max_steps must be >= 1, got 0"),
+            ("dev_fraction", "1", "dev_fraction must be in [0, 1), got 1.0"),
+            ("dev_fraction", "nan", "dev_fraction must be in [0, 1), got nan"),
+            ("max_len", "0", "max_len must be >= 1, got 0"),
         ],
     )
     def test_nonfinite_and_out_of_range_values_rejected(self, key, raw, message):
@@ -320,6 +330,26 @@ class TestTrain:
         assert r1.test_error == r2.test_error
         for name in m1.params:
             assert np.array_equal(m1.params[name].data, m2.params[name].data)
+
+    def test_without_a_dev_split_the_final_parameters_are_tested(self, monkeypatch):
+        cfg = tiny_config(dev_fraction=0.0, max_steps=5)
+        after = []
+        adam_update = hz.adam_update
+
+        def recording(params, grads, state):
+            adam_update(params, grads, state)
+            after.append({name: p.data.copy() for name, p in params.items()})
+
+        monkeypatch.setattr(hz, "adam_update", recording)
+        with pytest.warns(UserWarning, match="empty dev split"):
+            model, report = hz.train(cfg, seed=0)
+        assert report.dev_errors == [] and report.best_step == -1
+        assert len(after) == cfg.max_steps
+        for name, final in after[-1].items():
+            assert np.array_equal(model.params[name].data, final)
+        _, _, test_ds, vocab = hz.prepare_task(cfg, seed=0)
+        chunks = hz._chunks(test_ds.examples, vocab, cfg.max_len, cfg.num_classes)
+        assert report.test_error == hz._error_rate(model, chunks)
 
     def test_word_layer_step_makes_no_add_at_call(self, monkeypatch):
         real_add = np.add
@@ -794,32 +824,49 @@ def acceptance_task():
     return cfg, test_ds, vocab
 
 
+SWEEP_PEAKS = """
+import dataclasses, functools, sys, tracemalloc
+import numpy as np
+import admix.harness as hz
+
+root, backbone, layer = sys.argv[1:]
+cfg = hz.load_config(f"{root}/configs/acceptance.cfg")
+_, _, test_ds, vocab = hz.prepare_task(cfg, seed=0)
+cfg = dataclasses.replace(cfg, backbone=backbone)
+model = hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(0))
+assert len(test_ds) == 3000
+for grid_points in (3, 101):
+    sweep = functools.partial(
+        hz.lambda_sweep,
+        model, model, test_ds, vocab, cfg.max_len, grid_points=grid_points, layer=layer,
+    )
+    sweep()
+    tracemalloc.start()
+    sweep()
+    print(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+"""
+
+
 @pytest.mark.parametrize("layer", ["sent", "word"])
 @pytest.mark.parametrize("backbone", ["embed-mlp", "text-cnn"])
-def test_full_sweep_memory_is_bounded_by_the_row_chunk(acceptance_task, backbone, layer):
+def test_full_sweep_memory_is_bounded_by_the_row_chunk(backbone, layer):
     # 3000 test rows; scored all at once, the peak was 13-52 MiB, and a
     # [grid_points, n] loss matrix made it grow by 2.3-4.3 MB from 3 to 101
-    # grid points
-    cfg, test_ds, vocab = acceptance_task
-    cfg = dataclasses.replace(cfg, backbone=backbone)
-    model = hz.build_model(cfg, vocab, cfg.num_classes, np.random.default_rng(0))
-    assert len(test_ds) == 3000
-    peaks = {}
-    for grid_points in (3, 101):
-        sweep = functools.partial(
-            hz.lambda_sweep,
-            model, model, test_ds, vocab, cfg.max_len, grid_points=grid_points, layer=layer,
-        )
-        # an untraced sweep first: a process-wide table that the sweep grows
-        # (a 1.9 MB block outlived one traced sweep) grows then, so the
-        # traced peak does not depend on which tests ran earlier
-        sweep()
-        tracemalloc.start()
-        try:
-            sweep()
-            _, peaks[grid_points] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    # grid points. numpy keeps process-wide blocks that a sweep may be the
+    # first to allocate (a 1.9 MB one from as_strided outlived a traced
+    # sweep), so each peak is taken in a fresh process, after an untraced
+    # sweep of the same size has allocated them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SWEEP_PEAKS, str(ROOT), backbone, layer],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peaks = dict(zip((3, 101), map(int, proc.stdout.split())))
     assert peaks[3] < 16 * 2**20
     assert abs(peaks[101] - peaks[3]) < 256 * 2**10, peaks
 
@@ -867,9 +914,7 @@ def test_text_cnn_sent_rows_do_not_depend_on_the_batch(acceptance_task):
     enc = dt.encode_batch(test_ds.examples[:700], vocab, cfg.max_len, cfg.num_classes)
 
     def sent(rows):
-        cut, tensor = md.forward_to_layer(model_a, hz._slice_batch(enc, rows), "sent")
-        assert cut == "sent"
-        return tensor.data
+        return md.forward_to_layer(model_a, hz._slice_batch(enc, rows), "sent").data
 
     whole = sent(np.arange(700)).tobytes()
     block = ad.CONV_BLOCK_ROWS

@@ -167,6 +167,37 @@ def test_the_attribute_guard_sees_every_form_of_write():
     }
 
 
+def backbone_reads(tree: ast.Module) -> set:
+    """Each ``.kind`` or ``.params`` attribute that ``tree`` reads, and
+    each ``embedding_*`` op it names, as dotted text."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+            node.attr in ("kind", "params") or node.attr.startswith("embedding_")
+        ):
+            found.add(dotted(node)[0])
+    return found
+
+
+def test_the_backbone_guard_sees_every_form_of_read():
+    tree = ast.parse(
+        "def f(model, batch):\n"
+        "    if model.kind == 'embed-mlp':\n"
+        "        return ad.embedding_mean(model.params['embed'], batch.token_ids, None)\n"
+        "    return batch.token_ids\n"
+    )
+    assert backbone_reads(tree) == {"model.kind", "model.params", "ad.embedding_mean"}
+
+
+@pytest.mark.parametrize("module", ["mixup", "amp"])
+def test_mixing_reaches_a_backbone_only_through_models(module):
+    # how a backbone embeds its words, and what its parameters are called,
+    # is decided in models alone; mixing reaches a layer through its split
+    # forward
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert backbone_reads(tree) == set()
+
+
 def test_only_the_audit_rebinds_a_package_attribute():
     # a module that swaps another's attribute changes it for every caller;
     # the one such write is the audit's corruption, through the tape's hook

@@ -243,7 +243,7 @@ class TestRandOp:
         np.testing.assert_array_equal(pairs.hidden_j.data, gathered.data)
         np.testing.assert_array_equal(pairs.hidden_i.data, ad.mean_pool_batch(grid, lens).data)
         np.testing.assert_array_equal(pairs.y_j, batch.label_ids[j])
-        assert pairs.layer == models.POOLED and pairs.hidden_i.shape == (len(batch), 5)
+        assert pairs.layer == "word" and pairs.hidden_i.shape == (len(batch), 5)
 
     @pytest.mark.parametrize("layer", ["sent", "word"])
     @pytest.mark.parametrize("j", [[0, 2, 2, 3, 4, 5], [0, 1, 2, 3, 4, 6]], ids=["repeat", "range"])
@@ -261,15 +261,15 @@ class TestRandOp:
         batch = make_batch(np.random.default_rng(21))
         j = mx.pair_batch(len(batch), np.random.default_rng(6))
         pairs = mx.pair_up(model, batch, "word", j)
-        cut, grid = models.forward_to_layer(model, batch, "word")
+        grid = models.forward_to_layer(model, batch, "word")
         np.testing.assert_array_equal(pairs.hidden_i.data, grid.data)
         np.testing.assert_array_equal(pairs.hidden_j.data, grid.data[j])
-        assert pairs.layer == cut == "word"
+        assert pairs.layer == "word"
 
     def test_lambda_gradient_matches_finite_differences(self):
         model = make_model(np.random.default_rng(23))
         batch = make_batch(np.random.default_rng(24), n=4)
-        _, sent = models.forward_to_layer(model, batch, "sent")
+        sent = models.forward_to_layer(model, batch, "sent")
         j = np.array([2, 3, 0, 1])
         g_i_data = sent.data
 
@@ -349,7 +349,7 @@ class TestPooledWordMixing:
         mixed = ad.lerp(grid, ad.gather_rows(grid, j), lam)
         lens = np.maximum(batch.valid_lens, batch.valid_lens[j])
         pooled = ad.mean_pool_batch(mixed, lens)
-        logits = models.forward_from_layer(model, models.POOLED, pooled, dropout_mask=mask)
+        logits = models.forward_from_layer(model, "word", pooled, dropout_mask=mask)
         return ad.pair_cross_entropy(logits, batch.label_ids, batch.label_ids[j], lam)
 
     @staticmethod
@@ -396,7 +396,7 @@ class TestPooledWordMixing:
         grid = ad.embedding_lookup(model.params["embed"], batch.token_ids)
         lens = np.maximum(batch.valid_lens, batch.valid_lens[j_index])
         return mx.MixBatch(
-            layer=models.POOLED,
+            layer="word",
             hidden_i=ad.mean_pool_batch(grid, lens),
             hidden_j=ad.mean_pool_batch(ad.gather_rows(grid, j_index), lens),
             y_i=batch.label_ids,
@@ -463,8 +463,8 @@ class TestScore:
             ops = [node.op for node in tape.nodes]
             again = mx.score(model, pairs, lam_leaf, lam_leaf)
         assert pairs.dropout_mask is not None
-        # embed-mlp pools a word pair's partner straight from the table
-        assert ops.count("gather_rows") == (0 if (backbone, layer) == ("embed-mlp", "word") else 1)
+        # a word pair's partner runs the prefix from its own token ids
+        assert ops.count("gather_rows") == (0 if layer == "word" else 1)
         assert [node.op for node in tape.nodes][len(ops):] == ops[ops.index("lerp"):]
         np.testing.assert_array_equal(again.data, loss.data)
 

@@ -79,35 +79,35 @@ class TestSplitForward:
         batch = make_batch(np.random.default_rng(4), max_len=6)
         mask = models.make_dropout_mask(m, len(batch), np.random.default_rng(5))
         full = models.forward(m, batch, dropout_mask=mask)
-        cut, tensor = models.forward_to_layer(m, batch, layer)
-        split = models.forward_from_layer(m, cut, tensor, dropout_mask=mask)
+        tensor = models.forward_to_layer(m, batch, layer)
+        split = models.forward_from_layer(m, layer, tensor, dropout_mask=mask)
         np.testing.assert_array_equal(full.data, split.data)
 
     def test_word_hidden_shape_and_lengths(self):
-        # embed-mlp's word cut is the pooled cut: each row's word vectors
+        # embed-mlp's word layer is the pooled rows: each row's word vectors
         # averaged over its valid length; text-cnn's is the word grid
         rng = np.random.default_rng(3)
         mlp = models.init_embed_mlp(20, 5, 7, 3, rng)
         cnn = models.init_text_cnn(20, 5, (2, 3), 4, 3, rng)
         batch = make_batch(np.random.default_rng(4), n=3, max_len=6)
         batch.valid_lens = np.array([1, 6, 4])
-        cut, pooled = models.forward_to_layer(mlp, batch, "word")
-        assert cut == models.POOLED and pooled.shape == (3, 5)
+        pooled = models.forward_to_layer(mlp, batch, "word")
+        assert pooled.shape == (3, 5)
         grid = mlp.params["embed"].data[batch.token_ids]
         for s, n_valid in enumerate(batch.valid_lens):
             np.testing.assert_allclose(pooled.data[s], grid[s, :n_valid].mean(axis=0), rtol=1e-12)
         table_pool = ad.mean_pool_batch(ad.Tensor(grid), batch.valid_lens)
         np.testing.assert_array_equal(pooled.data, table_pool.data)
-        cut, tensor = models.forward_to_layer(cnn, batch, "word")
-        assert cut == "word" and tensor.shape == (3, 6, 5)
+        tensor = models.forward_to_layer(cnn, batch, "word")
+        assert tensor.shape == (3, 6, 5)
         np.testing.assert_array_equal(tensor.data, cnn.params["embed"].data[batch.token_ids])
 
     def test_sent_hidden_has_no_lengths(self):
-        # a cut point is a (cut, tensor) pair and nothing more
+        # a layer's value is one tensor and nothing more
         m = models.init_embed_mlp(20, 5, 7, 3, np.random.default_rng(3))
         batch = make_batch(np.random.default_rng(4))
-        cut, tensor = models.forward_to_layer(m, batch, "sent")
-        assert cut == "sent"
+        tensor = models.forward_to_layer(m, batch, "sent")
+        assert isinstance(tensor, ad.Tensor)
         assert tensor.shape == (len(batch), 7)
 
     def test_zero_sent_hidden_gives_bias_logits(self):
@@ -117,26 +117,18 @@ class TestSplitForward:
         np.testing.assert_array_equal(logits.data, np.tile([0.5, -1.0, 2.0], (4, 1)))
 
     def test_unknown_layer_rejected(self):
-        m = models.init_embed_mlp(20, 5, 7, 3, np.random.default_rng(3))
-        batch = make_batch(np.random.default_rng(4))
-        with pytest.raises(ValueError, match="unknown layer"):
-            models.forward_to_layer(m, batch, "pixel")
-
-    @pytest.mark.parametrize(
-        "kind, cut",
-        [("embed-mlp", "word"), ("embed-mlp", "pixel"), ("text-cnn", models.POOLED), ("text-cnn", "pixel")],
-    )
-    def test_a_cut_the_backbone_cannot_resume_from_is_named(self, kind, cut):
-        # each backbone with the other backbone's cut, and with an unknown one
+        # both halves of the split check the name, whichever the backbone
         rng = np.random.default_rng(3)
-        if kind == "embed-mlp":
-            m = models.init_embed_mlp(20, 5, 7, 3, rng)
-            tensor = ad.Tensor(rng.random((4, 8, 5)))
-        else:
-            m = models.init_text_cnn(20, 5, (2, 3), 4, 3, rng)
-            tensor = ad.Tensor(rng.random((4, 5)))
-        with pytest.raises(ValueError, match=f"^{kind} cannot resume from cut '{cut}'$"):
-            models.forward_from_layer(m, cut, tensor)
+        batch = make_batch(np.random.default_rng(4))
+        backbones = (
+            models.init_embed_mlp(20, 5, 7, 3, rng),
+            models.init_text_cnn(20, 5, (2, 3), 4, 3, rng),
+        )
+        for m in backbones:
+            with pytest.raises(ValueError, match="unknown layer 'pixel'"):
+                models.forward_to_layer(m, batch, "pixel")
+            with pytest.raises(ValueError, match="unknown layer 'pooled'"):
+                models.forward_from_layer(m, "pooled", ad.Tensor(rng.random((4, 5))))
 
     def test_dropout_mask_shape_checked(self):
         m = models.init_embed_mlp(20, 5, 7, 3, np.random.default_rng(3))
