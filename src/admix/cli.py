@@ -158,7 +158,10 @@ def cmd_lowres(args) -> int:
     # named by its tag, so two ratios with one tag would overwrite each other
     tags = {}
     for piece in pieces:
-        ratio = float(piece)
+        try:
+            ratio = float(piece)
+        except ValueError as exc:
+            raise ValueError(f"--ratios: {exc}") from None
         dataclasses.replace(config, subsample_ratio=ratio).validate()
         tag = f"{ratio:g}"
         if tag in tags:

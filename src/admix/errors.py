@@ -8,11 +8,11 @@ class DivergenceError(RuntimeError):
 def read_lines(path):
     """Yield ``(lineno, line)`` for each line of the UTF-8 text file ``path``.
 
-    Newlines are universal, as in ``open``. A byte that is not UTF-8 raises
-    ``ValueError`` naming the file and the line, where the decoder's own
-    error names neither.
+    Newlines are universal, as in ``open``, and a leading UTF-8 byte-order
+    mark is dropped. A byte that is not UTF-8 raises ``ValueError`` naming
+    the file and the line, where the decoder's own error names neither.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import io
 import math
 import time
 import warnings
@@ -220,54 +219,30 @@ _PARSERS_BY_TYPE = {
 _FIELD_PARSERS = {f.name: _PARSERS_BY_TYPE[f.type] for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _field_values(items: dict) -> dict:
-    """The typed value of each string key/value pair; unknown keys are errors."""
-    kwargs = {}
-    for key, raw in items.items():
-        parser = _FIELD_PARSERS.get(key)
-        if parser is None:
-            raise ValueError(f"unknown config key {key!r}")
-        try:
-            kwargs[key] = parser(raw)
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
-    return kwargs
-
-
-def config_from_items(items: dict) -> ExperimentConfig:
-    """Build a config from string key/value pairs; unknown keys are errors."""
-    config = ExperimentConfig(**_field_values(items))
-    config.validate()
-    return config
-
-
-def parse_config_text(text: str) -> dict:
-    """Flat ``key = value`` lines, ended as ``errors.read_lines`` ends them
-    (universal newlines); blank lines and ``#`` comments skipped."""
-    items: dict = {}
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+def load_config(path) -> ExperimentConfig:
+    """The config in file ``path``, read in one pass over ``read_lines``:
+    flat ``key = value`` lines, blank lines and ``#`` comments skipped. An
+    error in a line (its form, an unknown or repeated key, a value that
+    does not parse) reads ``{path}: line N: ...``, and the first bad line
+    wins; a value out of range fails ``validate``, whose errors name the key."""
+    values = {}
+    for lineno, line in read_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path}: line {lineno}"
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key in items:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        items[key] = value.strip()
-    return items
-
-
-def load_config(path) -> ExperimentConfig:
-    """The config in file ``path``. An error in its text (a line, a key or a
-    value that does not parse) starts with the path; a value out of range
-    fails ``validate``, whose errors name the key."""
-    text = "".join(line for _, line in read_lines(path))
-    try:
-        values = _field_values(parse_config_text(text))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{where}: expected 'key = value', got {line!r}")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        parser = _FIELD_PARSERS.get(key)
+        if parser is None:
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"{where}: duplicate key {key!r}")
+        try:
+            values[key] = parser(raw)
+        except ValueError as exc:
+            raise ValueError(f"{where}: config key {key!r}: {exc}") from None
     config = ExperimentConfig(**values)
     config.validate()
     return config

@@ -71,6 +71,14 @@ class TestExitCodes:
         assert main(["train", "--config", str(path)]) == 1
         assert "min_freq" in capsys.readouterr().err
 
+    def test_zero_feature_maps_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY + "backbone = text-cnn\nfeature_maps = 0\n")
+        assert main(["train", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: feature_maps must be positive and num_classes >= 2\n"
+
     def test_wrong_width_pretrained_table_is_config_error(self, tmp_path, capsys):
         # the acceptance task has 502 vocabulary entries and 16-wide embeddings
         _, _, _, vocab = hz.prepare_task(hz.load_config(ACCEPTANCE), seed=0)
@@ -185,7 +193,8 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         n = TINY.count("\n") + 1
-        assert err.startswith(f"error: {path}: {message.format(n=n)}")
+        assert err.startswith(f"error: {path}: line {n}: ")
+        assert message.format(n=n) in err
 
     @pytest.mark.parametrize(
         "end", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -358,6 +367,7 @@ class TestLowres:
             ("0.5,nan", "subsample_ratio must be in (0, 1], got nan"),
             ("0.5,0.50", "--ratios 0.5 and 0.50 both write files tagged r0.5"),
             ("0.1234567,0.1234568", "both write files tagged r0.123457"),
+            ("0.5,abc", "--ratios: could not convert string to float: 'abc'"),
         ],
     )
     def test_bad_ratios_rejected_before_training(

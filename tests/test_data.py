@@ -112,6 +112,14 @@ class TestLoadCorpus:
         ds = data.load_corpus(write_corpus(tmp_path, ["0\ta", f"{padded}\tb"]))
         assert (ds.num_classes, ds.label_names) == (2, {"0": 0, padded: 1})
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # the mark made the first label '\ufeff0', a name, and 0/1/0/1 three classes
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(b"\xef\xbb\xbf0\ta\n1\tb\n0\tc\n1\td\n")
+        ds = data.load_corpus(path)
+        assert (ds.num_classes, ds.label_names) == (2, {"0": 0, "1": 1})
+        assert [label for _, label in ds.examples] == [0, 1, 0, 1]
+
     def test_mixed_labels_fall_back_to_names(self, tmp_path):
         path = write_corpus(tmp_path, ["1\talpha", "x\tbeta"])
         ds = data.load_corpus(path)

@@ -13,6 +13,7 @@ class-id bound caps, and into vector components.
 """
 
 import dataclasses
+import itertools
 import re
 import warnings
 
@@ -140,11 +141,20 @@ def test_a_mutated_input_file_fails_by_contract(tmp_path, capsys, case):
         named_key = any(re.search(rf"\b{key}\b", err) for key in KEYS)
         assert named_file or named_key, err
     # a config text error's line N is the line read_lines yields as N: the
-    # lines before it parse, and with it they fail with the same error
+    # lines before it give no line error, and with it they give the same one
     where = re.match(rf"error: {re.escape(str(paths['config']))}: (line (\d+): (?!byte ).*)", err)
     if where:
         message, n = where[1], int(where[2])
-        lines = [line for _, line in read_lines(paths["config"])]
-        hz.parse_config_text("".join(lines[: n - 1]))
-        with pytest.raises(ValueError, match=re.escape(message)):
-            hz.parse_config_text("".join(lines[:n]))
+        lines = [line for _, line in itertools.islice(read_lines(paths["config"]), n)]
+        prefix = tmp_path / "prefix.cfg"
+
+        def load_error(count: int) -> str:
+            prefix.write_text("".join(lines[:count]), encoding="utf-8")
+            try:
+                hz.load_config(prefix)
+            except ValueError as exc:
+                return str(exc)
+            return ""
+
+        assert not load_error(n - 1).startswith(f"{prefix}: line ")
+        assert load_error(n) == f"{prefix}: {message}"

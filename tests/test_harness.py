@@ -144,8 +144,15 @@ class TestAdam:
         assert p.data[0] == pytest.approx(-2 * 0.2 / (1.0 + 1e-8), rel=1e-10)
 
 
+def load_text(tmp_path, text):
+    """The config ``load_config`` reads from ``text`` in a file."""
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    return hz.load_config(path)
+
+
 class TestConfig:
-    def test_round_trip_through_text(self):
+    def test_round_trip_through_text(self, tmp_path):
         text = """
         # experiment shape
         policy = maxop
@@ -156,7 +163,7 @@ class TestConfig:
         max_steps = 10
         embed_frozen = yes
         """
-        cfg = hz.config_from_items(hz.parse_config_text(text))
+        cfg = load_text(tmp_path, text)
         assert cfg.policy == "maxop"
         assert cfg.embed_frozen is True
         assert cfg.alpha == 0.5
@@ -164,25 +171,38 @@ class TestConfig:
         assert cfg.seeds == (0, 1, 2)
         assert cfg.filter_widths == (3, 4)
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, tmp_path):
         # the retired ablation switch must fail, not be silently ignored
         for key in ("leraning_rate", "force_mask_ones"):
-            with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
-                hz.config_from_items({key: "true"})
+            with pytest.raises(ValueError, match=f": line 2: unknown config key '{key}'$"):
+                load_text(tmp_path, f"lr = 0.1\n{key} = true\n")
 
-    def test_bad_value_names_the_key(self):
+    def test_bad_value_names_the_key(self, tmp_path):
         with pytest.raises(ValueError, match="max_steps"):
-            hz.config_from_items({"max_steps": "fifty"})
-        with pytest.raises(ValueError, match="^config key 'embed_frozen': .* got 'maybe'$"):
-            hz.config_from_items({"embed_frozen": "maybe"})
+            load_text(tmp_path, "max_steps = fifty\n")
+        with pytest.raises(ValueError, match=": line 1: config key 'embed_frozen': .* got 'maybe'$"):
+            load_text(tmp_path, "embed_frozen = maybe\n")
+        message = ": line 2: config key 'seeds': expected a comma-separated integer list$"
+        with pytest.raises(ValueError, match=message):
+            load_text(tmp_path, "lr = 0.1\nseeds =\n")
 
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(ValueError, match="duplicate key"):
-            hz.parse_config_text("lr = 0.1\nlr = 0.2")
+    def test_duplicate_key_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=": line 2: duplicate key 'lr'$"):
+            load_text(tmp_path, "lr = 0.1\nlr = 0.2")
 
-    def test_line_without_equals_rejected(self):
+    def test_line_without_equals_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="line 2"):
-            hz.parse_config_text("lr = 0.1\nbogus line")
+            load_text(tmp_path, "lr = 0.1\nbogus line")
+
+    def test_first_bad_line_wins(self, tmp_path):
+        # the duplicate on line 3 used to be reported before line 1's unknown key
+        with pytest.raises(ValueError, match=": line 1: unknown config key 'bogus'$"):
+            load_text(tmp_path, "bogus = 1\nlr = 0.1\nlr = 0.2\n")
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # the mark was read into the first key: unknown config key '\ufeffpolicy'
+        cfg = load_text(tmp_path, "\ufeffpolicy = none\n")  # EF BB BF in UTF-8
+        assert cfg.policy == "none"
 
     def test_validation_catches_bad_fields(self):
         for field, value in [
@@ -221,11 +241,11 @@ class TestConfig:
             ("max_len", "0", "max_len must be >= 1, got 0"),
         ],
     )
-    def test_nonfinite_and_out_of_range_values_rejected(self, key, raw, message):
+    def test_nonfinite_and_out_of_range_values_rejected(self, tmp_path, key, raw, message):
         # each of these used to pass validation and fail later, inside
         # training or numpy, with a message that named no key
         with pytest.raises(ValueError) as info:
-            hz.config_from_items({key: raw})
+            load_text(tmp_path, f"{key} = {raw}\n")
         assert message in str(info.value)
 
     def test_negative_run_seed_rejected_before_any_work(self, monkeypatch):
@@ -236,24 +256,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             hz.train(tiny_config(), -1)
 
-    def test_min_freq_below_one_rejected(self):
+    def test_min_freq_below_one_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="min_freq"):
-            hz.config_from_items({"min_freq": "0"})
+            load_text(tmp_path, "min_freq = 0\n")
 
-    def test_file_dataset_requires_paths(self):
+    def test_file_dataset_requires_paths(self, tmp_path):
         # one path alone used to validate and then train on the synthetic corpus
         for key in ("train_path", "test_path"):
             with pytest.raises(ValueError) as info:
-                hz.config_from_items({key: "/nonexistent.tsv"})
+                load_text(tmp_path, f"{key} = /nonexistent.tsv\n")
             message = str(info.value)
             assert "train_path" in message and "test_path" in message
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("policy = none\nmax_steps = 5\n")
+        path.write_text("policy = none\nmax_steps = 5\nembed_frozen = no\n")
         cfg = hz.load_config(path)
         assert cfg.policy == "none"
         assert cfg.max_steps == 5
+        assert cfg.embed_frozen is False
 
 
 class TestPrepareTask:
@@ -810,6 +831,12 @@ class TestLambdaSweep:
         small = dt.Vocab({"<pad>": 0, "<unk>": 1})
         with pytest.raises(ValueError, match="vocabulary"):
             hz.lambda_sweep(model_a, model_b, test_ds, small, cfg.max_len)
+
+    def test_class_count_mismatch_rejected(self, sweep_setup):
+        cfg, model_a, _, test_ds, vocab = sweep_setup
+        other = hz.build_model(cfg, vocab, cfg.num_classes + 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="models disagree on the number of classes"):
+            hz.lambda_sweep(model_a, other, test_ds, vocab, cfg.max_len)
 
     def test_grid_too_small_rejected(self, sweep_setup):
         cfg, model_a, model_b, test_ds, vocab = sweep_setup

@@ -2,8 +2,9 @@
 
 ``autodiff`` is the bottom layer and depends on numpy alone; training
 code does not reach into the gradient audit; nothing imports the
-command-line front end; and no module rebinds another's attribute, but
-for the audit setting the tape's adjoint hook.
+command-line front end; no module rebinds another's attribute, but for
+the audit setting the tape's adjoint hook; and only ``errors.read_lines``
+opens a file to read it.
 """
 
 import ast
@@ -206,3 +207,31 @@ def test_only_the_audit_rebinds_a_package_attribute():
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         found |= {(module, *write) for write in package_attribute_writes(tree)}
     assert found == {("gradcheck", "gradcheck", "ad.Tape.wrap")}
+
+
+def open_modes(tree: ast.Module) -> list:
+    """The mode of each ``open(...)`` call in ``tree``, as source text."""
+    modes = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r")
+            )
+            modes.append(ast.unparse(mode))
+    return modes
+
+
+def test_the_open_guard_sees_every_form_of_mode():
+    tree = ast.parse("open(a)\nopen(b, 'w')\nopen(c, mode='rb')\nopen(d, encoding='utf-8')\n")
+    assert open_modes(tree) == ["'r'", "'w'", "'rb'", "'r'"]
+
+
+def test_only_read_lines_reads_a_file():
+    # how a line ends, which bytes are UTF-8 and whether a byte-order mark
+    # is text are decided in errors.read_lines alone; a second reader, or a
+    # splitter over text in memory, would decide them again
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        if module != "errors":
+            assert set(open_modes(tree)) <= {"'w'"}, module
+        assert "io" not in imports(module)[1], module

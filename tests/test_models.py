@@ -277,6 +277,19 @@ class TestPretrainedEmbeddings:
         with pytest.warns(UserWarning, match="random init"):
             assert self.load(path, 3) is None
 
+    def test_no_matching_token_warns(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("zebra 1.0 2.0\n")
+        with pytest.warns(UserWarning, match="matched the vocabulary"):
+            table = self.load(path, 2)
+        assert np.abs(table.data).max() <= 0.1  # every row keeps its random init
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # the mark was read into the first token, '\ufeffcat', which matched nothing
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"\xef\xbb\xbfcat 1.0 2.0\n")
+        np.testing.assert_array_equal(self.load(path, 2).data[2], [1.0, 2.0])
+
     def test_duplicate_token_last_occurrence_wins(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("cat 1.0 1.0\ncat 9.0 9.0\n")
